@@ -9,6 +9,7 @@ from .errors import (
     BadThreshold,
     DecodeRange,
     DimensionMismatch,
+    DivergentAggregate,
     DuplicatePoint,
     DuplicateSender,
     EmptyContributors,
@@ -17,6 +18,7 @@ from .errors import (
     InsufficientSurvivors,
     InvalidPublicKey,
     MissingKeyShares,
+    NonFiniteInput,
     NotEnoughShares,
     PointMismatch,
     ProtocolError,

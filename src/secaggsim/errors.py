@@ -16,6 +16,10 @@ class ZeroInverse(SecAggError):
     """Multiplicative inverse of zero requested."""
 
 
+class NonFiniteInput(SecAggError):
+    """A NaN or infinite value was given to the fixed-point encoder."""
+
+
 class DecodeRange(SecAggError):
     """Field element falls in the ambiguous band between the positive and
     negative fixed-point ranges; the sum exceeded its declared bounds."""
@@ -88,6 +92,10 @@ class MissingKeyShares(ProtocolError):
 
 class SafetyViolation(ProtocolError):
     """An unmask step would reveal both secrets of the same client."""
+
+
+class DivergentAggregate(ProtocolError):
+    """Two survivors finished the round with different aggregates."""
 
 
 # --- simulation ------------------------------------------------------------

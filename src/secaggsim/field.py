@@ -3,18 +3,21 @@
 Scalars are plain Python ints in [0, q); vectors are numpy uint64 arrays.
 The default modulus is the Mersenne prime 2^61 - 1, which keeps every
 element in one machine word and leaves headroom so sums over hundreds of
-clients (clip 2^20, 16 fractional bits) never wrap.
+clients (clip 2^20, 16 fractional bits) never wrap.  Every exact matrix
+product mod q goes through one kernel, matmul_mod.
 
 Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeRange, ZeroInverse
+from .errors import DecodeRange, DimensionMismatch, NonFiniteInput, ZeroInverse
 
 M61 = (1 << 61) - 1  # 2^61 - 1, prime
 
@@ -54,23 +57,21 @@ class FieldPrime:
     """A prime modulus q together with its wire width.
 
     Field elements serialize as 8-byte big-endian unsigned integers, so q
-    must fit in 64 bits.
+    must fit in 64 bits; q < 2^63 so the sum of two reduced elements never
+    wraps a uint64.
     """
 
     q: int = M61
 
     def __post_init__(self):
-        if self.q >= (1 << 64):
-            raise ValueError("modulus must fit in 64 bits for the wire format")
+        if self.q >= (1 << 63):
+            raise ValueError("modulus must be below 2^63 so uint64 sums never wrap")
         if not is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
 
     @property
     def bit_width(self) -> int:
         return (self.q - 1).bit_length()
-
-    def reduce(self, x: int) -> int:
-        return x % self.q
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -80,9 +81,6 @@ class FieldPrime:
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return (self.q - a) % self.q
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat (q prime)."""
@@ -122,7 +120,7 @@ def _as_u64(a) -> np.ndarray:
 
 def add_mod(a, b, field: FieldPrime) -> np.ndarray:
     """(a + b) mod q elementwise; operands must already be reduced."""
-    s = _as_u64(a) + _as_u64(b)  # < 2^62, no overflow for q < 2^61
+    s = _as_u64(a) + _as_u64(b)  # < 2^64 since q < 2^63
     np.subtract(s, np.uint64(field.q), out=s, where=s >= np.uint64(field.q))
     return s
 
@@ -131,11 +129,6 @@ def sub_mod(a, b, field: FieldPrime) -> np.ndarray:
     a = _as_u64(a)
     b = _as_u64(b)
     return np.where(a >= b, a - b, a + np.uint64(field.q) - b)
-
-
-def neg_mod(a, field: FieldPrime) -> np.ndarray:
-    a = _as_u64(a)
-    return np.where(a == 0, a, np.uint64(field.q) - a)
 
 
 def mul_mod_m61(a, b) -> np.ndarray:
@@ -172,8 +165,9 @@ def mul_mod(a, b, field: FieldPrime) -> np.ndarray:
     if field.q < (1 << 32):
         # products fit in uint64
         return (_as_u64(a) * _as_u64(b)) % np.uint64(field.q)
-    a_obj = np.asarray(a, dtype=object)
-    b_obj = np.asarray(b, dtype=object)
+    # astype yields Python ints; numpy integer scalars would wrap
+    a_obj = _as_u64(a).astype(object)
+    b_obj = _as_u64(b).astype(object)
     return ((a_obj * b_obj) % field.q).astype(np.uint64)
 
 
@@ -184,6 +178,74 @@ def sum_mod(vectors, field: FieldPrime) -> np.ndarray:
     for v in it:
         acc = add_mod(acc, v, field)
     return acc
+
+
+# --- exact modular matrix product ---------------------------------------------
+
+# Up to this many scalar products (rows * inner * cols), Python-int
+# arithmetic beats the fixed cost of limb splitting and recombination.
+_SMALL_PRODUCT = 1024
+
+
+def limb_bits(inner: int, field: FieldPrime) -> int:
+    """Widest limb for which a float64 dot product of `inner` pairs of
+    limbs stays exact: inner * (2^bits - 1)^2 < 2^53."""
+    return min((53 - max(inner, 1).bit_length()) // 2, field.bit_width)
+
+
+def split_limbs(X, bits: int, field: FieldPrime) -> np.ndarray:
+    """The bits-wide limbs of a reduced (r x c) matrix, lowest first,
+    stacked as one (limbs*r x c) float64 matrix."""
+    X = _as_u64(X)
+    count = -(-field.bit_width // bits)
+    out = np.empty((count,) + X.shape, dtype=np.float64)
+    mask = np.uint64((1 << bits) - 1)
+    for i in range(count):
+        out[i] = (X >> np.uint64(bits * i)) & mask
+    return out.reshape(count * X.shape[0], X.shape[1])
+
+
+def limb_product(M_limbs: np.ndarray, Vt_limbs: np.ndarray, bits: int,
+                 field: FieldPrime) -> np.ndarray:
+    """(M @ V) mod q from split_limbs(M) and split_limbs(V.T).
+
+    One BLAS matmul forms every limb-pair product M_i @ V_j exactly; the
+    products of equal weight i + j are summed (fewer than 2^59) and
+    recombined mod q.
+    """
+    count = -(-field.bit_width // bits)
+    r = M_limbs.shape[0] // count
+    c = Vt_limbs.shape[0] // count
+    P = (M_limbs @ Vt_limbs.T).astype(np.uint64).reshape(count, r, count, c)
+    reduced = (count << 53) <= field.q  # every weight-class sum is below q
+    acc = None
+    for w in range(2 * count - 1):
+        part = sum(P[i, :, w - i]
+                   for i in range(max(0, w - count + 1), min(w, count - 1) + 1))
+        if not reduced:
+            part %= np.uint64(field.q)
+        if w:
+            part = mul_mod(part, np.uint64(pow(2, bits * w, field.q)), field)
+        acc = part if acc is None else add_mod(acc, part, field)
+    return acc
+
+
+def matmul_mod(M, V, field: FieldPrime) -> np.ndarray:
+    """Exact (M @ V) mod q as a uint64 array, for reduced M (r x d) and
+    V (d x c) given as uint64 arrays or nested sequences of ints."""
+    r, d, d2, c = len(M), len(M[0]), len(V), len(V[0])
+    if d != d2:
+        raise DimensionMismatch(f"cannot multiply {r}x{d} by {d2}x{c}")
+    if r * d * c <= _SMALL_PRODUCT:
+        # Python ints, since numpy integer scalars would wrap at 2^64
+        M = M.tolist() if isinstance(M, np.ndarray) else M
+        V = V.tolist() if isinstance(V, np.ndarray) else V
+        cols = list(zip(*V))
+        return np.array([[sum(map(operator.mul, row, col)) % field.q
+                          for col in cols] for row in M], dtype=np.uint64)
+    bits = limb_bits(d, field)
+    return limb_product(split_limbs(M, bits, field),
+                        split_limbs(_as_u64(V).T, bits, field), bits, field)
 
 
 # --- wire format ------------------------------------------------------------
@@ -236,6 +298,8 @@ class FixedPointConfig:
 
 def fp_encode(x: float, cfg: FixedPointConfig = FixedPointConfig(),
               field: FieldPrime = DEFAULT_FIELD) -> int:
+    if not math.isfinite(x):
+        raise NonFiniteInput(f"cannot encode {x}")
     x = min(max(x, -cfg.clip_magnitude), cfg.clip_magnitude)
     return round(x * cfg.scale) % field.q
 
@@ -256,8 +320,10 @@ def fp_decode(e: int, summand_count: int = 1,
 
 def encode_vec(x, cfg: FixedPointConfig = FixedPointConfig(),
                field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
-    x = np.clip(np.asarray(x, dtype=np.float64),
-                -cfg.clip_magnitude, cfg.clip_magnitude)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("vector holds NaN or infinite entries")
+    x = np.clip(x, -cfg.clip_magnitude, cfg.clip_magnitude)
     scaled = np.rint(x * cfg.scale).astype(np.int64)
     return (scaled % np.int64(field.q)).astype(np.uint64)
 

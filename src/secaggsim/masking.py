@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPublicKey
-from .field import DEFAULT_FIELD, FieldPrime, add_mod, mul_mod
+from .field import (DEFAULT_FIELD, FieldPrime, add_mod, limb_bits,
+                    limb_product, split_limbs)
+from .field import mul_mod  # noqa: F401 -- still importable from here
 
 # RFC 3526 group 14 (2048-bit MODP).  p = 7 mod 8, so g=2 generates the
 # prime-order subgroup of size (p-1)/2.
@@ -213,49 +215,23 @@ def lwe_mask(w: np.ndarray, s: np.ndarray, e: np.ndarray, A: np.ndarray,
 class LweMatrixOps:
     """Exact modular mat-vec products against a fixed public matrix.
 
-    The matrix is split into limbs small enough that float64 BLAS matmuls
-    stay exact (limb products summed over the inner dimension never exceed
-    2^53), then recombined mod q.  Bit-identical to mat_vec_mod.
+    The matrix is split once into float64 limbs (field.split_limbs); each
+    product then runs through the limb-product and recombination step of
+    field.matmul_mod.  Bit-identical to mat_vec_mod.
     """
 
     def __init__(self, A: np.ndarray, field: FieldPrime = DEFAULT_FIELD):
         self.field = field
         self.shape = A.shape
-        _, d = A.shape
-        # 2^(2*limb_bits) * d must stay below 2^53 for exact accumulation
-        self._limb_bits = (53 - max(d, 1).bit_length()) // 2
-        self._n_limbs = -(-field.bit_width // self._limb_bits)
-        mask = np.uint64((1 << self._limb_bits) - 1)
-        self._limbs = [
-            ((A >> np.uint64(self._limb_bits * i)) & mask).astype(np.float64)
-            for i in range(self._n_limbs)
-        ]
-        self._weights = [
-            pow(2, self._limb_bits * w, field.q)
-            for w in range(2 * self._n_limbs - 1)
-        ]
+        self._bits = limb_bits(A.shape[1], field)
+        self._limbs = split_limbs(A, self._bits, field)
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         m, d = self.shape
         if len(s) != d:
             raise DimensionMismatch(f"matrix is {m}x{d}, vector has {len(s)}")
-        q = self.field.q
-        lb = np.uint64(self._limb_bits)
-        mask = np.uint64((1 << self._limb_bits) - 1)
-        s = np.asarray(s, dtype=np.uint64)
-        S = np.empty((d, self._n_limbs), dtype=np.float64)
-        for j in range(self._n_limbs):
-            S[:, j] = ((s >> (lb * np.uint64(j))) & mask).astype(np.float64)
-        acc = np.zeros(m, dtype=np.uint64)
-        for i, limb in enumerate(self._limbs):
-            prods = limb @ S  # exact: < 2^53
-            for j in range(self._n_limbs):
-                part = prods[:, j].astype(np.uint64)
-                if q <= (1 << 53):
-                    part %= np.uint64(q)
-                weighted = mul_mod(part, np.uint64(self._weights[i + j]), self.field)
-                acc = add_mod(acc, weighted, self.field)
-        return acc
+        s_limbs = split_limbs(np.reshape(s, (1, d)), self._bits, self.field)
+        return limb_product(self._limbs, s_limbs, self._bits, self.field)[:, 0]
 
 
 # One big matrix at a time is plenty: the simulator shares a single matrix

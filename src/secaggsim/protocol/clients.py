@@ -71,9 +71,6 @@ class OpsTally:
         self.mul = 0
         self.inv = 0
 
-    def as_dict(self) -> dict:
-        return {"add": self.add, "mul": self.mul, "inv": self.inv}
-
 
 @dataclass
 class AggregateResult:
@@ -130,6 +127,47 @@ class BaseClient:
                 f"client {self.id}: contributor set changed")
         self.contributors = ids
 
+    # --- share-vector steps common to the nv and lwe clients ---
+
+    def _share_out(self, vec, kind: MsgKind, held: dict):
+        """Packed-share vec, keep this client's own share in held, and
+        address every peer its share."""
+        cfg = self.cfg
+        svs = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
+        chunks = svs[0].chunk_count
+        d = cfg.t + cfg.k - 1
+        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
+        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
+        held[self.id] = svs[self.id]
+        return [(j, self._msg(kind, ShareVectorPayload(svs[j])))
+                for j in range(cfg.n) if j != self.id]
+
+    def _sum_over_contributors(self, held: dict):
+        missing = [s for s in self.contributors if s not in held]
+        if missing:
+            raise MissingKeyShares(
+                f"client {self.id}: no shares from contributors {missing}")
+        agg = held[self.contributors[0]]
+        for s in self.contributors[1:]:
+            agg = add_share_vectors(agg, held[s])
+        self.ops.add += agg.chunk_count * (len(self.contributors) - 1)
+        return agg
+
+    def _open_sum(self, held: dict) -> np.ndarray:
+        """Reconstruct the summed vector from the held summed shares."""
+        cfg = self.cfg
+        need = cfg.t + cfg.k - 1
+        if self.contributors is None:
+            raise InsufficientContributors(f"client {self.id}: no contributor set")
+        if len(held) < need:
+            raise InsufficientSurvivors(
+                f"client {self.id}: {len(held)} summed shares < t+k-1 = {need}")
+        svs = list(held.values())
+        vec = np.array(reconstruct_vector(svs), dtype=np.uint64)
+        self.ops.mul += svs[0].chunk_count * cfg.k * need
+        self.ops.add += svs[0].chunk_count * cfg.k * (need - 1)
+        return vec
+
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
 
@@ -146,17 +184,8 @@ class NvClient(BaseClient):
         self._emitted_agg = False
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
-        cfg = self.cfg
-        svs = share_vector([int(v) for v in self.enc_w], cfg.t, cfg.n, cfg.k,
-                           self.rng, cfg.field)
-        chunks = svs[0].chunk_count
-        d = cfg.t + cfg.k - 1
-        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
-        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
-        self._input_shares[self.id] = svs[self.id]
-        return [(j, self._msg(MsgKind.INPUT_SHARE_VECTOR,
-                              ShareVectorPayload(svs[j])))
-                for j in range(cfg.n) if j != self.id]
+        return self._share_out(self.enc_w, MsgKind.INPUT_SHARE_VECTOR,
+                               self._input_shares)
 
     def on_message(self, msg: ProtocolMessage) -> list[tuple[int, ProtocolMessage]]:
         self._accept(msg, (MsgKind.INPUT_SHARE_VECTOR,
@@ -183,34 +212,14 @@ class NvClient(BaseClient):
     def _emit_aggregate(self, contributors) -> list[tuple[int, ProtocolMessage]]:
         self._set_contributors(tuple(sorted(contributors)))
         self._emitted_agg = True
-        missing = [s for s in self.contributors if s not in self._input_shares]
-        if missing:
-            raise MissingKeyShares(
-                f"client {self.id}: no input shares from contributors {missing}")
-        agg = None
-        for s in self.contributors:
-            sv = self._input_shares[s]
-            agg = sv if agg is None else add_share_vectors(agg, sv)
-        self.ops.add += agg.chunk_count * (len(self.contributors) - 1)
+        agg = self._sum_over_contributors(self._input_shares)
         self._agg_shares[self.id] = agg
         return self._broadcast(MsgKind.AGGREGATED_SHARE_VECTOR,
                                ShareVectorPayload(agg))
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
-        need = cfg.t + cfg.k - 1
-        if self.contributors is None:
-            raise InsufficientContributors(f"client {self.id}: no contributor set")
-        if len(self._agg_shares) < need:
-            raise InsufficientSurvivors(
-                f"client {self.id}: {len(self._agg_shares)} aggregated shares"
-                f" < t+k-1 = {need}")
-        svs = list(self._agg_shares.values())
-        vec = reconstruct_vector(svs)
-        chunks = svs[0].chunk_count
-        self.ops.mul += chunks * cfg.k * need
-        self.ops.add += chunks * cfg.k * (need - 1)
-        field_sum = np.array(vec, dtype=np.uint64)
+        field_sum = self._open_sum(self._agg_shares)
         avg = decode_vec(field_sum, len(self.contributors), cfg.fp,
                          cfg.field) / len(self.contributors)
         return AggregateResult(average=avg, contributors=self.contributors,
@@ -234,16 +243,7 @@ class LweClient(BaseClient):
         self._sum_shares: dict[int, object] = {}
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
-        cfg = self.cfg
-        svs = share_vector([int(v) for v in self.s], cfg.t, cfg.n, cfg.k,
-                           self.rng, cfg.field)
-        chunks = svs[0].chunk_count
-        d = cfg.t + cfg.k - 1
-        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
-        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
-        self._s_shares[self.id] = svs[self.id]
-        return [(j, self._msg(MsgKind.KEY_SHARE, ShareVectorPayload(svs[j])))
-                for j in range(cfg.n) if j != self.id]
+        return self._share_out(self.s, MsgKind.KEY_SHARE, self._s_shares)
 
     def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
         cfg = self.cfg
@@ -266,15 +266,7 @@ class LweClient(BaseClient):
             return []
         if msg.kind == MsgKind.CONTRIBUTOR_SET:
             self._set_contributors(msg.payload.ids)
-            missing = [s for s in self.contributors if s not in self._s_shares]
-            if missing:
-                raise MissingKeyShares(
-                    f"client {self.id}: contributors {missing} never shared s")
-            agg = None
-            for s in self.contributors:
-                sv = self._s_shares[s]
-                agg = sv if agg is None else add_share_vectors(agg, sv)
-            self.ops.add += agg.chunk_count * (len(self.contributors) - 1)
+            agg = self._sum_over_contributors(self._s_shares)
             self._sum_shares[self.id] = agg
             return self._broadcast(MsgKind.SECRET_SUM_SHARE,
                                    ShareVectorPayload(agg))
@@ -284,22 +276,11 @@ class LweClient(BaseClient):
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
-        need = cfg.t + cfg.k - 1
-        if self.contributors is None:
-            raise InsufficientContributors(f"client {self.id}: no contributor set")
-        if len(self._sum_shares) < need:
-            raise InsufficientSurvivors(
-                f"client {self.id}: {len(self._sum_shares)} sum shares"
-                f" < t+k-1 = {need}")
+        s_sum = self._open_sum(self._sum_shares)
         missing_h = [s for s in self.contributors if s not in self._masked]
         if missing_h:
             raise InsufficientContributors(
                 f"client {self.id}: masked vectors missing from {missing_h}")
-        svs = list(self._sum_shares.values())
-        s_sum = np.array(reconstruct_vector(svs), dtype=np.uint64)
-        chunks = svs[0].chunk_count
-        self.ops.mul += chunks * cfg.k * need
-        self.ops.add += chunks * cfg.k * (need - 1)
         h_sum = sum_mod((self._masked[s] for s in self.contributors), cfg.field)
         field_sum = sub_mod(h_sum, self.A.matvec(s_sum), cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe

@@ -56,8 +56,7 @@ class ShareVectorPayload:
     def to_bytes(self) -> bytes:
         head = struct.pack(">IIII", self.sv.chunk_count, self.sv.vec_len,
                            self.sv.t, self.sv.k)
-        body = b"".join(v.to_bytes(8, "big") for v in self.sv.values)
-        return head + body
+        return head + elems_to_bytes(self.sv.values)
 
 
 @dataclass(frozen=True)

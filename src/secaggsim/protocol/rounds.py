@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import (
     BadPacking,
     BadThreshold,
+    DivergentAggregate,
     InsufficientContributors,
     InsufficientSurvivors,
 )
@@ -132,89 +133,67 @@ def _finalize(clients, bus, cfg) -> AggregateResult:
         raise InsufficientSurvivors("no client survived the round")
     results = [clients[i].finalize() for i in live]
     first = results[0]
-    for r in results[1:]:
+    for cid, r in zip(live[1:], results[1:]):
         # every survivor must land on the bit-identical aggregate
-        assert r.contributors == first.contributors
-        assert np.array_equal(r.field_sum, first.field_sum)
+        if (r.contributors != first.contributors
+                or not np.array_equal(r.field_sum, first.field_sum)):
+            raise DivergentAggregate(
+                f"survivors {live[0]} and {cid} finished with different aggregates")
     return first
 
 
-def _check_inputs(inputs, cfg: RoundConfig):
+def _drive(inputs, cfg: RoundConfig, bus, make_client, openers,
+           no_contributors: str) -> AggregateResult:
+    """The one stage loop behind every protocol.  Each opening stage asks
+    its live clients for outbound messages (client method `openers[i]`)
+    and exchanges them; the senders of the last opening stage become the
+    contributor set, announced before the final stage's exchange."""
     if len(inputs) != cfg.n:
         raise ValueError(f"{len(inputs)} inputs for n={cfg.n} clients")
+    *opening, st_final = cfg.stages
+    clients = [make_client(i) for i in range(cfg.n)]
+    pending = []
+    for stage, opener in zip(opening, openers):
+        outbox = []
+        for c in clients:
+            if bus.alive(c.id, stage):
+                outbox.extend(getattr(c, opener)())
+        pending = _deliver(clients, bus.exchange(stage, outbox))
+    contributors = contributor_set(bus.delivery_record(), opening[-1])
+    if not contributors:
+        raise InsufficientContributors(no_contributors)
+    pending += _deliver(clients, _contributor_msgs(bus, contributors, st_final))
+    _deliver(clients, bus.exchange(st_final, pending))
+    return _finalize(clients, bus, cfg)
 
 
 def nv_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """Share-vector aggregation: packed input shares out, contributor set
     announced, aggregated shares broadcast, reconstruct and average."""
-    _check_inputs(inputs, cfg)
-    st_input, st_agg = cfg.stages
-    clients = [NvClient(i, cfg, inputs[i], bus.client_rng(i), bus.round)
-               for i in range(cfg.n)]
-    outbox = []
-    for c in clients:
-        if bus.alive(c.id, st_input):
-            outbox.extend(c.start())
-    pending = _deliver(clients, bus.exchange(st_input, outbox))
-    contributors = contributor_set(bus.delivery_record(), st_input)
-    if not contributors:
-        raise InsufficientContributors("every client dropped before sharing")
-    pending += _deliver(clients, _contributor_msgs(bus, contributors, st_agg))
-    _deliver(clients, bus.exchange(st_agg, pending))
-    return _finalize(clients, bus, cfg)
+    return _drive(inputs, cfg, bus,
+                  lambda i: NvClient(i, cfg, inputs[i], bus.client_rng(i),
+                                     bus.round),
+                  ("start",), "every client dropped before sharing")
 
 
 def lwe_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """LWE-masked aggregation: secret vectors are Shamir-shared, masked
     vectors broadcast, and only the summed secret is ever reconstructed."""
-    _check_inputs(inputs, cfg)
-    st_shares, st_masked, st_sum = cfg.stages
     matrix_ops = lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
-    clients = [LweClient(i, cfg, inputs[i], bus.client_rng(i), matrix_ops,
-                         bus.round)
-               for i in range(cfg.n)]
-    outbox = []
-    for c in clients:
-        if bus.alive(c.id, st_shares):
-            outbox.extend(c.start())
-    _deliver(clients, bus.exchange(st_shares, outbox))
-    outbox = []
-    for c in clients:
-        if bus.alive(c.id, st_masked):
-            outbox.extend(c.emit_masked())
-    _deliver(clients, bus.exchange(st_masked, outbox))
-    contributors = contributor_set(bus.delivery_record(), st_masked)
-    if not contributors:
-        raise InsufficientContributors("no masked vector was delivered")
-    pending = _deliver(clients, _contributor_msgs(bus, contributors, st_sum))
-    _deliver(clients, bus.exchange(st_sum, pending))
-    return _finalize(clients, bus, cfg)
+    return _drive(inputs, cfg, bus,
+                  lambda i: LweClient(i, cfg, inputs[i], bus.client_rng(i),
+                                      matrix_ops, bus.round),
+                  ("start", "emit_masked"), "no masked vector was delivered")
 
 
 def pw_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """Pairwise-masked aggregation with dropout recovery: reconstruct the
     DH key of clients that vanished after setup, the personal seed of
     everyone whose masked vector counted -- never both."""
-    _check_inputs(inputs, cfg)
-    st_setup, st_masked, st_unmask = cfg.stages
-    clients = [PwClient(i, cfg, inputs[i], bus.client_rng(i), bus.round)
-               for i in range(cfg.n)]
-    outbox = []
-    for c in clients:
-        if bus.alive(c.id, st_setup):
-            outbox.extend(c.start())
-    _deliver(clients, bus.exchange(st_setup, outbox))
-    outbox = []
-    for c in clients:
-        if bus.alive(c.id, st_masked):
-            outbox.extend(c.emit_masked())
-    _deliver(clients, bus.exchange(st_masked, outbox))
-    contributors = contributor_set(bus.delivery_record(), st_masked)
-    if not contributors:
-        raise InsufficientContributors("no masked vector was delivered")
-    pending = _deliver(clients, _contributor_msgs(bus, contributors, st_unmask))
-    _deliver(clients, bus.exchange(st_unmask, pending))
-    return _finalize(clients, bus, cfg)
+    return _drive(inputs, cfg, bus,
+                  lambda i: PwClient(i, cfg, inputs[i], bus.client_rng(i),
+                                     bus.round),
+                  ("start", "emit_masked"), "no masked vector was delivered")
 
 
 ROUND_FNS = {NV: nv_round, LWE: lwe_round, PW: pw_round}

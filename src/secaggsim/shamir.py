@@ -11,12 +11,17 @@ Reconstruction needs t shares (plain) or t+k-1 shares (packed: t+k-1
 points determine a degree-(t+k-2) polynomial).  Lagrange basis rows are
 cached per point set because reconstruction dominates the share-based
 aggregation protocol's cost.
+
+Shares live in uint64 arrays: sharing and reconstruction are each one
+field.matmul_mod product, and the scalar APIs wrap the same two cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BadPacking,
@@ -25,7 +30,7 @@ from .errors import (
     NotEnoughShares,
     PointMismatch,
 )
-from .field import DEFAULT_FIELD, FieldPrime
+from .field import DEFAULT_FIELD, FieldPrime, add_mod, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,9 @@ def default_layout(k: int, n: int) -> PackingLayout:
 
 @lru_cache(maxsize=512)
 def lagrange_basis(q: int, pts: tuple[int, ...], targets: tuple[int, ...]):
-    """Rows of Lagrange basis coefficients: row r satisfies
-    f(targets[r]) = sum_j row[j] * f(pts[j]) for any poly of degree < len(pts).
+    """Rows of Lagrange basis coefficients, as a read-only uint64 matrix:
+    row r satisfies f(targets[r]) = sum_j row[j] * f(pts[j]) for any poly
+    of degree < len(pts).
 
     Barycentric form: one O(len(pts)^2) weight pass, then O(len(pts)) per
     target.  Cached per point set; safe for concurrent readers.
@@ -106,66 +112,87 @@ def lagrange_basis(q: int, pts: tuple[int, ...], targets: tuple[int, ...]):
     rows = []
     for x in targets:
         if x in pt_index:
-            rows.append(tuple(1 if i == pt_index[x] else 0 for i in range(len(pts))))
+            rows.append([1 if i == pt_index[x] else 0 for i in range(len(pts))])
             continue
         diffs = [(x - p) % q for p in pts]
         full = 1
         for dx in diffs:
             full = full * dx % q
-        rows.append(tuple(
+        rows.append([
             full * w % q * pow(dx, q - 2, q) % q for w, dx in zip(ws, diffs)
-        ))
-    return tuple(rows)
+        ])
+    return _frozen(rows, len(pts))
 
 
-def _dot(row, vals, q: int) -> int:
-    # big-int accumulate, single reduction
-    return sum(c * v for c, v in zip(row, vals)) % q
+@lru_cache(maxsize=64)
+def vandermonde(q: int, n: int, t: int):
+    """Read-only (n x t) uint64 matrix of x^j mod q for x = 1..n: row x-1
+    evaluates a degree-(t-1) coefficient vector at x."""
+    return _frozen([[pow(x, j, q) for j in range(t)] for x in range(1, n + 1)], t)
+
+
+def _frozen(rows, width: int) -> np.ndarray:
+    out = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+    out.flags.writeable = False
+    return out
+
+
+def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
+                 field: FieldPrime, need: int = 0) -> np.ndarray:
+    """Values at `targets` of the polynomials through the points xs: ys
+    has one row per point and one column per polynomial.  With need > 0,
+    at least `need` points are required and the `need` lowest are used."""
+    if len(xs) < need:
+        raise NotEnoughShares(f"{len(xs)} shares < {need} needed")
+    if len(set(xs)) != len(xs):
+        raise DuplicatePoint(f"repeated evaluation point in {xs}")
+    if need:
+        picked = sorted(range(len(xs)), key=xs.__getitem__)[:need]
+        xs = tuple(xs[i] for i in picked)
+        ys = np.asarray(ys, dtype=np.uint64)[picked]
+    return matmul_mod(lagrange_basis(field.q, xs, targets), ys, field)
 
 
 def interpolate_at(points, x: int, field: FieldPrime = DEFAULT_FIELD) -> int:
     """Evaluate the interpolating polynomial through (x_i, y_i) at x."""
-    xs = tuple(p[0] for p in points)
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint(f"repeated evaluation point in {xs}")
-    row = lagrange_basis(field.q, xs, (x,))[0]
-    return _dot(row, [p[1] for p in points], field.q)
+    return int(_interpolate(tuple(p[0] for p in points),
+                            [[p[1]] for p in points], (x,), field)[0, 0])
 
 
 # --- plain Shamir ------------------------------------------------------------
+
+
+def _poly_shares(secrets, t: int, n: int, rng, field: FieldPrime) -> np.ndarray:
+    """Plain-share each secret: f(0) = secret, the t-1 higher coefficients
+    drawn from rng secret by secret.  Returns (n x len(secrets)); row x-1
+    holds the shares at point x."""
+    if t < 1 or t > n:
+        raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
+    if n >= field.q:
+        raise ValueError("more shares than nonzero field points")
+    coeffs = np.empty((len(secrets), t), dtype=np.uint64)
+    coeffs[:, 0] = [s % field.q for s in secrets]
+    coeffs[:, 1:] = rng.integers(0, field.q, size=(len(secrets), t - 1),
+                                 dtype=np.uint64)
+    return matmul_mod(vandermonde(field.q, n, t), coeffs.T, field)
 
 
 def sss_share(secret: int, t: int, n: int, rng,
               field: FieldPrime = DEFAULT_FIELD) -> ShareSet:
     """Split secret into n shares of a degree-(t-1) polynomial with
     f(0) = secret; coefficients drawn uniformly from rng."""
-    if t < 1 or t > n:
-        raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
-    if n >= field.q:
-        raise ValueError("more shares than nonzero field points")
-    coeffs = [secret % field.q] + [field.rand(rng) for _ in range(t - 1)]
-    shares = []
-    for x in range(1, n + 1):
-        y = 0
-        for c in reversed(coeffs):
-            y = (y * x + c) % field.q
-        shares.append(Share(x, y))
-    return ShareSet(shares, t=t, k=1, field=field)
+    ys = _poly_shares([secret], t, n, rng, field)[:, 0].tolist()
+    return ShareSet([Share(x, y) for x, y in enumerate(ys, 1)],
+                    t=t, k=1, field=field)
 
 
 def sss_reconstruct(share_set: ShareSet) -> int:
-    """Lagrange-interpolate f(0) from any >= t plain shares."""
+    """Lagrange-interpolate f(0) from the t lowest of >= t plain shares."""
     if share_set.k != 1:
         raise ValueError("use packed_reconstruct for k > 1")
-    if len(share_set.shares) < share_set.t:
-        raise NotEnoughShares(
-            f"{len(share_set.shares)} shares < threshold {share_set.t}")
-    xs = share_set.xs()
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint("two shares carry the same x")
-    q = share_set.field.q
-    row = lagrange_basis(q, xs, (0,))[0]
-    return _dot(row, [s.y for s in share_set.shares], q)
+    ys = [[s.y] for s in share_set.shares]
+    return int(_interpolate(share_set.xs(), ys, (0,), share_set.field,
+                            need=share_set.t)[0, 0])
 
 
 def share_add(a: ShareSet, b: ShareSet) -> ShareSet:
@@ -173,13 +200,37 @@ def share_add(a: ShareSet, b: ShareSet) -> ShareSet:
     of the underlying secrets."""
     if a.xs() != b.xs() or a.t != b.t or a.k != b.k or a.field.q != b.field.q:
         raise PointMismatch("share sets do not line up")
-    q = a.field.q
-    shares = [Share(sa.x, (sa.y + sb.y) % q)
-              for sa, sb in zip(a.shares, b.shares)]
+    ys = add_mod([s.y for s in a.shares], [s.y for s in b.shares], a.field)
+    shares = [Share(x, y) for x, y in zip(a.xs(), ys.tolist())]
     return ShareSet(shares, t=a.t, k=a.k, field=a.field)
 
 
 # --- packed Shamir ------------------------------------------------------------
+
+
+def _packed_shares(blocks: np.ndarray, t: int, n: int, rng,
+                   field: FieldPrime, layout: PackingLayout) -> np.ndarray:
+    """Packed-share each column of the reduced (k x chunks) matrix blocks.
+
+    The t-1 anchors of every chunk are drawn from rng chunk by chunk and
+    are the shares at the first t-1 share points; the other shares follow
+    by interpolation through the secrets and anchors.  Returns
+    (n x chunks); row j holds the shares at layout.share_points[j].
+    """
+    k, chunks = blocks.shape
+    anchors = rng.integers(0, field.q, size=(chunks, t - 1), dtype=np.uint64)
+    anchor_pts = layout.share_points[: t - 1]
+    rows = lagrange_basis(field.q, layout.secret_points + anchor_pts,
+                          layout.share_points[t - 1: n])
+    rest = matmul_mod(rows, np.concatenate([blocks, anchors.T]), field)
+    return np.concatenate([anchors.T, rest])
+
+
+def _check_packing(t: int, n: int, k: int):
+    if t < 1 or t > n:
+        raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
+    if n < t + k - 1:
+        raise BadPacking(f"packing k={k} needs n >= t+k-1, got n={n}, t={t}")
 
 
 def packed_share(secrets: list[int], t: int, n: int, rng,
@@ -188,45 +239,26 @@ def packed_share(secrets: list[int], t: int, n: int, rng,
     """Embed k secrets in one polynomial; any t+k-1 shares reconstruct,
     any t-1 reveal nothing."""
     k = len(secrets)
-    if t < 1:
-        raise BadThreshold(f"threshold must be positive, got {t}")
-    if n < t + k - 1:
-        raise BadPacking(f"packing k={k} needs n >= t+k-1, got n={n}, t={t}")
+    _check_packing(t, n, k)
     if layout is None:
         layout = default_layout(k, n)
     if len(layout.secret_points) != k or len(layout.share_points) < n:
         raise ValueError("layout inconsistent with k, n")
-    q = field.q
-    anchors = [field.rand(rng) for _ in range(t - 1)]
-    anchor_pts = layout.share_points[: t - 1]
-    interp_pts = layout.secret_points + anchor_pts
-    vals = [s % q for s in secrets] + anchors
-    rest_pts = layout.share_points[t - 1: n]
-    rows = lagrange_basis(q, interp_pts, rest_pts)
-    shares = [Share(x, y) for x, y in zip(anchor_pts, anchors)]
-    shares += [Share(x, _dot(row, vals, q))
-               for x, row in zip(rest_pts, rows)]
-    return ShareSet(shares, t=t, k=k, field=field)
+    blocks = np.array([[s % field.q] for s in secrets], dtype=np.uint64)
+    ys = _packed_shares(blocks, t, n, rng, field, layout)[:, 0].tolist()
+    return ShareSet([Share(x, y) for x, y in zip(layout.share_points, ys)],
+                    t=t, k=k, field=field)
 
 
 def packed_reconstruct(share_set: ShareSet,
                        layout: PackingLayout | None = None) -> list[int]:
     """Recover the k packed secrets from >= t+k-1 shares."""
     t, k = share_set.t, share_set.k
-    need = t + k - 1
-    if len(share_set.shares) < need:
-        raise NotEnoughShares(
-            f"{len(share_set.shares)} shares < t+k-1 = {need}")
-    xs = share_set.xs()
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint("two shares carry the same x")
     secret_pts = (layout.secret_points if layout is not None
                   else tuple(range(1, k + 1)))
-    picked = sorted(share_set.shares, key=lambda s: s.x)[:need]
-    q = share_set.field.q
-    rows = lagrange_basis(q, tuple(s.x for s in picked), secret_pts)
-    ys = [s.y for s in picked]
-    return [_dot(row, ys, q) for row in rows]
+    ys = [[s.y] for s in share_set.shares]
+    return _interpolate(share_set.xs(), ys, secret_pts, share_set.field,
+                        need=t + k - 1)[:, 0].tolist()
 
 
 # --- packed sharing of whole vectors -----------------------------------------
@@ -235,11 +267,11 @@ def packed_reconstruct(share_set: ShareSet,
 @dataclass
 class ShareVector:
     """One recipient's share of a whole vector: the evaluations at this
-    recipient's point, one per k-wide chunk.  The final chunk is
+    recipient's point, one uint64 per k-wide chunk.  The final chunk is
     zero-padded; vec_len trims it on reconstruction."""
 
     x: int
-    values: list[int]
+    values: np.ndarray
     t: int
     k: int
     vec_len: int
@@ -249,49 +281,35 @@ class ShareVector:
     def chunk_count(self) -> int:
         return len(self.values)
 
+    def shape(self) -> tuple:
+        """What two share vectors must agree on to be combined."""
+        return self.t, self.k, self.vec_len, self.chunk_count, self.field.q
 
-def share_vector(w: list[int], t: int, n: int, k: int, rng,
+
+def share_vector(w, t: int, n: int, k: int, rng,
                  field: FieldPrime = DEFAULT_FIELD) -> list[ShareVector]:
     """Chunk w into ceil(m/k) packed blocks and share each; recipient j
     gets one field element per chunk, all at its own point k+1+j."""
-    if t < 1 or t > n:
-        raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
-    if n < t + k - 1:
-        raise BadPacking(f"packing k={k} needs n >= t+k-1, got n={n}, t={t}")
-    q = field.q
+    _check_packing(t, n, k)
+    w = np.asarray(w, dtype=np.uint64)
     m = len(w)
-    chunks = (m + k - 1) // k if m else 1
+    chunks = -(-m // k) if m else 1
+    blocks = np.zeros(chunks * k, dtype=np.uint64)
+    np.remainder(w, np.uint64(field.q), out=blocks[:m])
     layout = default_layout(k, n)
-    anchor_pts = layout.share_points[: t - 1]
-    interp_pts = layout.secret_points + anchor_pts
-    rest_pts = layout.share_points[t - 1: n]
-    rows = lagrange_basis(q, interp_pts, rest_pts)
-    per_recipient = [[] for _ in range(n)]
-    n_anchors = t - 1
-    for c in range(chunks):
-        block = [v % q for v in w[c * k: (c + 1) * k]]
-        if len(block) < k:
-            block += [0] * (k - len(block))
-        vals = block + [field.rand(rng) for _ in range(n_anchors)]
-        for j in range(n_anchors):
-            per_recipient[j].append(vals[k + j])
-        for j, row in enumerate(rows):
-            per_recipient[n_anchors + j].append(_dot(row, vals, q))
+    shares = _packed_shares(blocks.reshape(chunks, k).T, t, n, rng, field,
+                            layout)
     return [
-        ShareVector(x=layout.share_points[j], values=per_recipient[j],
-                    t=t, k=k, vec_len=m, field=field)
-        for j in range(n)
+        ShareVector(x=x, values=shares[j], t=t, k=k, vec_len=m, field=field)
+        for j, x in enumerate(layout.share_points)
     ]
 
 
 def add_share_vectors(a: ShareVector, b: ShareVector) -> ShareVector:
-    if (a.x != b.x or a.t != b.t or a.k != b.k or a.vec_len != b.vec_len
-            or a.chunk_count != b.chunk_count or a.field.q != b.field.q):
+    if a.x != b.x or a.shape() != b.shape():
         raise PointMismatch("share vectors do not line up")
-    q = a.field.q
-    return ShareVector(
-        x=a.x, values=[(x + y) % q for x, y in zip(a.values, b.values)],
-        t=a.t, k=a.k, vec_len=a.vec_len, field=a.field)
+    return ShareVector(x=a.x, values=add_mod(a.values, b.values, a.field),
+                       t=a.t, k=a.k, vec_len=a.vec_len, field=a.field)
 
 
 def reconstruct_vector(share_vectors: list[ShareVector]) -> list[int]:
@@ -299,25 +317,13 @@ def reconstruct_vector(share_vectors: list[ShareVector]) -> list[int]:
     if not share_vectors:
         raise NotEnoughShares("no share vectors supplied")
     ref = share_vectors[0]
-    t, k, q = ref.t, ref.k, ref.field.q
-    need = t + k - 1
-    if len(share_vectors) < need:
-        raise NotEnoughShares(f"{len(share_vectors)} share vectors < {need}")
-    xs = tuple(sv.x for sv in share_vectors)
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint("two share vectors carry the same x")
-    for sv in share_vectors[1:]:
-        if (sv.t != t or sv.k != k or sv.vec_len != ref.vec_len
-                or sv.chunk_count != ref.chunk_count or sv.field.q != q):
-            raise PointMismatch("share vectors disagree on shape")
-    picked = sorted(share_vectors, key=lambda sv: sv.x)[:need]
-    rows = lagrange_basis(q, tuple(sv.x for sv in picked),
-                          tuple(range(1, k + 1)))
-    out: list[int] = []
-    for c in range(ref.chunk_count):
-        ys = [sv.values[c] for sv in picked]
-        out.extend(_dot(row, ys, q) for row in rows)
-    return out[: ref.vec_len]
+    if any(sv.shape() != ref.shape() for sv in share_vectors[1:]):
+        raise PointMismatch("share vectors disagree on shape")
+    blocks = _interpolate(tuple(sv.x for sv in share_vectors),
+                          np.stack([sv.values for sv in share_vectors]),
+                          tuple(range(1, ref.k + 1)), ref.field,
+                          need=ref.t + ref.k - 1)
+    return blocks.T.reshape(-1)[: ref.vec_len].tolist()
 
 
 # --- chunked sharing of wide integers (keys, seeds) ---------------------------
@@ -351,13 +357,9 @@ def share_integer(value: int, total_bits: int, t: int, n: int, rng,
     Returns one (x, chunk_share_values) pair per recipient; all chunks of
     one recipient live at the same evaluation point x = recipient + 1.
     """
-    bits = chunk_bits_for(field)
-    sets = [sss_share(c, t, n, rng, field)
-            for c in integer_chunks(value, total_bits, bits)]
-    return [
-        (x, tuple(s.shares[x - 1].y for s in sets))
-        for x in range(1, n + 1)
-    ]
+    chunks = integer_chunks(value, total_bits, chunk_bits_for(field))
+    shares = _poly_shares(chunks, t, n, rng, field)
+    return [(x, tuple(ys)) for x, ys in enumerate(shares.tolist(), 1)]
 
 
 def reconstruct_integer(shares: list[tuple[int, tuple[int, ...]]], t: int,
@@ -367,13 +369,8 @@ def reconstruct_integer(shares: list[tuple[int, tuple[int, ...]]], t: int,
     if len(shares) < t:
         raise NotEnoughShares(f"{len(shares)} shares < threshold {t}")
     xs = tuple(x for x, _ in shares)
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint("two integer shares carry the same x")
     bits = chunk_bits_for(field)
     n_chunks = max(1, -(-total_bits // bits))
-    row = lagrange_basis(field.q, xs, (0,))[0]
-    chunks = [
-        _dot(row, [cs[i] for _, cs in shares], field.q)
-        for i in range(n_chunks)
-    ]
+    ys = [cs for _, cs in shares]
+    chunks = _interpolate(xs, ys, (0,), field)[0, :n_chunks].tolist()
     return chunks_to_integer(chunks, bits)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .errors import ProtocolError, TooManyDropouts
+from .errors import SecAggError, TooManyDropouts
 from .field import FieldPrime, FixedPointConfig, elems_to_bytes, encode_vec
 from .masking import LweParams
 from .protocol.clients import AggregateResult, OpsTally
@@ -165,10 +165,6 @@ class Metrics:
     def control_messages(self) -> int:
         return self.per_stage.get(CONTROL_STAGE, {}).get("messages_sent", 0)
 
-    @property
-    def control_bytes(self) -> int:
-        return self.per_stage.get(CONTROL_STAGE, {}).get("bytes_sent", 0)
-
     def conservation_holds(self) -> bool:
         return all(r["bytes_sent"] == r["bytes_delivered"] + r["bytes_to_dropped"]
                    for r in self.per_stage.values())
@@ -237,9 +233,6 @@ class MessageBus:
         idx = self._drop_idx.get(cid)
         return idx is None or self._stage_idx(stage) < idx
 
-    def live_at(self, stage: str) -> list[int]:
-        return [i for i in range(self.n) if self.alive(i, stage)]
-
     def live_at_end(self) -> list[int]:
         return [i for i in range(self.n) if i not in self._drop_idx]
 
@@ -300,10 +293,6 @@ class SimConfig:
     dropout_rate: float = 0.0
     dropout_stage_policy: str = UNIFORM_POLICY
     rounds: int = 1
-
-    def survivors_floor_ok(self) -> bool:
-        n, t = self.round_cfg.n, self.round_cfg.t
-        return n - int(self.dropout_rate * n) >= t
 
 
 @dataclass
@@ -374,7 +363,8 @@ def run_simulation(cfg: SimConfig, keep_transcript: bool = False) -> SimReport:
 
     Inputs are synthetic: each client's update is drawn uniformly from
     [-1, 1]^m from its own seeded generator at the start of every round.
-    Protocol failures land in the report; they do not raise.
+    Library errors raised inside a round (protocol failures, decode
+    overflow, non-finite inputs) land in the report; they do not raise.
     """
     rc = cfg.round_cfg
     if rc.protocol == LWE and rc.lwe.matrix_seed == bytes(32):
@@ -397,7 +387,7 @@ def run_simulation(cfg: SimConfig, keep_transcript: bool = False) -> SimReport:
                   for i in range(rc.n)]
         try:
             result = round_fn(inputs, rc, bus)
-        except ProtocolError as exc:
+        except SecAggError as exc:
             result = None
             failure = f"{type(exc).__name__}: {exc}"
             break

@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secaggsim.errors import DecodeRange, ZeroInverse
+from secaggsim.errors import (
+    DecodeRange,
+    DimensionMismatch,
+    NonFiniteInput,
+    ZeroInverse,
+)
 from secaggsim.field import (
     DEFAULT_FIELD,
     M61,
     FieldPrime,
     FixedPointConfig,
+    add_mod,
     bytes_to_elems,
     decode_vec,
     elems_to_bytes,
@@ -16,6 +22,8 @@ from secaggsim.field import (
     field_arith,
     fp_decode,
     fp_encode,
+    limb_bits,
+    matmul_mod,
     mod_inverse,
     mul_mod,
     mul_mod_m61,
@@ -23,6 +31,8 @@ from secaggsim.field import (
 
 F17 = FieldPrime(17)
 F7 = FieldPrime(7)
+P63 = (1 << 63) - 25  # the largest prime below 2^63
+F63 = FieldPrime(P63)
 
 
 def test_add_wraparound():
@@ -45,6 +55,19 @@ def test_non_prime_modulus_rejected():
         FieldPrime(15)
     with pytest.raises(ValueError):
         FieldPrime(1 << 64)
+
+
+def test_modulus_at_or_above_2_63_rejected():
+    # a uint64 sum of two elements of a field above 2^63 would wrap
+    with pytest.raises(ValueError):
+        FieldPrime((1 << 64) - 59)
+
+
+def test_add_mod_exact_just_below_2_63():
+    q = F63.q
+    got = add_mod(np.array([q - 1, q - 1, 5], dtype=np.uint64),
+                  np.array([q - 1, 1, q - 6], dtype=np.uint64), F63)
+    assert got.tolist() == [q - 2, 0, q - 1]
 
 
 @pytest.mark.parametrize("field", [F7, F17])
@@ -162,3 +185,77 @@ def test_wire_format_roundtrip():
     assert len(blob) == 8 * len(v)
     assert blob[:8] == b"\x00" * 8  # big-endian zero
     assert np.array_equal(bytes_to_elems(blob), v)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(NonFiniteInput):
+        fp_encode(bad)
+    with pytest.raises(NonFiniteInput):
+        encode_vec([0.5, bad, 1.0])
+
+
+# --- exact modular matrix product -------------------------------------------------
+
+
+def matmul_reference(M, V, q):
+    """Schoolbook product in Python ints."""
+    cols = list(zip(*V))
+    return [[sum(a * b for a, b in zip(row, col)) % q for col in cols]
+            for row in M]
+
+
+def random_matrix(g, q, rows, cols):
+    return g.integers(0, q, size=(rows, cols), dtype=np.uint64)
+
+
+# (rows, inner, cols): tiny products take the Python-int path, the rest the
+# float64 limb path; the inner dimensions span five limb widths.
+SHAPES = [(1, 1, 1), (2, 5, 3), (3, 1, 700), (4, 3, 300), (5, 10, 2000),
+          (3, 100, 40), (2, 1000, 3), (2, 5000, 2)]
+
+
+@pytest.mark.parametrize("field", [F7, F17, DEFAULT_FIELD, F63])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_matmul_mod_matches_python_ints(field, shape):
+    r, d, c = shape
+    g = np.random.default_rng(r * 7919 + d * 31 + c)
+    M = random_matrix(g, field.q, r, d)
+    V = random_matrix(g, field.q, d, c)
+    got = matmul_mod(M, V, field)
+    assert got.dtype == np.uint64 and got.shape == (r, c)
+    assert got.tolist() == matmul_reference(M.tolist(), V.tolist(), field.q)
+
+
+def test_mul_mod_by_scalar_above_2_32():
+    # the Python-int fallback must not multiply numpy uint64 scalars
+    q = F63.q
+    got = mul_mod(np.array([q - 1, 2], dtype=np.uint64), np.uint64(q - 1), F63)
+    assert got.tolist() == [1, q - 2]
+
+
+def test_matmul_mod_extreme_operands():
+    # all-(q-1) operands maximize every limb and every weight-class sum
+    for field in (DEFAULT_FIELD, F63):
+        q = field.q
+        M = np.full((3, 700), q - 1, dtype=np.uint64)
+        V = np.full((700, 4), q - 1, dtype=np.uint64)
+        assert matmul_mod(M, V, field).tolist() == [[700 % q] * 4] * 3
+
+
+def test_matmul_mod_accepts_int_sequences():
+    M = [[1, 2, 3]]
+    V = [(4,), (5,), (6,)]
+    assert matmul_mod(M, V, F17).tolist() == [[32 % 17]]
+
+
+def test_matmul_mod_shape_mismatch():
+    with pytest.raises(DimensionMismatch):
+        matmul_mod(np.zeros((2, 3), dtype=np.uint64),
+                   np.zeros((4, 2), dtype=np.uint64), F17)
+
+
+def test_limb_widths_cover_the_shapes():
+    widths = {limb_bits(d, DEFAULT_FIELD) for _, d, _ in SHAPES}
+    assert widths == {26, 25, 24, 23, 21, 20}
+    assert limb_bits(1000, F7) == F7.bit_width

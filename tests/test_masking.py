@@ -243,7 +243,8 @@ def test_lwe_mask_dimension_mismatch():
 
 
 @pytest.mark.parametrize("field,m,d", [(M61F, 37, 710), (M61F, 64, 13),
-                                       (F17, 9, 5)])
+                                       (F17, 9, 5),
+                                       (FieldPrime((1 << 63) - 25), 11, 40)])
 def test_limb_matvec_matches_reference(field, m, d):
     g = rng(m + d)
     A = g.integers(0, field.q, size=(m, d)).astype(np.uint64)

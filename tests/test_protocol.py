@@ -1,14 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from secaggsim.errors import (
     BadPacking,
     BadThreshold,
+    DivergentAggregate,
     DuplicateSender,
     MissingKeyShares,
+    NonFiniteInput,
     UnexpectedMessage,
 )
-from secaggsim.field import encode_vec
+from secaggsim.field import FixedPointConfig, encode_vec
 from secaggsim.masking import DH_GROUP_TEST, LweParams, lwe_matrix_ops
 from secaggsim.oracle import plaintext_aggregate
 from secaggsim.protocol import (
@@ -21,6 +25,7 @@ from secaggsim.protocol import (
     RoundConfig,
     client_on_message,
     contributor_set,
+    nv_round,
 )
 from secaggsim.simnet import MessageBus, SimConfig, run_simulation
 
@@ -332,3 +337,71 @@ def test_pw_safety_guard_never_opens_both_secrets():
     target._classify = lambda: ((0, 1, 2, 3), (3,))
     with pytest.raises(SafetyViolation):
         target._emit_unmask()
+
+
+# --- typed failures inside a round -------------------------------------------------
+
+
+def test_nan_input_rejected_before_sharing():
+    cfg = nv_cfg(n=5, m=4, t=3)
+    inputs = [np.ones(4) for _ in range(5)]
+    inputs[2] = np.array([0.5, np.nan, 0.0, 1.0])
+    with pytest.raises(NonFiniteInput):
+        nv_round(inputs, cfg, MessageBus(cfg, master_seed=1))
+
+
+def test_divergent_survivors_raise_typed_error(monkeypatch):
+    finalize = NvClient.finalize
+
+    def skewed(self):
+        result = finalize(self)
+        if self.id == 3:
+            result.field_sum = result.field_sum ^ np.uint64(1)
+        return result
+
+    monkeypatch.setattr(NvClient, "finalize", skewed)
+    cfg = nv_cfg(n=5, m=4, t=3)
+    with pytest.raises(DivergentAggregate, match="survivors 0 and 3"):
+        nv_round([np.ones(4)] * 5, cfg, MessageBus(cfg, master_seed=1))
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    assert report.result is None
+    assert report.failure.startswith("DivergentAggregate")
+
+
+def test_decode_range_in_lwe_round_lands_in_report():
+    # one fractional bit leaves the noise no headroom in the decode band
+    cfg = RoundConfig(protocol="lwe", n=5, m=20,
+                      fp=FixedPointConfig(frac_bits=1, clip_magnitude=1.0),
+                      lwe=LweParams(n_lwe=16, sigma=3.0))
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=0))
+    assert report.result is None
+    assert report.failure.startswith("DecodeRange")
+
+
+# --- golden transcripts ------------------------------------------------------------
+
+# SHA-256 over (recipient as 4 bytes, wire bytes) of every delivered message
+# of a seed-11 run with 30% dropout.  Any change to a share, a mask, a draw
+# order or the wire encoding changes these.
+GOLDEN_TRANSCRIPTS = {
+    "nv": ("622b0b2c7b63996b7fb65ae4bc00e988bf52b7904acc8dd1052cef563fc1d0a1",
+           dict(m=300, k=2)),
+    "lwe": ("075656ab2b675d3033bdd0c308ea406ed38283d4fabeb2aec2433a5cb8ac96d1",
+            dict(m=40, k=2, lwe=LweParams(n_lwe=200))),
+    "pw": ("2527ac82ae3f0bdb54dd3bdb632a1c76860da949f7c66819ea7d5f4f51a34585",
+           dict(m=23, dh=DH_GROUP_TEST)),
+}
+
+
+@pytest.mark.parametrize("proto", sorted(GOLDEN_TRANSCRIPTS))
+def test_transcript_matches_golden_digest(proto):
+    digest, kw = GOLDEN_TRANSCRIPTS[proto]
+    cfg = RoundConfig(protocol=proto, n=7, planned_dropouts=2, **kw)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=11,
+                                      dropout_rate=0.3), keep_transcript=True)
+    assert report.failure is None and len(report.schedule.dropped) == 2
+    h = hashlib.sha256()
+    for rcpt, msg in report.transcript:
+        h.update(rcpt.to_bytes(4, "big"))
+        h.update(msg.to_bytes())
+    assert h.hexdigest() == digest

@@ -19,7 +19,9 @@ from secaggsim.shamir import (
     ShareSet,
     add_share_vectors,
     default_layout,
+    integer_chunks,
     interpolate_at,
+    lagrange_basis,
     packed_reconstruct,
     packed_share,
     reconstruct_integer,
@@ -31,6 +33,7 @@ from secaggsim.shamir import (
     sss_share,
 )
 
+F7 = FieldPrime(7)
 F17 = FieldPrime(17)
 F127 = FieldPrime(127)
 M61F = FieldPrime()
@@ -218,7 +221,8 @@ def test_share_vector_determinism():
     vec = [5, 6, 7]
     a = share_vector(vec, 2, 4, 2, rng(42), F127)
     b = share_vector(vec, 2, 4, 2, rng(42), F127)
-    assert [(sv.x, sv.values) for sv in a] == [(sv.x, sv.values) for sv in b]
+    assert ([(sv.x, sv.values.tolist()) for sv in a]
+            == [(sv.x, sv.values.tolist()) for sv in b])
 
 
 @given(seed=st.integers(0, 10 ** 6), t=st.integers(1, 4), extra=st.integers(0, 3),
@@ -232,7 +236,82 @@ def test_share_vector_roundtrip_property(seed, t, extra, k, m):
     assert reconstruct_vector(svs) == vec
 
 
+def share_vector_by_chunks(w, t, n, k, rng, field):
+    """Reference: pack and share one k-wide chunk at a time in Python ints,
+    drawing each chunk's t-1 anchors one element at a time."""
+    q = field.q
+    chunks = -(-len(w) // k) if len(w) else 1
+    padded = list(w) + [0] * (chunks * k - len(w))
+    layout = default_layout(k, n)
+    anchor_pts = layout.share_points[: t - 1]
+    rows = lagrange_basis(q, layout.secret_points + anchor_pts,
+                          layout.share_points[t - 1: n]).tolist()
+    per_recipient = [[] for _ in range(n)]
+    for c in range(chunks):
+        vals = padded[c * k: (c + 1) * k] + [field.rand(rng) for _ in range(t - 1)]
+        for j in range(t - 1):
+            per_recipient[j].append(vals[k + j])
+        for j, row in enumerate(rows):
+            per_recipient[t - 1 + j].append(
+                sum(a * b for a, b in zip(row, vals)) % q)
+    return per_recipient
+
+
+@given(seed=st.integers(0, 10 ** 6), t=st.integers(1, 4), extra=st.integers(0, 3),
+       k=st.integers(1, 4), m=st.integers(0, 40),
+       field=st.sampled_from([F7, F17, F127, M61F]))
+@settings(max_examples=80, deadline=None)
+def test_share_vector_matches_per_chunk_loop(seed, t, extra, k, m, field):
+    n = t + k - 1 + extra
+    vec = [int(v) for v in rng(seed).integers(0, field.q, size=m)]
+    g_fast, g_ref = rng(seed + 1), rng(seed + 1)
+    svs = share_vector(vec, t, n, k, g_fast, field)
+    assert [sv.values.tolist() for sv in svs] == share_vector_by_chunks(
+        vec, t, n, k, g_ref, field)
+    # the batched anchor draw leaves the generator where the loop left it
+    assert g_fast.bit_generator.state == g_ref.bit_generator.state
+
+
+def test_share_vector_long_input_matches_per_chunk_loop():
+    # large enough that the product runs on the float64 limb path
+    vec = [int(v) for v in rng(25).integers(0, M61F.q, size=3000)]
+    svs = share_vector(vec, 4, 9, 5, rng(26), M61F)
+    assert [sv.values.tolist() for sv in svs] == share_vector_by_chunks(
+        vec, 4, 9, 5, rng(26), M61F)
+
+
 # --- chunked integer sharing ---------------------------------------------------------
+
+
+def share_integer_by_chunks(value, total_bits, t, n, rng, field):
+    """Reference: Horner-evaluate one random polynomial per chunk."""
+    q = field.q
+    bits = min(56, field.bit_width - 1)
+    polys = [[c] + [field.rand(rng) for _ in range(t - 1)]
+             for c in integer_chunks(value, total_bits, bits)]
+    out = []
+    for x in range(1, n + 1):
+        ys = []
+        for coeffs in polys:
+            y = 0
+            for c in reversed(coeffs):
+                y = (y * x + c) % q
+            ys.append(y)
+        out.append((x, tuple(ys)))
+    return out
+
+
+@given(seed=st.integers(0, 10 ** 6), t=st.integers(1, 5), extra=st.integers(0, 4),
+       total_bits=st.sampled_from([1, 9, 56, 57, 256, 2048]))
+@settings(max_examples=40, deadline=None)
+def test_share_integer_matches_horner_loop(seed, t, extra, total_bits):
+    value = int.from_bytes(rng(seed).bytes(256), "big") % (1 << total_bits)
+    n = t + extra
+    g_fast, g_ref = rng(seed + 1), rng(seed + 1)
+    assert share_integer(value, total_bits, t, n, g_fast, M61F) == \
+        share_integer_by_chunks(value, total_bits, t, n, g_ref, M61F)
+    assert g_fast.bit_generator.state == g_ref.bit_generator.state
+
 
 
 def test_share_integer_roundtrip_small():
