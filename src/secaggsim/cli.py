@@ -20,7 +20,8 @@ import numpy as np
 from . import oracle
 from .errors import SecAggError
 from .field import FieldPrime, encode_vec
-from .masking import DH_GROUP_2048, DH_GROUP_TEST, LweParams
+from .masking import (DH_GROUP_2048, DH_GROUP_TEST, TAG_PAIRWISE, LweParams,
+                      stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
 from .shamir import Share, reconstruct_vector, share_vector
 from .simnet import (
@@ -305,6 +306,23 @@ def _prop_share_roundtrip(fault_inject: bool) -> bool:
     return reconstruct_vector(svs) == vec
 
 
+def _prop_mask_stream(fault_inject: bool) -> bool:
+    """Prefix stability, and one F17 vector against a Python-int loop over
+    the SHAKE-128 words (F17 rejects about half of them)."""
+    fld, seed, tag = FieldPrime(17), bytes(range(32)), TAG_PAIRWISE
+    mask = (1 << fld.q.bit_length()) - 1
+    full = stream_expand(seed, tag, 200, fld).tolist()
+    if fault_inject:
+        full[0] = (full[0] + 1) % fld.q
+    if any(stream_expand(seed, tag, c, fld).tolist() != full[:c]
+           for c in (0, 1, 7, 64, 199)):
+        return False
+    digest = hashlib.shake_128(bytes([len(tag)]) + tag + seed).digest(8 * 1000)
+    words = (int.from_bytes(digest[i:i + 8], "little") & mask
+             for i in range(0, len(digest), 8))
+    return full == [w for w in words if w < fld.q][:200]
+
+
 def _prop_protocol_equivalence() -> bool:
     for proto, rate in ((NV, 0.0), (NV, 0.2), (PW, 0.0), (PW, 0.25),
                         (LWE, 0.0)):
@@ -359,6 +377,7 @@ def cmd_verify(args) -> int:
     checks = [
         ("share_consistency_histograms", lambda: _prop_share_consistency()),
         ("share_vector_roundtrip", lambda: _prop_share_roundtrip(args.fault_inject)),
+        ("mask_stream_prefix_and_kat", lambda: _prop_mask_stream(args.fault_inject)),
         ("protocol_vs_plaintext", lambda: _prop_protocol_equivalence()),
         ("trajectory_parity", lambda: _prop_trajectory_parity()),
         ("metering_identity", lambda: _prop_metering(not args.quick)),

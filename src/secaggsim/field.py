@@ -286,9 +286,14 @@ class FixedPointConfig:
     def scale(self) -> int:
         return 1 << self.frac_bits
 
+    def max_code(self, summand_count: int) -> int:
+        """Largest magnitude a sum of summand_count encodings can reach:
+        each encodes to at most round(clip * 2^f)."""
+        return summand_count * round(self.clip_magnitude * self.scale)
+
     def check_capacity(self, summand_count: int, field: FieldPrime) -> None:
         """Require 2 * n * clip * 2^f < q so n-client sums never wrap."""
-        bound = 2 * summand_count * int(self.clip_magnitude) * self.scale
+        bound = 2 * self.max_code(summand_count)
         if bound >= field.q:
             raise ValueError(
                 f"field too small: {summand_count} summands at clip "
@@ -307,7 +312,7 @@ def fp_encode(x: float, cfg: FixedPointConfig = FixedPointConfig(),
 def fp_decode(e: int, summand_count: int = 1,
               cfg: FixedPointConfig = FixedPointConfig(),
               field: FieldPrime = DEFAULT_FIELD) -> float:
-    pos_max = summand_count * int(cfg.clip_magnitude) * cfg.scale
+    pos_max = cfg.max_code(summand_count)
     neg_min = field.q - pos_max
     if e <= pos_max:
         signed = e
@@ -332,7 +337,7 @@ def decode_vec(e, summand_count: int = 1,
                cfg: FixedPointConfig = FixedPointConfig(),
                field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
     e = _as_u64(e)
-    pos_max = summand_count * int(cfg.clip_magnitude) * cfg.scale
+    pos_max = cfg.max_code(summand_count)
     neg_min = field.q - pos_max
     if np.any((e > np.uint64(pos_max)) & (e < np.uint64(neg_min))):
         raise DecodeRange("vector has elements in the ambiguous middle band")

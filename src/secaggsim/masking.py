@@ -1,8 +1,9 @@
 """Key agreement, deterministic mask streams, and LWE masking primitives.
 
-The mask PRNG is a SHA-256 hash-counter stream so that two parties holding
-the same seed derive bit-identical masks (required for pairwise
-cancellation and for the metered wire format).  Domain tags ("pairwise",
+The mask PRNG is one SHAKE-128 read per stream, with rejection of words
+at or above q, so that two parties holding the same seed derive
+bit-identical masks (required for pairwise cancellation and for the
+metered wire format).  Length-prefixed domain tags ("pairwise",
 "personal", "A-matrix") keep the streams of one seed from ever colliding.
 
 The Diffie-Hellman production profile is the 2048-bit MODP safe-prime
@@ -13,6 +14,7 @@ can be checked exhaustively in tests.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,38 +100,37 @@ def stream_expand(seed: bytes, domain_tag: bytes, count: int,
                   field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
     """Expand a seed into `count` uniform field elements.
 
-    Element i is SHA-256(seed || domain_tag || i as 8-byte big-endian)
-    read as a big-endian 256-bit integer, reduced mod q.  Draws at or
-    above floor(2^256/q)*q are rejected and redrawn with a retry counter
-    byte appended (retry r hashes seed || tag || i || byte(r)), which
-    removes the modulo bias while staying deterministic.
+    The stream is the SHAKE-128 output of len(tag) as one byte || tag ||
+    seed, read as little-endian 64-bit words.  Each word is masked to
+    q.bit_length() bits; words below q are the elements, in order, and the
+    rest are rejected (as in the ExpandA step of FIPS 203).  SHAKE output
+    is prefix-consistent, so element i never depends on `count`.
+
+    One digest covers the expected rejections plus three standard
+    deviations; a shortfall reads a longer digest and keeps only its new
+    words.  At most two count-sized buffers are live at once: the digest
+    and its masked words, then those words and the result.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if len(domain_tag) > 255:
+        raise ValueError("domain tag must be at most 255 bytes")
     q = field.q
-    out = np.empty(count, dtype=np.uint64)
-    if count == 0:
-        return out
-    bound = ((1 << 256) // q) * q
-    prefix = hashlib.sha256()
-    prefix.update(seed)
-    prefix.update(domain_tag)
-    copy = prefix.copy
-    from_bytes = int.from_bytes
-    for i in range(count):
-        ctr = i.to_bytes(8, "big")
-        h = copy()
-        h.update(ctr)
-        v = from_bytes(h.digest(), "big")
-        retry = 1
-        while v >= bound:  # pragma: no cover - probability < q / 2^256
-            h = copy()
-            h.update(ctr)
-            h.update(bytes([retry & 0xFF]))
-            v = from_bytes(h.digest(), "big")
-            retry += 1
-        out[i] = v % q
-    return out
+    bits = q.bit_length()
+    accept = q / (1 << bits)  # probability that a masked word is kept
+    mask, bound = np.uint64((1 << bits) - 1), np.uint64(q)
+    xof = hashlib.shake_128(bytes([len(domain_tag)]) + domain_tag + seed)
+    out = np.empty(0, dtype=np.uint64)
+    read = 0  # words consumed so far
+    while len(out) < count:
+        need = count - len(out)
+        more = math.ceil((need + 3 * math.sqrt(need * (1 - accept))) / accept)
+        words = np.frombuffer(xof.digest(8 * (read + more)), "<u8")[read:] & mask
+        read += more
+        if words.max() >= bound:  # no copy when nothing is rejected
+            words = words[words < bound]
+        out = np.concatenate([out, words]) if len(out) else words
+    return out[:count]
 
 
 # --- LWE masking --------------------------------------------------------------

@@ -18,6 +18,7 @@ field.matmul_mod product, and the scalar APIs wrap the same two cores.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -137,6 +138,11 @@ def _frozen(rows, width: int) -> np.ndarray:
     return out
 
 
+def _check_distinct(xs: tuple[int, ...]) -> None:
+    if len(set(xs)) != len(xs):
+        raise DuplicatePoint(f"repeated evaluation point in {xs}")
+
+
 def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
                  field: FieldPrime, need: int = 0) -> np.ndarray:
     """Values at `targets` of the polynomials through the points xs: ys
@@ -144,8 +150,7 @@ def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
     at least `need` points are required and the `need` lowest are used."""
     if len(xs) < need:
         raise NotEnoughShares(f"{len(xs)} shares < {need} needed")
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint(f"repeated evaluation point in {xs}")
+    _check_distinct(xs)
     if need:
         picked = sorted(range(len(xs)), key=xs.__getitem__)[:need]
         xs = tuple(xs[i] for i in picked)
@@ -371,6 +376,11 @@ def reconstruct_integer(shares: list[tuple[int, tuple[int, ...]]], t: int,
     xs = tuple(x for x, _ in shares)
     bits = chunk_bits_for(field)
     n_chunks = max(1, -(-total_bits // bits))
+    if n_chunks == 1:
+        # one chunk: a Python-int dot product beats building arrays
+        _check_distinct(xs)
+        row = lagrange_basis(field.q, xs, (0,))[0].tolist()
+        return sum(map(operator.mul, row, [cs[0] for _, cs in shares])) % field.q
     ys = [cs for _, cs in shares]
     chunks = _interpolate(xs, ys, (0,), field)[0, :n_chunks].tolist()
     return chunks_to_integer(chunks, bits)

@@ -127,13 +127,14 @@ def test_verify_quick_passes(capsys):
     code, out = run_cli(capsys, "verify", "--quick")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
 
 
 def test_verify_fault_injection_is_detected(capsys):
     code, out = run_cli(capsys, "verify", "--quick", "--fault-inject")
     assert code == 1
     assert "FAIL share_vector_roundtrip" in out
+    assert "FAIL mask_stream_prefix_and_kat" in out
 
 
 def test_sweep_config_file(tmp_path, capsys):

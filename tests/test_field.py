@@ -166,6 +166,15 @@ def test_fp_config_validation():
         FixedPointConfig().check_capacity(1 << 30, DEFAULT_FIELD)
 
 
+def test_sub_unit_clip_decodes():
+    # the decode band is the largest code encode can emit, not int(clip)
+    cfg = FixedPointConfig(clip_magnitude=0.5)
+    assert cfg.max_code(3) == 3 * 32768
+    assert decode_vec(encode_vec([0.25], cfg), 1, cfg).tolist() == [0.25]
+    assert fp_decode(fp_encode(-0.5, cfg), 1, cfg) == -0.5
+    assert FixedPointConfig().max_code(1) == (1 << 20) * (1 << 16)
+
+
 def test_vector_codec_matches_scalar():
     xs = [0.0, 1.5, -1.0, 0.25, -3.75]
     enc = encode_vec(xs)

@@ -1,9 +1,13 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from secaggsim import masking
 from secaggsim.errors import DimensionMismatch, InvalidPublicKey
 from secaggsim.field import FieldPrime, add_mod
 from secaggsim.masking import (
@@ -14,6 +18,7 @@ from secaggsim.masking import (
     LweParams,
     TAG_MATRIX,
     TAG_PAIRWISE,
+    TAG_PERSONAL,
     dh_agree,
     dh_keygen,
     gaussian_error,
@@ -23,6 +28,7 @@ from secaggsim.masking import (
     stream_expand,
 )
 
+F7 = FieldPrime(7)
 F17 = FieldPrime(17)
 M61F = FieldPrime()
 
@@ -126,6 +132,86 @@ def test_stream_domain_tags_differ():
     a = stream_expand(seed, b"pairwise", 50, M61F)
     b = stream_expand(seed, b"personal", 50, M61F)
     assert not np.array_equal(a, b)
+
+
+def reference_stream(seed, tag, count, q):
+    """The stream definition, element by element with Python ints: read
+    the SHAKE-128 output 8 bytes at a time as a little-endian word, mask
+    it to q.bit_length() bits, keep it if below q."""
+    prefix = bytes([len(tag)]) + tag + seed
+    mask = (1 << q.bit_length()) - 1
+    out, pos, buf = [], 0, b""
+    while len(out) < count:
+        if pos + 8 > len(buf):
+            buf = hashlib.shake_128(prefix).digest(2 * len(buf) + 64)
+        word = int.from_bytes(buf[pos:pos + 8], "little") & mask
+        if word < q:
+            out.append(word)
+        pos += 8
+    return out
+
+
+@pytest.mark.parametrize("field", [F7, F17, M61F, FieldPrime((1 << 63) - 25)])
+@pytest.mark.parametrize("tag", [TAG_PAIRWISE, TAG_MATRIX, b""])
+def test_stream_matches_reference_loop(field, tag):
+    for count in (1, 2, 9, 130):
+        seed = count.to_bytes(32, "big")
+        assert stream_expand(seed, tag, count, field).tolist() == \
+            reference_stream(seed, tag, count, field.q)
+
+
+def test_stream_known_answer():
+    # pins the definition itself, independent of both implementations
+    assert stream_expand(bytes(32), TAG_PAIRWISE, 4, M61F).tolist() == [
+        1446146576884976503, 1303077736324727481,
+        1581199648854869895, 1860958607221166399]
+
+
+@given(field=st.sampled_from([F7, F17, M61F]),
+       seed=st.binary(max_size=40), a=st.integers(0, 400),
+       b=st.integers(0, 400))
+@settings(max_examples=80, deadline=None)
+def test_stream_prefix_stable(field, seed, a, b):
+    short, long = sorted((a, b))
+    assert np.array_equal(stream_expand(seed, TAG_PAIRWISE, long, field)[:short],
+                          stream_expand(seed, TAG_PAIRWISE, short, field))
+
+
+def test_stream_refill_matches_reference(monkeypatch):
+    # F17 keeps 17 of every 32 masked words, so some first reads fall
+    # short and a longer digest is read
+    cases = [(i.to_bytes(4, "big"), 1 + i % 3) for i in range(300)]
+    expected = [reference_stream(seed, TAG_PERSONAL, count, 17)
+                for seed, count in cases]
+    shake = hashlib.shake_128
+    reads = []
+
+    class CountingXof:
+        def __init__(self, data):
+            self._xof = shake(data)
+
+        def digest(self, length):
+            reads.append(length)
+            return self._xof.digest(length)
+
+    monkeypatch.setattr(masking.hashlib, "shake_128", CountingXof)
+    refilled = 0
+    for (seed, count), want in zip(cases, expected):
+        reads.clear()
+        assert stream_expand(seed, TAG_PERSONAL, count, F17).tolist() == want
+        refilled += len(reads) > 1
+    assert refilled > 0
+
+
+def test_stream_tag_is_framed():
+    a = stream_expand(b"ab", b"c", 16, M61F)
+    b = stream_expand(b"a", b"bc", 16, M61F)
+    assert not np.array_equal(a, b)
+
+
+def test_stream_rejects_long_tag():
+    with pytest.raises(ValueError):
+        stream_expand(bytes(32), b"t" * 256, 1, M61F)
 
 
 def test_stream_uniformity_chi_square():

@@ -368,6 +368,16 @@ def test_divergent_survivors_raise_typed_error(monkeypatch):
     assert report.failure.startswith("DivergentAggregate")
 
 
+def test_sub_unit_clip_nv_round():
+    cfg = nv_cfg(n=5, m=8, fp=FixedPointConfig(clip_magnitude=0.5))
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=0),
+                            keep_transcript=True)
+    assert report.failure is None
+    clipped = [np.clip(x, -0.5, 0.5) for x in report.inputs]
+    expect = plaintext_aggregate(clipped, report.result.contributors)
+    assert np.max(np.abs(report.result.average - expect)) <= 2 ** -16
+
+
 def test_decode_range_in_lwe_round_lands_in_report():
     # one fractional bit leaves the noise no headroom in the decode band
     cfg = RoundConfig(protocol="lwe", n=5, m=20,
@@ -382,13 +392,14 @@ def test_decode_range_in_lwe_round_lands_in_report():
 
 # SHA-256 over (recipient as 4 bytes, wire bytes) of every delivered message
 # of a seed-11 run with 30% dropout.  Any change to a share, a mask, a draw
-# order or the wire encoding changes these.
+# order or the wire encoding changes these.  The lwe and pw digests are
+# those of the SHAKE-128 mask streams.
 GOLDEN_TRANSCRIPTS = {
     "nv": ("622b0b2c7b63996b7fb65ae4bc00e988bf52b7904acc8dd1052cef563fc1d0a1",
            dict(m=300, k=2)),
-    "lwe": ("075656ab2b675d3033bdd0c308ea406ed38283d4fabeb2aec2433a5cb8ac96d1",
+    "lwe": ("858d4f77ac325f2956c9b54b9e52332a5fa3e5db2eb902385935aedd91f4f568",
             dict(m=40, k=2, lwe=LweParams(n_lwe=200))),
-    "pw": ("2527ac82ae3f0bdb54dd3bdb632a1c76860da949f7c66819ea7d5f4f51a34585",
+    "pw": ("85a8656cb0471cdc66c66a6215a3ed013773f2fdf70e86587da07e993567e625",
            dict(m=23, dh=DH_GROUP_TEST)),
 }
 
