@@ -26,6 +26,7 @@ from .errors import (
     SecAggError,
     TooManyDropouts,
     UnexpectedMessage,
+    UnmaskMismatch,
     ZeroInverse,
 )
 from .field import (
@@ -71,7 +72,6 @@ from .protocol import (
     pw_round,
 )
 from .shamir import (
-    PackingLayout,
     Share,
     ShareSet,
     ShareVector,

@@ -303,7 +303,7 @@ def _prop_share_roundtrip(fault_inject: bool) -> bool:
     svs = share_vector(vec, t=3, n=7, k=4, rng=rng, field=fld)
     if fault_inject:
         svs[2].values[0] = (svs[2].values[0] + 1) % fld.q
-    return reconstruct_vector(svs) == vec
+    return reconstruct_vector(svs).tolist() == vec
 
 
 def _prop_mask_stream(fault_inject: bool) -> bool:

@@ -94,6 +94,10 @@ class SafetyViolation(ProtocolError):
     """An unmask step would reveal both secrets of the same client."""
 
 
+class UnmaskMismatch(ProtocolError):
+    """An unmask broadcast opens other secrets than the receiver's own."""
+
+
 class DivergentAggregate(ProtocolError):
     """Two survivors finished the round with different aggregates."""
 

@@ -47,7 +47,6 @@ class DhParams:
     p: int
     g: int
     subgroup_order: int
-    hash_name: str = "sha256"
 
     @property
     def residue_bytes(self) -> int:
@@ -84,9 +83,7 @@ def dh_agree(sk: int, peer_pk: int, params: DhParams) -> bytes:
     if not 1 < peer_pk < params.p or pow(peer_pk, params.subgroup_order, params.p) != 1:
         raise InvalidPublicKey(f"residue {peer_pk} not in the prime-order subgroup")
     shared = pow(peer_pk, sk, params.p)
-    h = hashlib.new(params.hash_name)
-    h.update(shared.to_bytes(params.residue_bytes, "big"))
-    return h.digest()
+    return hashlib.sha256(shared.to_bytes(params.residue_bytes, "big")).digest()
 
 
 # --- deterministic mask streams ----------------------------------------------

@@ -26,7 +26,6 @@ from .rounds import (
     lwe_round,
     nv_round,
     pw_round,
-    run_round,
 )
 
 __all__ = [
@@ -37,5 +36,5 @@ __all__ = [
     "UnmaskPayload", "VectorPayload",
     "LWE", "NV", "PW", "ROUND_FNS", "STAGES", "RoundConfig",
     "client_on_message", "contributor_set", "default_threshold",
-    "lwe_round", "nv_round", "pw_round", "run_round",
+    "lwe_round", "nv_round", "pw_round",
 ]

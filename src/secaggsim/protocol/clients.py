@@ -24,6 +24,7 @@ from ..errors import (
     MissingKeyShares,
     SafetyViolation,
     UnexpectedMessage,
+    UnmaskMismatch,
 )
 from ..field import add_mod, decode_vec, encode_vec, sub_mod, sum_mod
 from ..masking import (
@@ -163,7 +164,7 @@ class BaseClient:
             raise InsufficientSurvivors(
                 f"client {self.id}: {len(held)} summed shares < t+k-1 = {need}")
         svs = list(held.values())
-        vec = np.array(reconstruct_vector(svs), dtype=np.uint64)
+        vec = reconstruct_vector(svs)
         self.ops.mul += svs[0].chunk_count * cfg.k * need
         self.ops.add += svs[0].chunk_count * cfg.k * (need - 1)
         return vec
@@ -310,56 +311,59 @@ class PwClient(BaseClient):
         self.keypair = dh_keygen(cfg.dh, rng)
         self.personal_seed = rng.bytes(32) if cfg.personal_mask else None
         self._pks: dict[int, int] = {cid: self.keypair.pk}
-        # held shares: my evaluation point of each owner's chunked secret
-        self._key_shares: dict[int, tuple[int, ...]] = {}
-        self._seed_shares: dict[int, tuple[int, ...]] = {}
+        # held shares: my uint64 share row of each owner's chunked secret
+        self._key_shares: dict[int, np.ndarray] = {}
+        self._seed_shares: dict[int, np.ndarray] = {}
         self._masked: dict[int, np.ndarray] = {}
-        # opened shares from unmask broadcasts: target -> {x: chunks}
-        self._opened: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-        self._emitted_unmask = False
+        # unmask payload per opener, this client's own included
+        self._unmask: dict[int, UnmaskPayload] = {}
 
     @property
     def _order_bits(self) -> int:
         return self.cfg.dh.subgroup_order.bit_length()
+
+    def _share_secret(self, value: int, total_bits: int, kind: MsgKind,
+                      held: dict):
+        """Chunk-share value, keep this client's own row in held, and
+        address every peer its row."""
+        cfg = self.cfg
+        rows = share_integer(value, total_bits, cfg.t, cfg.n, self.rng,
+                             cfg.field)
+        held[self.id] = rows[self.id]
+        return [(j, self._msg(kind, ChunkSharePayload(rows[j])))
+                for j in range(cfg.n) if j != self.id]
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
         cfg = self.cfg
         out = self._broadcast(MsgKind.PUB_KEY,
                               PubKeyPayload(self.keypair.pk,
                                             cfg.dh.residue_bytes))
-        key_shares = share_integer(self.keypair.sk, self._order_bits,
-                                   cfg.t, cfg.n, self.rng, cfg.field)
-        self._key_shares[self.id] = key_shares[self.id][1]
-        out += [(j, self._msg(MsgKind.KEY_SHARE,
-                              ChunkSharePayload(key_shares[j][1])))
-                for j in range(cfg.n) if j != self.id]
+        out += self._share_secret(self.keypair.sk, self._order_bits,
+                                  MsgKind.KEY_SHARE, self._key_shares)
         if cfg.personal_mask:
-            seed_int = int.from_bytes(self.personal_seed, "big")
-            seed_shares = share_integer(seed_int, PERSONAL_SEED_BITS,
-                                        cfg.t, cfg.n, self.rng, cfg.field)
-            self._seed_shares[self.id] = seed_shares[self.id][1]
-            out += [(j, self._msg(MsgKind.PERSONAL_SEED_SHARE,
-                                  ChunkSharePayload(seed_shares[j][1])))
-                    for j in range(cfg.n) if j != self.id]
+            out += self._share_secret(int.from_bytes(self.personal_seed, "big"),
+                                      PERSONAL_SEED_BITS,
+                                      MsgKind.PERSONAL_SEED_SHARE,
+                                      self._seed_shares)
         return out
+
+    def _apply_masks(self, v: np.ndarray, terms) -> np.ndarray:
+        """v plus sign * stream_expand(seed, tag) for each (sign, seed,
+        tag) term, one stream at a time."""
+        cfg = self.cfg
+        for sign, seed, tag in terms:
+            stream = stream_expand(seed, tag, cfg.m, cfg.field)
+            v = (add_mod if sign > 0 else sub_mod)(v, stream, cfg.field)
+            self.ops.add += cfg.m
+        return v
 
     def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
         cfg = self.cfg
-        y = self.enc_w.copy()
-        if cfg.personal_mask:
-            y = add_mod(y, stream_expand(self.personal_seed, TAG_PERSONAL,
-                                         cfg.m, cfg.field), cfg.field)
-            self.ops.add += cfg.m
-        for j in sorted(self._pks):
-            if j == self.id:
-                continue
-            seed = dh_agree(self.keypair.sk, self._pks[j], cfg.dh)
-            stream = stream_expand(seed, TAG_PAIRWISE, cfg.m, cfg.field)
-            if self.id < j:
-                y = add_mod(y, stream, cfg.field)
-            else:
-                y = sub_mod(y, stream, cfg.field)
-            self.ops.add += cfg.m
+        terms = [(1, self.personal_seed, TAG_PERSONAL)] if cfg.personal_mask else []
+        terms += [(1 if self.id < j else -1,
+                   dh_agree(self.keypair.sk, self._pks[j], cfg.dh), TAG_PAIRWISE)
+                  for j in sorted(self._pks) if j != self.id]
+        y = self._apply_masks(self.enc_w, terms)
         self._masked[self.id] = y
         return self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(y))
 
@@ -385,10 +389,8 @@ class PwClient(BaseClient):
         if msg.kind == MsgKind.CONTRIBUTOR_SET:
             self._set_contributors(msg.payload.ids)
             return self._emit_unmask()
-        # UNMASK_SHARE: the sender opens its held share (point sender+1)
-        for entry in msg.payload.entries:
-            self._opened.setdefault((entry.secret_type, entry.target), {})[
-                msg.sender + 1] = entry.chunks
+        # UNMASK_SHARE: the sender opens its held shares (point sender+1)
+        self._unmask[msg.sender] = msg.payload
         return []
 
     def _classify(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -403,40 +405,51 @@ class PwClient(BaseClient):
         return self.contributors, dropped
 
     def _emit_unmask(self) -> list[tuple[int, ProtocolMessage]]:
-        if self._emitted_unmask:
+        if self.id in self._unmask:
             return []
-        self._emitted_unmask = True
         contributors, dropped = self._classify()
         overlap = set(contributors) & set(dropped)
         if overlap:
             raise SafetyViolation(
                 f"client {self.id}: both secrets of {sorted(overlap)} requested")
-        entries = []
-        for k in dropped:
-            entries.append(UnmaskEntry(k, SECRET_DH_KEY, self._key_shares[k]))
+        entries = [UnmaskEntry(k, SECRET_DH_KEY, self._key_shares[k])
+                   for k in dropped]
         if self.cfg.personal_mask:
-            for i in contributors:
-                entries.append(UnmaskEntry(i, SECRET_PERSONAL_SEED,
-                                           self._seed_shares[i]))
+            entries += [UnmaskEntry(i, SECRET_PERSONAL_SEED, self._seed_shares[i])
+                        for i in contributors]
+        payload = self._unmask[self.id] = UnmaskPayload(tuple(entries))
         if not entries:
             return []
-        return self._broadcast(MsgKind.UNMASK_SHARE,
-                               UnmaskPayload(tuple(entries)))
+        return self._broadcast(MsgKind.UNMASK_SHARE, payload)
 
-    def _reconstruct_secret(self, secret_type: int, target: int,
-                            total_bits: int) -> int:
-        held = (self._key_shares if secret_type == SECRET_DH_KEY
-                else self._seed_shares)
-        shares = dict(self._opened.get((secret_type, target), {}))
-        if target in held:
-            shares[self.id + 1] = held[target]
-        if len(shares) < self.cfg.t:
+    def _open_secrets(self) -> list[int]:
+        """Every secret named by this client's own unmask entries, opened
+        from its own and the other openers' share rows side by side in one
+        interpolation."""
+        def named(payload):
+            return [(e.secret_type, e.target, len(e.chunks))
+                    for e in payload.entries]
+
+        names = named(self._unmask[self.id])
+        for sender, payload in self._unmask.items():
+            if named(payload) != names:
+                raise UnmaskMismatch(
+                    f"client {self.id}: unmask shares from {sender} name "
+                    f"other secrets than its own")
+        if not names:
+            return []
+        if len(self._unmask) < self.cfg.t:
             raise InsufficientSurvivors(
-                f"client {self.id}: {len(shares)} shares of client {target}'s "
-                f"secret < t = {self.cfg.t}")
-        self.ops.inv += len(shares)
-        return reconstruct_integer(sorted(shares.items()), self.cfg.t,
-                                   total_bits, self.cfg.field)
+                f"client {self.id}: {len(self._unmask)} shares of each "
+                f"opened secret < t = {self.cfg.t}")
+        openers = sorted(self._unmask)
+        self.ops.inv += len(openers) * len(names)
+        ys = [np.concatenate([e.chunks for e in self._unmask[s].entries])
+              for s in openers]
+        widths = [self._order_bits if kind == SECRET_DH_KEY
+                  else PERSONAL_SEED_BITS for kind, _, _ in names]
+        return reconstruct_integer([s + 1 for s in openers], ys, self.cfg.t,
+                                   widths, self.cfg.field)
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
@@ -445,24 +458,14 @@ class PwClient(BaseClient):
         contributors, dropped = self._classify()
         v = sum_mod((self._masked[i] for i in contributors), cfg.field)
         self.ops.add += cfg.m * (len(contributors) - 1)
-        if cfg.personal_mask:
-            for i in contributors:
-                seed_int = self._reconstruct_secret(SECRET_PERSONAL_SEED, i,
-                                                    PERSONAL_SEED_BITS)
-                seed = seed_int.to_bytes(32, "big")
-                v = sub_mod(v, stream_expand(seed, TAG_PERSONAL, cfg.m,
-                                             cfg.field), cfg.field)
-                self.ops.add += cfg.m
-        for k in dropped:
-            a_k = self._reconstruct_secret(SECRET_DH_KEY, k, self._order_bits)
-            for j in contributors:
-                seed = dh_agree(a_k, self._pks[j], cfg.dh)
-                stream = stream_expand(seed, TAG_PAIRWISE, cfg.m, cfg.field)
-                if j < k:
-                    v = sub_mod(v, stream, cfg.field)
-                else:
-                    v = add_mod(v, stream, cfg.field)
-                self.ops.add += cfg.m
+        opened = self._open_secrets()
+        # entries name the dropped clients' keys, then the personal seeds
+        keys, seeds = opened[:len(dropped)], opened[len(dropped):]
+        terms = [(-1, s.to_bytes(32, "big"), TAG_PERSONAL) for s in seeds]
+        terms += [(-1 if j < k else 1, dh_agree(a_k, self._pks[j], cfg.dh),
+                   TAG_PAIRWISE)
+                  for k, a_k in zip(dropped, keys) for j in contributors]
+        v = self._apply_masks(v, terms)
         n_contrib = len(contributors)
         avg = decode_vec(v, n_contrib, cfg.fp, cfg.field) / n_contrib
         return AggregateResult(average=avg, contributors=contributors,

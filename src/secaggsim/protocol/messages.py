@@ -62,14 +62,13 @@ class ShareVectorPayload:
 @dataclass(frozen=True)
 class ChunkSharePayload:
     """Share of a chunked wide integer (a DH secret key or a 32-byte
-    seed) at the recipient's implicit point: 4-byte chunk count then
-    8 bytes per chunk."""
+    seed) at the recipient's implicit point, one uint64 per chunk: 4-byte
+    chunk count then 8 bytes per chunk."""
 
-    chunks: tuple[int, ...]
+    chunks: np.ndarray
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">I", len(self.chunks)) + b"".join(
-            c.to_bytes(8, "big") for c in self.chunks)
+        return struct.pack(">I", len(self.chunks)) + elems_to_bytes(self.chunks)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ SECRET_PERSONAL_SEED = 1
 class UnmaskEntry:
     target: int
     secret_type: int  # SECRET_DH_KEY or SECRET_PERSONAL_SEED
-    chunks: tuple[int, ...]
+    chunks: np.ndarray  # the opener's share row, one uint64 per chunk
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class UnmaskPayload:
         for e in self.entries:
             parts.append(struct.pack(">IBI", e.target, e.secret_type,
                                      len(e.chunks)))
-            parts.extend(c.to_bytes(8, "big") for c in e.chunks)
+            parts.append(elems_to_bytes(e.chunks))
         return b"".join(parts)
 
 

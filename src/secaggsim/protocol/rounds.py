@@ -197,7 +197,3 @@ def pw_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
 
 
 ROUND_FNS = {NV: nv_round, LWE: lwe_round, PW: pw_round}
-
-
-def run_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
-    return ROUND_FNS[cfg.protocol](inputs, cfg, bus)

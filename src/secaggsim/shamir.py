@@ -18,7 +18,6 @@ field.matmul_mod product, and the scalar APIs wrap the same two cores.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -65,32 +64,6 @@ class ShareSet:
 
     def xs(self) -> tuple[int, ...]:
         return tuple(s.x for s in self.shares)
-
-
-@dataclass(frozen=True)
-class PackingLayout:
-    """Embedding points for packed sharing: secrets at 1..k, shares at
-    k+1..k+n.  The two point sets must stay disjoint and nonzero."""
-
-    secret_points: tuple[int, ...]
-    share_points: tuple[int, ...]
-
-    def __post_init__(self):
-        overlap = set(self.secret_points) & set(self.share_points)
-        if overlap:
-            raise ValueError(f"secret/share points overlap: {sorted(overlap)}")
-        if 0 in self.secret_points or 0 in self.share_points:
-            raise ValueError("evaluation points must be nonzero")
-        pts = self.secret_points + self.share_points
-        if len(set(pts)) != len(pts):
-            raise ValueError("evaluation points must be distinct")
-
-
-def default_layout(k: int, n: int) -> PackingLayout:
-    return PackingLayout(
-        secret_points=tuple(range(1, k + 1)),
-        share_points=tuple(range(k + 1, k + n + 1)),
-    )
 
 
 @lru_cache(maxsize=512)
@@ -214,19 +187,18 @@ def share_add(a: ShareSet, b: ShareSet) -> ShareSet:
 
 
 def _packed_shares(blocks: np.ndarray, t: int, n: int, rng,
-                   field: FieldPrime, layout: PackingLayout) -> np.ndarray:
+                   field: FieldPrime) -> np.ndarray:
     """Packed-share each column of the reduced (k x chunks) matrix blocks.
 
     The t-1 anchors of every chunk are drawn from rng chunk by chunk and
     are the shares at the first t-1 share points; the other shares follow
     by interpolation through the secrets and anchors.  Returns
-    (n x chunks); row j holds the shares at layout.share_points[j].
+    (n x chunks); row j holds the shares at point k+1+j.
     """
     k, chunks = blocks.shape
     anchors = rng.integers(0, field.q, size=(chunks, t - 1), dtype=np.uint64)
-    anchor_pts = layout.share_points[: t - 1]
-    rows = lagrange_basis(field.q, layout.secret_points + anchor_pts,
-                          layout.share_points[t - 1: n])
+    rows = lagrange_basis(field.q, tuple(range(1, k + t)),
+                          tuple(range(k + t, k + n + 1)))
     rest = matmul_mod(rows, np.concatenate([blocks, anchors.T]), field)
     return np.concatenate([anchors.T, rest])
 
@@ -239,31 +211,23 @@ def _check_packing(t: int, n: int, k: int):
 
 
 def packed_share(secrets: list[int], t: int, n: int, rng,
-                 field: FieldPrime = DEFAULT_FIELD,
-                 layout: PackingLayout | None = None) -> ShareSet:
+                 field: FieldPrime = DEFAULT_FIELD) -> ShareSet:
     """Embed k secrets in one polynomial; any t+k-1 shares reconstruct,
     any t-1 reveal nothing."""
     k = len(secrets)
     _check_packing(t, n, k)
-    if layout is None:
-        layout = default_layout(k, n)
-    if len(layout.secret_points) != k or len(layout.share_points) < n:
-        raise ValueError("layout inconsistent with k, n")
     blocks = np.array([[s % field.q] for s in secrets], dtype=np.uint64)
-    ys = _packed_shares(blocks, t, n, rng, field, layout)[:, 0].tolist()
-    return ShareSet([Share(x, y) for x, y in zip(layout.share_points, ys)],
+    ys = _packed_shares(blocks, t, n, rng, field)[:, 0].tolist()
+    return ShareSet([Share(x, y) for x, y in enumerate(ys, k + 1)],
                     t=t, k=k, field=field)
 
 
-def packed_reconstruct(share_set: ShareSet,
-                       layout: PackingLayout | None = None) -> list[int]:
+def packed_reconstruct(share_set: ShareSet) -> list[int]:
     """Recover the k packed secrets from >= t+k-1 shares."""
     t, k = share_set.t, share_set.k
-    secret_pts = (layout.secret_points if layout is not None
-                  else tuple(range(1, k + 1)))
     ys = [[s.y] for s in share_set.shares]
-    return _interpolate(share_set.xs(), ys, secret_pts, share_set.field,
-                        need=t + k - 1)[:, 0].tolist()
+    return _interpolate(share_set.xs(), ys, tuple(range(1, k + 1)),
+                        share_set.field, need=t + k - 1)[:, 0].tolist()
 
 
 # --- packed sharing of whole vectors -----------------------------------------
@@ -301,12 +265,10 @@ def share_vector(w, t: int, n: int, k: int, rng,
     chunks = -(-m // k) if m else 1
     blocks = np.zeros(chunks * k, dtype=np.uint64)
     np.remainder(w, np.uint64(field.q), out=blocks[:m])
-    layout = default_layout(k, n)
-    shares = _packed_shares(blocks.reshape(chunks, k).T, t, n, rng, field,
-                            layout)
+    shares = _packed_shares(blocks.reshape(chunks, k).T, t, n, rng, field)
     return [
-        ShareVector(x=x, values=shares[j], t=t, k=k, vec_len=m, field=field)
-        for j, x in enumerate(layout.share_points)
+        ShareVector(x=x, values=row, t=t, k=k, vec_len=m, field=field)
+        for x, row in enumerate(shares, k + 1)
     ]
 
 
@@ -317,7 +279,7 @@ def add_share_vectors(a: ShareVector, b: ShareVector) -> ShareVector:
                        t=a.t, k=a.k, vec_len=a.vec_len, field=a.field)
 
 
-def reconstruct_vector(share_vectors: list[ShareVector]) -> list[int]:
+def reconstruct_vector(share_vectors: list[ShareVector]) -> np.ndarray:
     """Recover the original vector from >= t+k-1 per-recipient shares."""
     if not share_vectors:
         raise NotEnoughShares("no share vectors supplied")
@@ -328,16 +290,21 @@ def reconstruct_vector(share_vectors: list[ShareVector]) -> list[int]:
                           np.stack([sv.values for sv in share_vectors]),
                           tuple(range(1, ref.k + 1)), ref.field,
                           need=ref.t + ref.k - 1)
-    return blocks.T.reshape(-1)[: ref.vec_len].tolist()
+    return blocks.T.reshape(-1)[: ref.vec_len]
 
 
 # --- chunked sharing of wide integers (keys, seeds) ---------------------------
 
 
+def chunk_count(total_bits: int, chunk_bits: int) -> int:
+    """Chunks of a total_bits-wide integer; depends only on the widths,
+    so every party agrees on the layout."""
+    return max(1, -(-total_bits // chunk_bits))
+
+
 def integer_chunks(value: int, total_bits: int, chunk_bits: int) -> list[int]:
-    """Big-endian fixed-width decomposition; chunk count depends only on
-    total_bits so every party agrees on the layout."""
-    n_chunks = max(1, -(-total_bits // chunk_bits))
+    """Big-endian fixed-width decomposition into chunk_count chunks."""
+    n_chunks = chunk_count(total_bits, chunk_bits)
     mask = (1 << chunk_bits) - 1
     return [(value >> (chunk_bits * (n_chunks - 1 - i))) & mask
             for i in range(n_chunks)]
@@ -356,31 +323,31 @@ def chunk_bits_for(field: FieldPrime) -> int:
 
 
 def share_integer(value: int, total_bits: int, t: int, n: int, rng,
-                  field: FieldPrime = DEFAULT_FIELD) -> list[tuple[int, tuple[int, ...]]]:
+                  field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
     """Shamir-share a wide integer chunk by chunk.
 
-    Returns one (x, chunk_share_values) pair per recipient; all chunks of
-    one recipient live at the same evaluation point x = recipient + 1.
+    Returns an (n x chunks) uint64 matrix: row j holds recipient j's
+    shares of every chunk, all at the evaluation point x = j + 1.
     """
     chunks = integer_chunks(value, total_bits, chunk_bits_for(field))
-    shares = _poly_shares(chunks, t, n, rng, field)
-    return [(x, tuple(ys)) for x, ys in enumerate(shares.tolist(), 1)]
+    return _poly_shares(chunks, t, n, rng, field)
 
 
-def reconstruct_integer(shares: list[tuple[int, tuple[int, ...]]], t: int,
-                        total_bits: int,
-                        field: FieldPrime = DEFAULT_FIELD) -> int:
-    """Inverse of share_integer given >= t distinct-point share tuples."""
-    if len(shares) < t:
-        raise NotEnoughShares(f"{len(shares)} shares < threshold {t}")
-    xs = tuple(x for x, _ in shares)
+def reconstruct_integer(xs, ys, t: int, widths,
+                        field: FieldPrime = DEFAULT_FIELD) -> list[int]:
+    """Open several share_integer secrets in one interpolation.
+
+    ys has one row per point of xs: the shares at that point of secrets
+    of total_bits widths[0], widths[1], ..., side by side.  The t lowest
+    points give every chunk; returns one integer per width.
+    """
     bits = chunk_bits_for(field)
-    n_chunks = max(1, -(-total_bits // bits))
-    if n_chunks == 1:
-        # one chunk: a Python-int dot product beats building arrays
-        _check_distinct(xs)
-        row = lagrange_basis(field.q, xs, (0,))[0].tolist()
-        return sum(map(operator.mul, row, [cs[0] for _, cs in shares])) % field.q
-    ys = [cs for _, cs in shares]
-    chunks = _interpolate(xs, ys, (0,), field)[0, :n_chunks].tolist()
-    return chunks_to_integer(chunks, bits)
+    counts = [chunk_count(w, bits) for w in widths]
+    chunks = _interpolate(tuple(xs), ys, (0,), field, need=t)[0].tolist()
+    if len(chunks) != sum(counts):
+        raise ValueError(f"{len(chunks)} chunk shares for widths {widths}")
+    out, at = [], 0
+    for c in counts:
+        out.append(chunks_to_integer(chunks[at:at + c], bits))
+        at += c
+    return out

@@ -35,7 +35,7 @@ from .protocol.messages import (
     unmask_entry_bytes,
 )
 from .protocol.rounds import LWE, NV, PW, ROUND_FNS, STAGES, RoundConfig
-from .shamir import chunk_bits_for
+from .shamir import chunk_bits_for, chunk_count
 
 CONTROL_STAGE = "control"
 UNIFORM_POLICY = "uniform"
@@ -437,8 +437,8 @@ def meter_expectations(cfg: RoundConfig, rounds: int = 1) -> dict:
         put("sum_shares", pair_msgs, sv_payload(cfg.lwe.n_lwe))
     elif cfg.protocol == PW:
         cb = chunk_bits_for(cfg.field)
-        key_chunks = max(1, -(-cfg.dh.subgroup_order.bit_length() // cb))
-        seed_chunks = max(1, -(-256 // cb))
+        key_chunks = chunk_count(cfg.dh.subgroup_order.bit_length(), cb)
+        seed_chunks = chunk_count(256, cb)
         put("setup", pair_msgs, cfg.dh.residue_bytes)
         put("setup", pair_msgs, 4 + 8 * key_chunks)
         if cfg.personal_mask:

@@ -10,7 +10,9 @@ from secaggsim.errors import (
     DuplicateSender,
     MissingKeyShares,
     NonFiniteInput,
+    ProtocolError,
     UnexpectedMessage,
+    UnmaskMismatch,
 )
 from secaggsim.field import FixedPointConfig, encode_vec
 from secaggsim.masking import DH_GROUP_TEST, LweParams, lwe_matrix_ops
@@ -337,6 +339,54 @@ def test_pw_safety_guard_never_opens_both_secrets():
     target._classify = lambda: ((0, 1, 2, 3), (3,))
     with pytest.raises(SafetyViolation):
         target._emit_unmask()
+
+
+def drive_pw_to_unmask(forge=None):
+    """Client 3 drops after setup; clients 0-2 mask, get the contributor
+    set and exchange unmask shares.  forge(payload) may rewrite what
+    client 1 sends to client 0."""
+    from secaggsim.protocol import UnmaskPayload
+    cfg, clients = drive_pw_setup()
+    for c in clients[:3]:
+        for rcpt, msg in c.emit_masked():
+            if rcpt < 3:
+                clients[rcpt].on_message(msg)
+    cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
+                         round=0, payload=ContributorSetPayload((0, 1, 2)))
+    unmask = [out for c in clients[:3] for out in c.on_message(cs)]
+    for rcpt, msg in unmask:
+        if rcpt < 3:
+            if forge is not None and (msg.sender, rcpt) == (1, 0):
+                msg = ProtocolMessage(msg.kind, msg.sender, msg.round,
+                                      UnmaskPayload(forge(msg.payload.entries)))
+            clients[rcpt].on_message(msg)
+    return cfg, clients
+
+
+def test_pw_unmask_opens_every_secret_in_one_call():
+    cfg, clients = drive_pw_to_unmask()
+    sums = [clients[i].finalize().field_sum for i in range(3)]
+    enc = [encode_vec(np.ones(cfg.m) * (i + 1), cfg.fp, cfg.field) for i in range(3)]
+    assert all(s.tolist() == [sum(int(e[j]) for e in enc) % cfg.field.q
+                              for j in range(cfg.m)] for s in sums)
+
+
+def test_pw_unmask_naming_other_secrets_raises():
+    from secaggsim.protocol import UnmaskEntry
+
+    def retarget(entries):  # client 1 claims to open client 2's key instead
+        return tuple(UnmaskEntry(2 if e.target == 3 else e.target,
+                                 e.secret_type, e.chunks) for e in entries)
+
+    def reorder(entries):
+        return entries[::-1]
+
+    for forge in (retarget, reorder, lambda entries: entries[1:]):
+        _, clients = drive_pw_to_unmask(forge)
+        with pytest.raises(UnmaskMismatch, match="from 1"):
+            clients[0].finalize()
+        clients[1].finalize()  # what client 1 received was untouched
+    assert issubclass(UnmaskMismatch, ProtocolError)
 
 
 # --- typed failures inside a round -------------------------------------------------

@@ -18,7 +18,6 @@ from secaggsim.shamir import (
     Share,
     ShareSet,
     add_share_vectors,
-    default_layout,
     integer_chunks,
     interpolate_at,
     lagrange_basis,
@@ -171,9 +170,8 @@ def test_packed_roundtrip_k4():
 def test_packed_sum_elementwise():
     a_sec = [3, 7]
     b_sec = [5, 100]
-    layout = default_layout(2, 5)
-    a = packed_share(a_sec, 2, 5, rng(17), F127, layout)
-    b = packed_share(b_sec, 2, 5, rng(18), F127, layout)
+    a = packed_share(a_sec, 2, 5, rng(17), F127)
+    b = packed_share(b_sec, 2, 5, rng(18), F127)
     assert packed_reconstruct(share_add(a, b)) == [8, 107 % 127]
 
 
@@ -203,9 +201,9 @@ def test_share_vector_chunk_count():
 def test_share_vector_roundtrip():
     vec = [int(v) for v in rng(21).integers(0, F127.q, size=10)]
     svs = share_vector(vec, t=3, n=7, k=3, rng=rng(22), field=F127)
-    assert reconstruct_vector(svs) == vec
+    assert reconstruct_vector(svs).tolist() == vec
     # exactly t+k-1 recipients are enough
-    assert reconstruct_vector(svs[: 3 + 3 - 1]) == vec
+    assert reconstruct_vector(svs[: 3 + 3 - 1]).tolist() == vec
 
 
 def test_share_vector_add_then_reconstruct():
@@ -214,7 +212,8 @@ def test_share_vector_add_then_reconstruct():
     sa = share_vector(a, 2, 5, 2, rng(23), F127)
     sb = share_vector(b, 2, 5, 2, rng(24), F127)
     summed = [add_share_vectors(x, y) for x, y in zip(sa, sb)]
-    assert reconstruct_vector(summed) == [(x + y) % 127 for x, y in zip(a, b)]
+    assert reconstruct_vector(summed).tolist() == [(x + y) % 127
+                                                   for x, y in zip(a, b)]
 
 
 def test_share_vector_determinism():
@@ -233,7 +232,7 @@ def test_share_vector_roundtrip_property(seed, t, extra, k, m):
     g = rng(seed)
     vec = [int(v) for v in g.integers(0, M61F.q, size=m)]
     svs = share_vector(vec, t, n, k, g, M61F)
-    assert reconstruct_vector(svs) == vec
+    assert reconstruct_vector(svs).tolist() == vec
 
 
 def share_vector_by_chunks(w, t, n, k, rng, field):
@@ -242,10 +241,11 @@ def share_vector_by_chunks(w, t, n, k, rng, field):
     q = field.q
     chunks = -(-len(w) // k) if len(w) else 1
     padded = list(w) + [0] * (chunks * k - len(w))
-    layout = default_layout(k, n)
-    anchor_pts = layout.share_points[: t - 1]
-    rows = lagrange_basis(q, layout.secret_points + anchor_pts,
-                          layout.share_points[t - 1: n]).tolist()
+    # secrets at 1..k, shares at k+1..k+n; the first t-1 shares are anchors
+    secret_pts = tuple(range(1, k + 1))
+    share_pts = tuple(range(k + 1, k + n + 1))
+    rows = lagrange_basis(q, secret_pts + share_pts[: t - 1],
+                          share_pts[t - 1:]).tolist()
     per_recipient = [[] for _ in range(n)]
     for c in range(chunks):
         vals = padded[c * k: (c + 1) * k] + [field.rand(rng) for _ in range(t - 1)]
@@ -284,7 +284,8 @@ def test_share_vector_long_input_matches_per_chunk_loop():
 
 
 def share_integer_by_chunks(value, total_bits, t, n, rng, field):
-    """Reference: Horner-evaluate one random polynomial per chunk."""
+    """Reference: Horner-evaluate one random polynomial per chunk; one
+    (x, chunk shares) pair per recipient."""
     q = field.q
     bits = min(56, field.bit_width - 1)
     polys = [[c] + [field.rand(rng) for _ in range(t - 1)]
@@ -308,28 +309,47 @@ def test_share_integer_matches_horner_loop(seed, t, extra, total_bits):
     value = int.from_bytes(rng(seed).bytes(256), "big") % (1 << total_bits)
     n = t + extra
     g_fast, g_ref = rng(seed + 1), rng(seed + 1)
-    assert share_integer(value, total_bits, t, n, g_fast, M61F) == \
+    rows = share_integer(value, total_bits, t, n, g_fast, M61F)
+    assert [(x, tuple(r)) for x, r in enumerate(rows.tolist(), 1)] == \
         share_integer_by_chunks(value, total_bits, t, n, g_ref, M61F)
     assert g_fast.bit_generator.state == g_ref.bit_generator.state
 
 
-
 def test_share_integer_roundtrip_small():
-    shares = share_integer(0x1234, 16, t=2, n=4, rng=rng(30), field=M61F)
-    assert reconstruct_integer(shares[:2], 2, 16, M61F) == 0x1234
+    rows = share_integer(0x1234, 16, t=2, n=4, rng=rng(30), field=M61F)
+    assert reconstruct_integer([1, 2], rows[:2], 2, [16], M61F) == [0x1234]
 
 
 def test_share_integer_roundtrip_wide():
     # 2048-bit scale secret, as used for DH keys
     secret = int.from_bytes(rng(31).bytes(255), "big")
-    shares = share_integer(secret, 2040, t=3, n=5, rng=rng(32), field=M61F)
-    assert reconstruct_integer(shares[1:4], 3, 2040, M61F) == secret
+    rows = share_integer(secret, 2040, t=3, n=5, rng=rng(32), field=M61F)
+    assert reconstruct_integer([2, 3, 4], rows[1:4], 3, [2040], M61F) == [secret]
 
 
 def test_share_integer_too_few():
-    shares = share_integer(99, 8, t=3, n=4, rng=rng(33), field=M61F)
+    rows = share_integer(99, 8, t=3, n=4, rng=rng(33), field=M61F)
     with pytest.raises(NotEnoughShares):
-        reconstruct_integer(shares[:2], 3, 8, M61F)
+        reconstruct_integer([1, 2], rows[:2], 3, [8], M61F)
+
+
+def test_reconstruct_integer_opens_mixed_widths_in_one_call():
+    # 1-, 5- and 37-chunk secrets (56-bit chunks), shared independently
+    # and opened side by side from the t lowest of all n points
+    t, n, widths = 4, 7, [40, 256, 2048]
+    g = rng(34)
+    secrets = [int.from_bytes(g.bytes(256), "big") % (1 << w) for w in widths]
+    rows = [share_integer(s, w, t, n, g, M61F) for s, w in zip(secrets, widths)]
+    assert [r.shape[1] for r in rows] == [1, 5, 37]
+    ys = np.concatenate(rows, axis=1)
+    order = [5, 0, 6, 2, 3, 1, 4]  # out of order, more points than t
+    xs = [i + 1 for i in order]
+    assert reconstruct_integer(xs, ys[order], t, widths, M61F) == secrets
+    assert reconstruct_integer(xs[:t], ys[order][:t], t, widths, M61F) == secrets
+    with pytest.raises(NotEnoughShares):
+        reconstruct_integer(xs[:t - 1], ys[order][:t - 1], t, widths, M61F)
+    with pytest.raises(ValueError):
+        reconstruct_integer(xs, ys[order], t, widths[:2], M61F)
 
 
 def test_share_wire_encoding_roundtrip():
