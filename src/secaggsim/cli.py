@@ -2,8 +2,9 @@
 
 Exit codes: 0 completed, 1 usage error (machine-readable error JSON on
 stdout), 2 protocol failure (report still emitted).  Every flag has a
-config-file equivalent (flat key=value, flag name with underscores);
-explicit flags win over the file.
+config-file equivalent (flat key=value, flag name with underscores),
+parsed as that flag ahead of the command line's own: file values are
+checked like flags, and explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .masking import (DH_GROUP_2048, DH_GROUP_TEST, TAG_PAIRWISE, LweParams,
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
 from .shamir import Share, reconstruct_vector, share_vector
 from .simnet import (
+    UNIFORM_POLICY,
     SimConfig,
     meter_expectations,
     metrics_match_expectations,
@@ -32,6 +36,7 @@ from .simnet import (
 )
 
 PROTOCOLS = (NV, LWE, PW)
+DH_PROFILES = {"2048": DH_GROUP_2048, "test": DH_GROUP_TEST}
 
 
 class UsageError(Exception):
@@ -43,36 +48,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _list_of(cast, choices=None):
+    """argparse type: comma-separated values of cast, each one of choices
+    when those are given."""
+    def parse(text: str) -> list:
+        values = [cast(v.strip()) for v in text.split(",") if v.strip()]
+        if choices is not None and not set(values) <= set(choices):
+            raise ValueError(text)
+        return values
+    parse.__name__ = "comma-separated " + (
+        "|".join(choices) if choices else cast.__name__)
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="secaggsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one simulated aggregation")
-    run.add_argument("--protocol", choices=PROTOCOLS)
-    run.add_argument("--clients", type=int)
-    run.add_argument("--model-size", type=int)
-    run.add_argument("--dropout-rate", type=float)
-    run.add_argument("--dropout-stage",
+    run.add_argument("--protocol", choices=PROTOCOLS, default=NV)
+    run.add_argument("--clients", type=int, default=5)
+    run.add_argument("--model-size", type=int, default=4)
+    run.add_argument("--dropout-rate", type=float, default=0.0)
+    run.add_argument("--dropout-stage", default=UNIFORM_POLICY,
                      help="stage label or 'uniform' (default)")
     run.add_argument("--threshold", type=int,
                      help="Shamir threshold t; defaults to floor(n/2)+1")
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--config", help="key=value file; flags override it")
     run.add_argument("--pack-width", type=int,
                      help="secrets per share polynomial; default auto")
-    run.add_argument("--sigma", type=float, help="LWE noise parameter")
-    run.add_argument("--rounds", type=int)
-    run.add_argument("--dh-profile", choices=("2048", "test"))
-    run.add_argument("--personal-mask", choices=("on", "off"))
+    run.add_argument("--sigma", type=float, default=3.0,
+                     help="LWE noise parameter")
+    run.add_argument("--rounds", type=int, default=1)
+    run.add_argument("--dh-profile", choices=DH_PROFILES, default="2048")
+    run.add_argument("--personal-mask", choices=("on", "off"), default="on")
 
     sweep = sub.add_parser("sweep", help="grid of runs, CSV out")
-    sweep.add_argument("--protocols")
-    sweep.add_argument("--clients")
-    sweep.add_argument("--model-sizes")
-    sweep.add_argument("--dropout-rates")
-    sweep.add_argument("--repetitions", type=int)
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--dh-profile", choices=("2048", "test"))
+    sweep.add_argument("--protocols", type=_list_of(str, PROTOCOLS),
+                       default="nv,lwe,pw")
+    sweep.add_argument("--clients", type=_list_of(int), default="10,50")
+    sweep.add_argument("--model-sizes", type=_list_of(int), default="10,100")
+    sweep.add_argument("--dropout-rates", type=_list_of(float),
+                       default="0,0.1,0.2,0.3")
+    sweep.add_argument("--repetitions", type=int, default=1)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--dh-profile", choices=DH_PROFILES, default="test")
     sweep.add_argument("--config", help="key=value file; flags override it")
     sweep.add_argument("--out", help="CSV path; stdout when omitted")
 
@@ -83,81 +104,69 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _config_flags(path: str, keys) -> list[str]:
+    """The flags a key = value file stands for (`model_size = 100` is
+    `--model-size=100`).  A key must be one of keys exactly; an empty
+    value leaves the flag at its default."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}")
+    flags = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if raw:
+            flags.append(f"--{key.replace('_', '-')}={raw}")
+    return flags
+
+
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  A --config file's flags go ahead of the command line's
+    own, so one parser checks both and explicit flags win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    keys = set(vars(args)) - {"command", "config"}
+    flags = _config_flags(args.config, keys)
+    try:
+        return parser.parse_args([args.command, *flags, *argv[1:]])
+    except UsageError as exc:  # argv alone parsed, so a file value is bad
+        raise UsageError(f"{args.config}: {exc}")
+
+
 # --- run ------------------------------------------------------------------------
 
-_RUN_DEFAULTS = {
-    "protocol": NV, "clients": 5, "model_size": 4, "dropout_rate": 0.0,
-    "dropout_stage": "uniform", "threshold": None, "seed": 0,
-    "pack_width": None, "sigma": 3.0, "rounds": 1, "dh_profile": "2048",
-    "personal_mask": "on",
-}
 
-_CASTS = {
-    "clients": int, "model_size": int, "dropout_rate": float,
-    "threshold": int, "seed": int, "pack_width": int, "sigma": float,
-    "rounds": int,
-}
-
-
-def _load_config_file(path: str, schema: dict = None,
-                      casts: dict = None) -> dict:
-    schema = _RUN_DEFAULTS if schema is None else schema
-    casts = _CASTS if casts is None else casts
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if key not in schema:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = casts.get(key, str)(raw) if raw != "" else None
-    return values
-
-
-def _resolve_run_settings(args) -> dict:
-    settings = dict(_RUN_DEFAULTS)
-    if args.config:
-        settings.update(_load_config_file(args.config))
-    for key in _RUN_DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            settings[key] = flag_val
-    return settings
-
-
-def _round_config(settings: dict) -> RoundConfig:
-    n = settings["clients"]
-    rate = settings["dropout_rate"]
-    dh = DH_GROUP_2048 if settings["dh_profile"] == "2048" else DH_GROUP_TEST
+def _round_config(args) -> RoundConfig:
     return RoundConfig(
-        protocol=settings["protocol"],
-        n=n,
-        m=settings["model_size"],
-        t=settings["threshold"],
-        k=settings["pack_width"],
-        lwe=LweParams(sigma=settings["sigma"]) if settings["protocol"] == LWE else None,
-        dh=dh if settings["protocol"] == PW else None,
-        personal_mask=settings["personal_mask"] == "on",
-        planned_dropouts=int(rate * n),
+        protocol=args.protocol,
+        n=args.clients,
+        m=args.model_size,
+        t=args.threshold,
+        k=args.pack_width,
+        lwe=LweParams(sigma=args.sigma) if args.protocol == LWE else None,
+        dh=DH_PROFILES[args.dh_profile] if args.protocol == PW else None,
+        personal_mask=args.personal_mask == "on",
+        planned_dropouts=int(args.dropout_rate * args.clients),
     )
 
 
 def cmd_run(args) -> int:
-    settings = _resolve_run_settings(args)
     try:
-        rc = _round_config(settings)
         sim = SimConfig(
-            round_cfg=rc,
-            master_seed=settings["seed"],
-            dropout_rate=settings["dropout_rate"],
-            dropout_stage_policy=settings["dropout_stage"],
-            rounds=settings["rounds"],
+            round_cfg=_round_config(args),
+            master_seed=args.seed,
+            dropout_rate=args.dropout_rate,
+            dropout_stage_policy=args.dropout_stage,
+            rounds=args.rounds,
         )
     except (SecAggError, ValueError) as exc:
         raise UsageError(str(exc))
@@ -201,77 +210,33 @@ def _sweep_row(proto, n, m, rate, stage_policy, seed, dh):
     }
 
 
-_SWEEP_DEFAULTS = {
-    "protocols": "nv,lwe,pw", "clients": "10,50", "model_sizes": "10,100",
-    "dropout_rates": "0,0.1,0.2,0.3", "repetitions": 1, "seed": 0,
-    "dh_profile": "test", "out": None,
-}
-
-_SWEEP_CASTS = {"repetitions": int, "seed": int}
-
-
-def _resolve_sweep_settings(args) -> dict:
-    settings = dict(_SWEEP_DEFAULTS)
-    if args.config:
-        settings.update(_load_config_file(args.config, _SWEEP_DEFAULTS,
-                                          _SWEEP_CASTS))
-    for key in _SWEEP_DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            settings[key] = flag_val
-    return settings
-
-
 def cmd_sweep(args) -> int:
-    settings = _resolve_sweep_settings(args)
-    protocols = [p.strip() for p in settings["protocols"].split(",")
-                 if p.strip()]
-    for p in protocols:
-        if p not in PROTOCOLS:
-            raise UsageError(f"unknown protocol {p!r}")
-    clients = [int(v) for v in str(settings["clients"]).split(",")]
-    sizes = [int(v) for v in str(settings["model_sizes"]).split(",")]
-    rates = [float(v) for v in str(settings["dropout_rates"]).split(",")]
-    repetitions = settings["repetitions"]
-    master_seed = settings["seed"]
-    out_path = settings["out"]
-    dh = DH_GROUP_2048 if settings["dh_profile"] == "2048" else DH_GROUP_TEST
+    dh = DH_PROFILES[args.dh_profile]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
-    for proto in protocols:
-        for n in clients:
-            for m in sizes:
-                for rate in rates:
-                    for rep in range(repetitions):
-                        seed = _combo_seed(master_seed, proto, n, m, rate, rep)
-                        try:
-                            if rate <= 0:
-                                writer.writerow(_sweep_row(
-                                    proto, n, m, rate, "uniform", seed, dh))
-                                continue
-                            # run every stage placement; report the worst
-                            # case by metered bytes (deterministic, unlike
-                            # wall time)
-                            rows = [_sweep_row(proto, n, m, rate, st, seed, dh)
-                                    for st in STAGES[proto]]
-                            worst = max(rows, key=lambda r: r["total_bytes"])
-                            writer.writerow(worst)
-                        except (SecAggError, ValueError) as exc:
-                            writer.writerow({
-                                "protocol": proto, "n": n, "m": m,
-                                "rate": rate, "stage": "n/a",
-                                "wall_time_s": "0", "total_bytes": 0,
-                                "bytes_per_client": "0", "total_messages": 0,
-                                "field_ops": 0,
-                                "outcome": f"skipped:{type(exc).__name__}",
-                            })
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+    for proto, n, m, rate, rep in itertools.product(
+            args.protocols, args.clients, args.model_sizes,
+            args.dropout_rates, range(args.repetitions)):
+        seed = _combo_seed(args.seed, proto, n, m, rate, rep)
+        # with dropout, run every stage placement and report the worst case
+        # by metered bytes (deterministic, unlike wall time)
+        policies = STAGES[proto] if rate > 0 else (UNIFORM_POLICY,)
+        try:
+            rows = [_sweep_row(proto, n, m, rate, st, seed, dh)
+                    for st in policies]
+            writer.writerow(max(rows, key=lambda r: r["total_bytes"]))
+        except (SecAggError, ValueError) as exc:
+            writer.writerow({
+                "protocol": proto, "n": n, "m": m, "rate": rate,
+                "stage": "n/a", "wall_time_s": "0", "total_bytes": 0,
+                "bytes_per_client": "0", "total_messages": 0, "field_ops": 0,
+                "outcome": f"skipped:{type(exc).__name__}",
+            })
+    if args.out:
+        Path(args.out).write_text(buf.getvalue(), newline="")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
     return 0
 
 
@@ -399,7 +364,7 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         if args.command == "run":
             return cmd_run(args)
         if args.command == "sweep":

@@ -128,47 +128,6 @@ class BaseClient:
                 f"client {self.id}: contributor set changed")
         self.contributors = ids
 
-    # --- share-vector steps common to the nv and lwe clients ---
-
-    def _share_out(self, vec, kind: MsgKind, held: dict):
-        """Packed-share vec, keep this client's own share in held, and
-        address every peer its share."""
-        cfg = self.cfg
-        svs = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
-        chunks = svs[0].chunk_count
-        d = cfg.t + cfg.k - 1
-        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
-        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
-        held[self.id] = svs[self.id]
-        return [(j, self._msg(kind, ShareVectorPayload(svs[j])))
-                for j in range(cfg.n) if j != self.id]
-
-    def _sum_over_contributors(self, held: dict):
-        missing = [s for s in self.contributors if s not in held]
-        if missing:
-            raise MissingKeyShares(
-                f"client {self.id}: no shares from contributors {missing}")
-        agg = held[self.contributors[0]]
-        for s in self.contributors[1:]:
-            agg = add_share_vectors(agg, held[s])
-        self.ops.add += agg.chunk_count * (len(self.contributors) - 1)
-        return agg
-
-    def _open_sum(self, held: dict) -> np.ndarray:
-        """Reconstruct the summed vector from the held summed shares."""
-        cfg = self.cfg
-        need = cfg.t + cfg.k - 1
-        if self.contributors is None:
-            raise InsufficientContributors(f"client {self.id}: no contributor set")
-        if len(held) < need:
-            raise InsufficientSurvivors(
-                f"client {self.id}: {len(held)} summed shares < t+k-1 = {need}")
-        svs = list(held.values())
-        vec = reconstruct_vector(svs)
-        self.ops.mul += svs[0].chunk_count * cfg.k * need
-        self.ops.add += svs[0].chunk_count * cfg.k * (need - 1)
-        return vec
-
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
 
@@ -178,49 +137,77 @@ class NvClient(BaseClient):
     received per-sender share vectors over the contributor set, broadcast
     the aggregated share, reconstruct once t+k-1 points are in hand."""
 
+    SHARE_KIND = MsgKind.INPUT_SHARE_VECTOR
+    SUM_KIND = MsgKind.AGGREGATED_SHARE_VECTOR
+    ACCEPTS = (SHARE_KIND, MsgKind.CONTRIBUTOR_SET, SUM_KIND)
+
     def __init__(self, cid, cfg, w, rng, round_index: int = 0):
         super().__init__(cid, cfg, w, rng, round_index)
-        self._input_shares: dict[int, object] = {}
-        self._agg_shares: dict[int, object] = {}
-        self._emitted_agg = False
+        self._shares: dict[int, object] = {}
+        self._sum_shares: dict[int, object] = {}
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
-        return self._share_out(self.enc_w, MsgKind.INPUT_SHARE_VECTOR,
-                               self._input_shares)
+        return self._share_out(self.enc_w)
 
     def on_message(self, msg: ProtocolMessage) -> list[tuple[int, ProtocolMessage]]:
-        self._accept(msg, (MsgKind.INPUT_SHARE_VECTOR,
-                           MsgKind.CONTRIBUTOR_SET,
-                           MsgKind.AGGREGATED_SHARE_VECTOR))
-        if msg.kind == MsgKind.INPUT_SHARE_VECTOR:
-            if self._emitted_agg:
+        self._accept(msg, self.ACCEPTS)
+        if msg.kind == self.SHARE_KIND:
+            if self.contributors is not None:
                 raise UnexpectedMessage(
-                    f"client {self.id}: input share after aggregation began")
-            self._input_shares[msg.sender] = msg.payload.sv
-            if len(self._input_shares) == self.cfg.n:
-                # full participation: no need to wait for the contributor set
-                return self._emit_aggregate(tuple(range(self.cfg.n)))
+                    f"client {self.id}: {msg.kind.name} after the "
+                    f"contributor set")
+            self._shares[msg.sender] = msg.payload.sv
             return []
         if msg.kind == MsgKind.CONTRIBUTOR_SET:
             self._set_contributors(msg.payload.ids)
-            if not self._emitted_agg:
-                return self._emit_aggregate(self.contributors)
+            missing = [s for s in self.contributors if s not in self._shares]
+            if missing:
+                raise MissingKeyShares(
+                    f"client {self.id}: no shares from contributors {missing}")
+            agg = self._shares[self.contributors[0]]
+            for s in self.contributors[1:]:
+                agg = add_share_vectors(agg, self._shares[s])
+            self.ops.add += agg.chunk_count * (len(self.contributors) - 1)
+            self._sum_shares[self.id] = agg
+            return self._broadcast(self.SUM_KIND, ShareVectorPayload(agg))
+        if msg.kind == MsgKind.MASKED_VECTOR:  # lwe only, see ACCEPTS
+            self._masked[msg.sender] = msg.payload.vec
             return []
-        # AGGREGATED_SHARE_VECTOR
-        self._agg_shares[msg.sender] = msg.payload.sv
+        self._sum_shares[msg.sender] = msg.payload.sv
         return []
 
-    def _emit_aggregate(self, contributors) -> list[tuple[int, ProtocolMessage]]:
-        self._set_contributors(tuple(sorted(contributors)))
-        self._emitted_agg = True
-        agg = self._sum_over_contributors(self._input_shares)
-        self._agg_shares[self.id] = agg
-        return self._broadcast(MsgKind.AGGREGATED_SHARE_VECTOR,
-                               ShareVectorPayload(agg))
+    def _share_out(self, vec) -> list[tuple[int, ProtocolMessage]]:
+        """Packed-share vec, keep this client's own share, and address
+        every peer its share."""
+        cfg = self.cfg
+        svs = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
+        chunks = svs[0].chunk_count
+        d = cfg.t + cfg.k - 1
+        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
+        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
+        self._shares[self.id] = svs[self.id]
+        return [(j, self._msg(self.SHARE_KIND, ShareVectorPayload(svs[j])))
+                for j in range(cfg.n) if j != self.id]
+
+    def _open_sum(self) -> np.ndarray:
+        """Reconstruct the summed vector from the summed shares in hand."""
+        cfg = self.cfg
+        need = cfg.t + cfg.k - 1
+        if self.contributors is None:
+            raise InsufficientContributors(f"client {self.id}: no contributor set")
+        if len(self._sum_shares) < need:
+            raise InsufficientSurvivors(
+                f"client {self.id}: {len(self._sum_shares)} summed shares "
+                f"< t+k-1 = {need}")
+        svs = list(self._sum_shares.values())
+        vec = reconstruct_vector(svs)
+        self.ops.mul += svs[0].chunk_count * cfg.k * need
+        self.ops.add += svs[0].chunk_count * cfg.k * (need - 1)
+        return vec
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
-        field_sum = self._open_sum(self._agg_shares)
+        field_sum = self._open_sum()
         avg = decode_vec(field_sum, len(self.contributors), cfg.fp,
                          cfg.field) / len(self.contributors)
         return AggregateResult(average=avg, contributors=self.contributors,
@@ -230,21 +217,25 @@ class NvClient(BaseClient):
 # --- LWE-masking protocol ------------------------------------------------------
 
 
-class LweClient(BaseClient):
-    """Mask the encoded input with A.s + e, Shamir-share s, and remove
-    only the aggregate A.s_sum after reconstructing the summed secret."""
+class LweClient(NvClient):
+    """Mask the encoded input with A.s + e, and run nv's steps on s: share
+    it, sum the shares over the contributors, and open only the summed
+    secret, whose A.s_sum finalize removes."""
+
+    SHARE_KIND = MsgKind.KEY_SHARE
+    SUM_KIND = MsgKind.SECRET_SUM_SHARE
+    ACCEPTS = (SHARE_KIND, MsgKind.MASKED_VECTOR, MsgKind.CONTRIBUTOR_SET,
+               SUM_KIND)
 
     def __init__(self, cid, cfg, w, rng, matrix_ops, round_index: int = 0):
         super().__init__(cid, cfg, w, rng, round_index)
         self.A = matrix_ops  # shared, read-only
         self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
                               dtype=np.uint64)
-        self._s_shares: dict[int, object] = {}
         self._masked: dict[int, np.ndarray] = {}
-        self._sum_shares: dict[int, object] = {}
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
-        return self._share_out(self.s, MsgKind.KEY_SHARE, self._s_shares)
+        return self._share_out(self.s)
 
     def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
         cfg = self.cfg
@@ -256,28 +247,9 @@ class LweClient(BaseClient):
         self._masked[self.id] = h
         return self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(h))
 
-    def on_message(self, msg: ProtocolMessage) -> list[tuple[int, ProtocolMessage]]:
-        self._accept(msg, (MsgKind.KEY_SHARE, MsgKind.MASKED_VECTOR,
-                           MsgKind.CONTRIBUTOR_SET, MsgKind.SECRET_SUM_SHARE))
-        if msg.kind == MsgKind.KEY_SHARE:
-            self._s_shares[msg.sender] = msg.payload.sv
-            return []
-        if msg.kind == MsgKind.MASKED_VECTOR:
-            self._masked[msg.sender] = msg.payload.vec
-            return []
-        if msg.kind == MsgKind.CONTRIBUTOR_SET:
-            self._set_contributors(msg.payload.ids)
-            agg = self._sum_over_contributors(self._s_shares)
-            self._sum_shares[self.id] = agg
-            return self._broadcast(MsgKind.SECRET_SUM_SHARE,
-                                   ShareVectorPayload(agg))
-        # SECRET_SUM_SHARE
-        self._sum_shares[msg.sender] = msg.payload.sv
-        return []
-
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
-        s_sum = self._open_sum(self._sum_shares)
+        s_sum = self._open_sum()
         missing_h = [s for s in self.contributors if s not in self._masked]
         if missing_h:
             raise InsufficientContributors(

@@ -147,23 +147,23 @@ def _drive(inputs, cfg: RoundConfig, bus, make_client, openers,
     """The one stage loop behind every protocol.  Each opening stage asks
     its live clients for outbound messages (client method `openers[i]`)
     and exchanges them; the senders of the last opening stage become the
-    contributor set, announced before the final stage's exchange."""
+    contributor set.  Its announcement is the one event that makes clients
+    emit the final stage's messages."""
     if len(inputs) != cfg.n:
         raise ValueError(f"{len(inputs)} inputs for n={cfg.n} clients")
     *opening, st_final = cfg.stages
     clients = [make_client(i) for i in range(cfg.n)]
-    pending = []
     for stage, opener in zip(opening, openers):
         outbox = []
         for c in clients:
             if bus.alive(c.id, stage):
                 outbox.extend(getattr(c, opener)())
-        pending = _deliver(clients, bus.exchange(stage, outbox))
+        _deliver(clients, bus.exchange(stage, outbox))
     contributors = contributor_set(bus.delivery_record(), opening[-1])
     if not contributors:
         raise InsufficientContributors(no_contributors)
-    pending += _deliver(clients, _contributor_msgs(bus, contributors, st_final))
-    _deliver(clients, bus.exchange(st_final, pending))
+    final = _deliver(clients, _contributor_msgs(bus, contributors, st_final))
+    _deliver(clients, bus.exchange(st_final, final))
     return _finalize(clients, bus, cfg)
 
 

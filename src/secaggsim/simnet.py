@@ -58,10 +58,7 @@ def schedule_seed(master_seed: int) -> int:
 
 
 def matrix_seed(master_seed: int) -> bytes:
-    h = hashlib.sha256()
-    h.update(int(master_seed).to_bytes(8, "big", signed=False))
-    h.update(b"A-matrix")
-    return h.digest()
+    return _derive_seed(master_seed, b"A-matrix").to_bytes(32, "big")
 
 
 # --- dropout schedule ---------------------------------------------------------
@@ -86,8 +83,7 @@ def make_dropout_schedule(seed: int, n: int, rate: float, policy: str,
                           min_survivors: int | None = None) -> DropoutSchedule:
     """Sample floor(rate*n) distinct clients and a stop stage for each,
     deterministically in the seed."""
-    if not 0 <= rate <= 1:
-        raise ValueError("dropout rate must be in [0, 1]")
+    check_dropout(rate, policy, stage_names)
     count = int(rate * n)
     if min_survivors is not None and n - count < min_survivors:
         raise TooManyDropouts(
@@ -99,11 +95,18 @@ def make_dropout_schedule(seed: int, n: int, rate: float, policy: str,
         if policy == UNIFORM_POLICY:
             stages[cid] = stage_names[int(rng.integers(0, len(stage_names)))]
         else:
-            if policy not in stage_names:
-                raise ValueError(f"unknown stage {policy!r}; "
-                                 f"choose from {stage_names} or 'uniform'")
             stages[cid] = policy
     return DropoutSchedule(stages=stages)
+
+
+def check_dropout(rate: float, policy: str, stage_names: tuple[str, ...]):
+    """Reject a rate outside [0, 1] and a policy that is neither 'uniform'
+    nor a stage label."""
+    if not 0 <= rate <= 1:
+        raise ValueError("dropout rate must be in [0, 1]")
+    if policy != UNIFORM_POLICY and policy not in stage_names:
+        raise ValueError(f"unknown stage {policy!r}; "
+                         f"choose from {stage_names} or 'uniform'")
 
 
 # --- metrics -------------------------------------------------------------------
@@ -129,14 +132,12 @@ class Metrics:
         row = self._stage(stage)
         row["messages_sent"] += 1
         row["bytes_sent"] += nbytes
-        if sender >= 0:
-            c = self._client(sender)
-            c["messages_sent"] += 1
-            c["bytes_sent"] += nbytes
+        c = self._client(sender)
+        c["messages_sent"] += 1
+        c["bytes_sent"] += nbytes
         if delivered:
             row["bytes_delivered"] += nbytes
-            if sender >= 0:
-                self._client(recipient)["bytes_received"] += nbytes
+            self._client(recipient)["bytes_received"] += nbytes
         else:
             row["bytes_to_dropped"] += nbytes
 
@@ -284,7 +285,8 @@ class MessageBus:
 
 @dataclass
 class SimConfig:
-    """Simulation parameters.  A dropout rate that leaves fewer than t
+    """Simulation parameters.  A dropout rate outside [0, 1] or an unknown
+    stage policy raises ValueError.  A rate that leaves fewer than t
     survivors is allowed through: the round then fails with
     InsufficientSurvivors in the report instead of refusing to start."""
 
@@ -293,6 +295,10 @@ class SimConfig:
     dropout_rate: float = 0.0
     dropout_stage_policy: str = UNIFORM_POLICY
     rounds: int = 1
+
+    def __post_init__(self):
+        check_dropout(self.dropout_rate, self.dropout_stage_policy,
+                      self.round_cfg.stages)
 
 
 @dataclass

@@ -3,6 +3,7 @@ import io
 import json
 import re
 
+import pytest
 
 from secaggsim.cli import main
 
@@ -150,3 +151,63 @@ def test_sweep_config_file(tmp_path, capsys):
                         "--clients", "4")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["n"] == "4"
+
+
+@pytest.mark.parametrize("line", ["dh_profile = 2049", "personal_mask = of"])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"protocol = pw\n{line}\n")
+    code, out = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert "invalid choice" in json.loads(out)["error"]
+
+
+def test_config_file_empty_value_means_default(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("clients =\nthreshold =\nmodel_size = 2\n")
+    code, out = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["n"], config["t"], config["m"]) == (5, 3, 2)
+
+
+def test_config_file_key_must_name_a_flag_exactly(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("client = 6\n")  # argparse alone would take --clients
+    code, out = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert json.loads(out)["error"] == f"{cfg}:1: unknown key 'client'"
+
+
+def test_config_file_line_without_equals_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("# comment\nclients 6\n")
+    code, out = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{cfg}:2:")
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    code, out = run_cli(capsys, "run", "--config", str(tmp_path / "none"))
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--dropout-rate", "1.5"),
+    ("--dropout-rate", "0.4", "--dropout-stage", "bogus"),
+])
+def test_run_bad_dropout_exits_1_before_the_run(capsys, flags):
+    code, out = run_cli(capsys, "run", *flags)
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--clients", "3,x"),
+    ("--protocols", "nv,bogus"),
+])
+def test_sweep_bad_list_exits_1(capsys, flags):
+    code, out = run_cli(capsys, "sweep", *flags)
+    assert code == 1
+    assert "error" in json.loads(out)

@@ -47,20 +47,48 @@ def make_nv_clients(cfg, seed=0):
 # --- client state machine surface -----------------------------------------------
 
 
-def test_nv_nth_input_share_triggers_aggregate_broadcast():
+def contributor_set_msg(ids):
+    return ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
+                           round=0, payload=ContributorSetPayload(ids))
+
+
+def test_nv_contributor_set_triggers_aggregate_broadcast():
     cfg = nv_cfg()
     clients, _ = make_nv_clients(cfg)
     outboxes = [c.start() for c in clients]
     target = clients[0]
-    emitted = []
+    # every input share in hand (own one counted) still emits nothing
     for outbox in outboxes[1:]:
         for rcpt, msg in outbox:
             if rcpt == 0:
-                emitted = target.on_message(msg)[:]
-    # receiving the n-th input share (own one counted) emits the
-    # aggregated share to every peer
+                assert target.on_message(msg) == []
+    # the contributor set is the one trigger: the aggregated share goes
+    # to every peer
+    emitted = target.on_message(contributor_set_msg(tuple(range(cfg.n))))
     assert len(emitted) == cfg.n - 1
     assert all(m.kind == MsgKind.AGGREGATED_SHARE_VECTOR for _, m in emitted)
+
+
+@pytest.mark.parametrize("proto", ["nv", "lwe"])
+def test_share_after_contributor_set_rejected(proto):
+    cfg = RoundConfig(protocol=proto, n=3, m=2,
+                      lwe=SMALL_LWE if proto == "lwe" else None)
+    rngs = [np.random.default_rng(i) for i in range(cfg.n)]
+    if proto == "lwe":
+        ops = lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
+        clients = [LweClient(i, cfg, np.zeros(2), rngs[i], ops)
+                   for i in range(cfg.n)]
+    else:
+        clients = [NvClient(i, cfg, np.zeros(2), rngs[i])
+                   for i in range(cfg.n)]
+    outboxes = [c.start() for c in clients]
+    share = {i: next(m for rcpt, m in outboxes[i] if rcpt == 0)
+             for i in (1, 2)}
+    clients[0].on_message(share[1])
+    assert len(clients[0].on_message(contributor_set_msg((0, 1)))) == 2
+    # client 2's share arrives late; it must not join the summed shares
+    with pytest.raises(UnexpectedMessage):
+        clients[0].on_message(share[2])
 
 
 def test_duplicate_sender_rejected():
@@ -156,6 +184,20 @@ def test_nv_dropout_before_sharing_averages_survivors():
     assert dropped[0] not in report.result.contributors
     expected = plaintext_aggregate(report.inputs, report.result.contributors)
     assert np.max(np.abs(report.result.average - expected)) <= 2 ** -16
+
+
+def test_nv_client_dropping_at_final_stage_only_shared():
+    # the contributor set never reaches a client that drops at the final
+    # stage, so its field ops are those of start() alone
+    report = run("nv", n=6, m=4, seed=1, rate=0.34, stage="aggregate_shares")
+    assert report.failure is None
+    probe = NvClient(0, RoundConfig(protocol="nv", n=6, m=4,
+                                    planned_dropouts=2),
+                     np.zeros(4), np.random.default_rng(0))
+    probe.start()
+    for cid in report.schedule.dropped:
+        assert report.metrics.field_ops[cid] == {
+            "add": probe.ops.add, "mul": probe.ops.mul, "inv": 0}
 
 
 def test_divisor_is_contributor_count_not_n():
