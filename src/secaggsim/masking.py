@@ -211,11 +211,14 @@ def lwe_mask(w: np.ndarray, s: np.ndarray, e: np.ndarray, A: np.ndarray,
 
 
 class LweMatrixOps:
-    """Exact modular mat-vec products against a fixed public matrix.
+    """Exact modular products of a fixed public m x n_lwe matrix A.
 
     The matrix is split once into float64 limbs (field.split_limbs); each
     product then runs through the limb-product and recombination step of
-    field.matmul_mod.  Bit-identical to mat_vec_mod.
+    field.matmul_mod, one BLAS matmul however many secrets it covers.
+    `matvec(s)` takes one secret (shape n_lwe, returns A.s, length m) or a
+    stack of k secrets (shape k x n_lwe, returns the m x k matrix whose
+    column j is A.s_j).  Bit-identical to mat_vec_mod, column by column.
     """
 
     def __init__(self, A: np.ndarray, field: FieldPrime = DEFAULT_FIELD):
@@ -226,10 +229,13 @@ class LweMatrixOps:
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         m, d = self.shape
-        if len(s) != d:
-            raise DimensionMismatch(f"matrix is {m}x{d}, vector has {len(s)}")
-        s_limbs = split_limbs(np.reshape(s, (1, d)), self._bits, self.field)
-        return limb_product(self._limbs, s_limbs, self._bits, self.field)[:, 0]
+        S = np.asarray(s)
+        if S.ndim not in (1, 2) or S.shape[-1] != d:
+            raise DimensionMismatch(
+                f"matrix is {m}x{d}, secrets have shape {S.shape}")
+        s_limbs = split_limbs(S.reshape(-1, d), self._bits, self.field)
+        out = limb_product(self._limbs, s_limbs, self._bits, self.field)
+        return out[:, 0] if S.ndim == 1 else out
 
 
 # One big matrix at a time is plenty: the simulator shares a single matrix

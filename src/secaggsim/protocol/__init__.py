@@ -1,4 +1,11 @@
-from .clients import AggregateResult, LweClient, NvClient, OpsTally, PwClient
+from .clients import (
+    AggregateResult,
+    LweClient,
+    NvClient,
+    OpsTally,
+    PwClient,
+    RoundContext,
+)
 from .messages import (
     BUS_SENDER,
     ChunkSharePayload,
@@ -30,6 +37,7 @@ from .rounds import (
 
 __all__ = [
     "AggregateResult", "LweClient", "NvClient", "OpsTally", "PwClient",
+    "RoundContext",
     "BUS_SENDER", "ChunkSharePayload", "ContributorSetPayload", "MsgKind",
     "ProtocolMessage", "PubKeyPayload", "SECRET_DH_KEY",
     "SECRET_PERSONAL_SEED", "ShareVectorPayload", "UnmaskEntry",

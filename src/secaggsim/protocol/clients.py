@@ -73,6 +73,44 @@ class OpsTally:
         self.inv = 0
 
 
+LWE_MASK_BLOCK = 64  # secrets per batched A.S product; bounds it at O(64 m)
+
+
+class RoundContext:
+    """What the clients of one round share, dropped with the round.
+
+    It holds the LWE matrix handle, each lwe client's secret (registered
+    when the client is built) and a memo of survivor-invariant work.  A
+    memo entry is keyed on every input that determines it, never on the
+    client that asked, so a survivor with a different view recomputes.
+    """
+
+    def __init__(self, matrix_ops=None):
+        self.matrix_ops = matrix_ops
+        self.secrets: list[np.ndarray] = []
+        self.memo: dict = {}
+
+    def register_secret(self, s: np.ndarray) -> int:
+        self.secrets.append(s)
+        return len(self.secrets) - 1
+
+    def mask_product(self, index: int) -> np.ndarray:
+        """A.s of the secret registered at index.  The first request in a
+        block of LWE_MASK_BLOCK secrets computes A.S for all of them in one
+        product, which replaces the previous block's."""
+        start = index - index % LWE_MASK_BLOCK
+        if self.memo.get("A.S", (None,))[0] != start:
+            self.memo["A.S"] = (start, self.matrix_ops.matvec(
+                np.stack(self.secrets[start:start + LWE_MASK_BLOCK])))
+        return self.memo["A.S"][1][:, index - start]
+
+    def cached(self, key: tuple, compute):
+        """The memoized compute() under key."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+
 @dataclass
 class AggregateResult:
     """Outcome of one aggregation round, identical at every survivor."""
@@ -227,11 +265,13 @@ class LweClient(NvClient):
     ACCEPTS = (SHARE_KIND, MsgKind.MASKED_VECTOR, MsgKind.CONTRIBUTOR_SET,
                SUM_KIND)
 
-    def __init__(self, cid, cfg, w, rng, matrix_ops, round_index: int = 0):
+    def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
+                 round_index: int = 0):
         super().__init__(cid, cfg, w, rng, round_index)
-        self.A = matrix_ops  # shared, read-only
+        self.ctx = ctx
         self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
                               dtype=np.uint64)
+        self._secret_index = ctx.register_secret(self.s)
         self._masked: dict[int, np.ndarray] = {}
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
@@ -240,7 +280,8 @@ class LweClient(NvClient):
     def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
         cfg = self.cfg
         e = gaussian_error(cfg.lwe.sigma, cfg.m, self.rng, cfg.field)
-        h = add_mod(self.enc_w, self.A.matvec(self.s), cfg.field)
+        h = add_mod(self.enc_w, self.ctx.mask_product(self._secret_index),
+                    cfg.field)
         h = add_mod(h, e, cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
@@ -255,7 +296,10 @@ class LweClient(NvClient):
             raise InsufficientContributors(
                 f"client {self.id}: masked vectors missing from {missing_h}")
         h_sum = sum_mod((self._masked[s] for s in self.contributors), cfg.field)
-        field_sum = sub_mod(h_sum, self.A.matvec(s_sum), cfg.field)
+        # every survivor that opened the same s_sum removes the same A.s_sum
+        mask = self.ctx.cached(("A.s_sum", s_sum.tobytes()),
+                               lambda: self.ctx.matrix_ops.matvec(s_sum))
+        field_sum = sub_mod(h_sum, mask, cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + len(self.contributors))
         n_contrib = len(self.contributors)
@@ -278,8 +322,10 @@ class PwClient(BaseClient):
     client that never broadcast, or the personal seed of one that did.
     """
 
-    def __init__(self, cid, cfg, w, rng, round_index: int = 0):
+    def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
+                 round_index: int = 0):
         super().__init__(cid, cfg, w, rng, round_index)
+        self.ctx = ctx
         self.keypair = dh_keygen(cfg.dh, rng)
         self.personal_seed = rng.bytes(32) if cfg.personal_mask else None
         self._pks: dict[int, int] = {cid: self.keypair.pk}
@@ -326,7 +372,6 @@ class PwClient(BaseClient):
         for sign, seed, tag in terms:
             stream = stream_expand(seed, tag, cfg.m, cfg.field)
             v = (add_mod if sign > 0 else sub_mod)(v, stream, cfg.field)
-            self.ops.add += cfg.m
         return v
 
     def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
@@ -336,6 +381,7 @@ class PwClient(BaseClient):
                    dh_agree(self.keypair.sk, self._pks[j], cfg.dh), TAG_PAIRWISE)
                   for j in sorted(self._pks) if j != self.id]
         y = self._apply_masks(self.enc_w, terms)
+        self.ops.add += cfg.m * len(terms)
         self._masked[self.id] = y
         return self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(y))
 
@@ -398,13 +444,9 @@ class PwClient(BaseClient):
         """Every secret named by this client's own unmask entries, opened
         from its own and the other openers' share rows side by side in one
         interpolation."""
-        def named(payload):
-            return [(e.secret_type, e.target, len(e.chunks))
-                    for e in payload.entries]
-
-        names = named(self._unmask[self.id])
+        names = self._unmask[self.id].names
         for sender, payload in self._unmask.items():
-            if named(payload) != names:
+            if payload.names != names:
                 raise UnmaskMismatch(
                     f"client {self.id}: unmask shares from {sender} name "
                     f"other secrets than its own")
@@ -416,8 +458,7 @@ class PwClient(BaseClient):
                 f"opened secret < t = {self.cfg.t}")
         openers = sorted(self._unmask)
         self.ops.inv += len(openers) * len(names)
-        ys = [np.concatenate([e.chunks for e in self._unmask[s].entries])
-              for s in openers]
+        ys = [self._unmask[s].row for s in openers]
         widths = [self._order_bits if kind == SECRET_DH_KEY
                   else PERSONAL_SEED_BITS for kind, _, _ in names]
         return reconstruct_integer([s + 1 for s in openers], ys, self.cfg.t,
@@ -433,11 +474,21 @@ class PwClient(BaseClient):
         opened = self._open_secrets()
         # entries name the dropped clients' keys, then the personal seeds
         keys, seeds = opened[:len(dropped)], opened[len(dropped):]
-        terms = [(-1, s.to_bytes(32, "big"), TAG_PERSONAL) for s in seeds]
-        terms += [(-1 if j < k else 1, dh_agree(a_k, self._pks[j], cfg.dh),
-                   TAG_PAIRWISE)
-                  for k, a_k in zip(dropped, keys) for j in contributors]
-        v = self._apply_masks(v, terms)
+
+        def correction():
+            terms = [(-1, s.to_bytes(32, "big"), TAG_PERSONAL) for s in seeds]
+            terms += [(-1 if j < k else 1, dh_agree(a_k, self._pks[j], cfg.dh),
+                       TAG_PAIRWISE)
+                      for k, a_k in zip(dropped, keys) for j in contributors]
+            return self._apply_masks(np.zeros(cfg.m, dtype=np.uint64), terms)
+
+        # the signed sum of every stream this survivor must remove, shared
+        # by the survivors that derived the same inputs
+        pks = tuple(self._pks[j] for j in contributors)
+        v = add_mod(v, self.ctx.cached(
+            ("pw-correction", contributors, dropped, tuple(opened), pks),
+            correction), cfg.field)
+        self.ops.add += cfg.m * (len(seeds) + len(dropped) * len(contributors))
         n_contrib = len(contributors)
         avg = decode_vec(v, n_contrib, cfg.fp, cfg.field) / n_contrib
         return AggregateResult(average=avg, contributors=contributors,

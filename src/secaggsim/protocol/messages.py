@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,19 @@ class UnmaskPayload:
                                      len(e.chunks)))
             parts.append(elems_to_bytes(e.chunks))
         return b"".join(parts)
+
+    # A broadcast payload is one object shared by every recipient, so each
+    # is worked out once however many survivors read it.
+    @cached_property
+    def names(self) -> tuple[tuple[int, int, int], ...]:
+        """(secret type, target, chunk count) of every entry, in order."""
+        return tuple((e.secret_type, e.target, len(e.chunks))
+                     for e in self.entries)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """Every entry's share row, end to end."""
+        return np.concatenate([e.chunks for e in self.entries])
 
 
 @dataclass(frozen=True)

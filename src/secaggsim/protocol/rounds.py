@@ -25,7 +25,8 @@ from ..errors import (
 )
 from ..field import DEFAULT_FIELD, FieldPrime, FixedPointConfig
 from ..masking import DH_GROUP_2048, DhParams, LweParams, lwe_matrix_ops
-from .clients import AggregateResult, LweClient, NvClient, PwClient
+from .clients import (AggregateResult, LweClient, NvClient, PwClient,
+                      RoundContext)
 from .messages import BUS_SENDER, ContributorSetPayload, MsgKind, ProtocolMessage
 
 NV = "nv"
@@ -143,16 +144,18 @@ def _finalize(clients, bus, cfg) -> AggregateResult:
 
 
 def _drive(inputs, cfg: RoundConfig, bus, make_client, openers,
-           no_contributors: str) -> AggregateResult:
+           no_contributors: str, matrix_ops=None) -> AggregateResult:
     """The one stage loop behind every protocol.  Each opening stage asks
     its live clients for outbound messages (client method `openers[i]`)
     and exchanges them; the senders of the last opening stage become the
     contributor set.  Its announcement is the one event that makes clients
-    emit the final stage's messages."""
+    emit the final stage's messages.  make_client(i, ctx) builds client i
+    on the round's one RoundContext."""
     if len(inputs) != cfg.n:
         raise ValueError(f"{len(inputs)} inputs for n={cfg.n} clients")
     *opening, st_final = cfg.stages
-    clients = [make_client(i) for i in range(cfg.n)]
+    ctx = RoundContext(matrix_ops)
+    clients = [make_client(i, ctx) for i in range(cfg.n)]
     for stage, opener in zip(opening, openers):
         outbox = []
         for c in clients:
@@ -171,19 +174,19 @@ def nv_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """Share-vector aggregation: packed input shares out, contributor set
     announced, aggregated shares broadcast, reconstruct and average."""
     return _drive(inputs, cfg, bus,
-                  lambda i: NvClient(i, cfg, inputs[i], bus.client_rng(i),
-                                     bus.round),
+                  lambda i, ctx: NvClient(i, cfg, inputs[i],
+                                          bus.client_rng(i), bus.round),
                   ("start",), "every client dropped before sharing")
 
 
 def lwe_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """LWE-masked aggregation: secret vectors are Shamir-shared, masked
     vectors broadcast, and only the summed secret is ever reconstructed."""
-    matrix_ops = lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
     return _drive(inputs, cfg, bus,
-                  lambda i: LweClient(i, cfg, inputs[i], bus.client_rng(i),
-                                      matrix_ops, bus.round),
-                  ("start", "emit_masked"), "no masked vector was delivered")
+                  lambda i, ctx: LweClient(i, cfg, inputs[i],
+                                           bus.client_rng(i), ctx, bus.round),
+                  ("start", "emit_masked"), "no masked vector was delivered",
+                  lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field))
 
 
 def pw_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
@@ -191,8 +194,8 @@ def pw_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     DH key of clients that vanished after setup, the personal seed of
     everyone whose masked vector counted -- never both."""
     return _drive(inputs, cfg, bus,
-                  lambda i: PwClient(i, cfg, inputs[i], bus.client_rng(i),
-                                     bus.round),
+                  lambda i, ctx: PwClient(i, cfg, inputs[i],
+                                          bus.client_rng(i), ctx, bus.round),
                   ("start", "emit_masked"), "no masked vector was delivered")
 
 

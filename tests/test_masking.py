@@ -339,6 +339,29 @@ def test_limb_matvec_matches_reference(field, m, d):
     assert np.array_equal(ops.matvec(s), mat_vec_mod(A, s, field))
 
 
+@pytest.mark.parametrize("field", [F17, M61F, FieldPrime((1 << 63) - 25)],
+                         ids=["F17", "M61", "2^63-25"])
+def test_stacked_matvec_is_one_matvec_per_secret(field):
+    g = rng(field.q % 1000)
+    m, d, k = 13, 21, 5
+    A = g.integers(0, field.q, size=(m, d)).astype(np.uint64)
+    S = g.integers(0, field.q, size=(k, d)).astype(np.uint64)
+    ops = LweMatrixOps(A, field)
+    out = ops.matvec(S)
+    assert out.shape == (m, k)
+    for j in range(k):
+        assert np.array_equal(out[:, j], mat_vec_mod(A, S[j], field))
+        one = ops.matvec(S[j])  # a single secret still gives a vector
+        assert one.shape == (m,) and np.array_equal(one, out[:, j])
+
+
+def test_matvec_rejects_a_wrong_width():
+    ops = LweMatrixOps(np.ones((4, 3), dtype=np.uint64), F17)
+    for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            ops.matvec(bad.astype(np.uint64))
+
+
 def test_lwe_params_validation():
     with pytest.raises(ValueError):
         LweParams(n_lwe=0)

@@ -7,7 +7,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from secaggsim.masking import DH_GROUP_TEST
+from secaggsim.masking import DH_GROUP_TEST, LweParams
 from secaggsim.protocol import RoundConfig
 from secaggsim.simnet import SimConfig, run_simulation
 
@@ -43,4 +43,39 @@ def test_tracer_install_then_uninstall_restores_every_target():
     # all the personal seeds it needs in one reconstruction
     assert calls["shamir.share_integer"] == 2 * cfg.n
     assert calls["shamir.reconstruct_integer"] == cfg.n
-    assert calls["masking.stream_expand"] > 0
+    # every client masks with its personal stream and n-1 pairwise ones;
+    # the survivors share one set of personal streams to remove
+    assert calls["masking.stream_expand"] == cfg.n * cfg.n + cfg.n
+
+
+def traced_calls(cfg, **sim):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = tracer.root(spans.ROUND, run_simulation,
+                             SimConfig(round_cfg=cfg, master_seed=3, **sim))
+    finally:
+        tracer.uninstall()
+    assert report.failure is None, report.failure
+    return report, Counter(s[0] for s in tracer.spans)
+
+
+def test_lwe_round_makes_one_block_product_and_one_memo_miss():
+    cfg = RoundConfig(protocol="lwe", n=5, m=6, lwe=LweParams(
+        n_lwe=8, sigma=1e-6, matrix_seed=b"\x05" * 32))
+    _, calls = traced_calls(cfg)
+    assert calls["masking.matvec"] == 2
+
+
+def test_pw_survivors_share_one_set_of_finalize_streams():
+    cfg = RoundConfig(protocol="pw", n=6, m=4, dh=DH_GROUP_TEST,
+                      planned_dropouts=2)
+    report, calls = traced_calls(cfg, dropout_rate=0.34,
+                                 dropout_stage_policy="masked_vector")
+    contributors = len(report.result.contributors)
+    dropped = cfg.n - contributors
+    assert dropped == 2
+    emit = contributors * cfg.n  # one personal and n-1 pairwise each
+    finalize = contributors + dropped * contributors
+    assert calls["masking.stream_expand"] == emit + finalize

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -14,8 +15,10 @@ from secaggsim.errors import (
     UnexpectedMessage,
     UnmaskMismatch,
 )
-from secaggsim.field import FixedPointConfig, encode_vec
-from secaggsim.masking import DH_GROUP_TEST, LweParams, lwe_matrix_ops
+from secaggsim import masking
+from secaggsim.field import FieldPrime, FixedPointConfig, encode_vec
+from secaggsim.masking import (DH_GROUP_TEST, LweMatrixOps, LweParams,
+                               lwe_matrix_ops)
 from secaggsim.oracle import plaintext_aggregate
 from secaggsim.protocol import (
     BUS_SENDER,
@@ -24,9 +27,13 @@ from secaggsim.protocol import (
     MsgKind,
     NvClient,
     ProtocolMessage,
+    PwClient,
     RoundConfig,
+    RoundContext,
+    ShareVectorPayload,
     client_on_message,
     contributor_set,
+    lwe_round,
     nv_round,
 )
 from secaggsim.simnet import MessageBus, SimConfig, run_simulation
@@ -75,8 +82,8 @@ def test_share_after_contributor_set_rejected(proto):
                       lwe=SMALL_LWE if proto == "lwe" else None)
     rngs = [np.random.default_rng(i) for i in range(cfg.n)]
     if proto == "lwe":
-        ops = lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
-        clients = [LweClient(i, cfg, np.zeros(2), rngs[i], ops)
+        ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field))
+        clients = [LweClient(i, cfg, np.zeros(2), rngs[i], ctx)
                    for i in range(cfg.n)]
     else:
         clients = [NvClient(i, cfg, np.zeros(2), rngs[i])
@@ -131,8 +138,8 @@ def test_client_on_message_functional_wrapper():
 
 def test_lwe_missing_key_share_detected():
     cfg = RoundConfig(protocol="lwe", n=3, m=2, lwe=SMALL_LWE)
-    ops = lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
-    client = LweClient(0, cfg, np.zeros(2), np.random.default_rng(0), ops)
+    ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field))
+    client = LweClient(0, cfg, np.zeros(2), np.random.default_rng(0), ctx)
     client.start()
     # a contributor set naming client 2, whose key shares never arrived
     cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
@@ -263,6 +270,52 @@ def test_lwe_dropout_after_share_stage():
     assert np.max(np.abs(report.result.average - expected)) <= 2 ** -15
 
 
+def test_lwe_round_across_mask_blocks_matches_oracle(monkeypatch):
+    # 70 clients span two 64-secret blocks of the batched A.S product,
+    # and dropouts before the masked vector leave columns of both unused
+    shapes = []
+    matvec = LweMatrixOps.matvec
+
+    def recording(self, s):
+        shapes.append(np.shape(s))
+        return matvec(self, s)
+
+    monkeypatch.setattr(LweMatrixOps, "matvec", recording)
+    lwe = LweParams(n_lwe=4, sigma=1e-6, matrix_seed=b"\x03" * 32)
+    report = run("lwe", n=70, m=3, seed=1, rate=0.2, stage="masked_vector",
+                 lwe=lwe)
+    assert report.failure is None, report.failure
+    dropped = report.schedule.dropped
+    assert min(dropped) < 64 <= max(dropped)
+    assert shapes == [(64, 4), (6, 4), (4,)]
+    q = np.uint64(report.config["q"])
+    total = np.zeros(3, dtype=np.uint64)
+    for i in report.result.contributors:
+        total = (total + encode_vec(report.inputs[i])) % q
+    assert np.array_equal(total, report.result.field_sum)
+
+
+def test_lwe_round_reuses_the_matrix_expanded_in_setup(monkeypatch):
+    cfg = RoundConfig(protocol="lwe", n=4, m=6, lwe=LweParams(
+        n_lwe=8, sigma=1e-6, matrix_seed=b"\x07" * 32))
+    lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
+    expansions = []
+    expand = masking.lwe_matrix
+
+    def counting(*args):
+        expansions.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(masking, "lwe_matrix", counting)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=2))
+    assert report.failure is None
+    assert expansions == []
+    # the count does see an expansion the set-up did not make
+    lwe_matrix_ops(dataclasses.replace(cfg.lwe, matrix_seed=b"\x08" * 32),
+                   cfg.m, cfg.field)
+    assert len(expansions) == 1
+
+
 def test_pw_no_dropout_exact():
     report = run("pw", n=4, m=3, seed=8, dh=DH_GROUP_TEST)
     expected = plaintext_aggregate(report.inputs, report.result.contributors)
@@ -339,7 +392,8 @@ def drive_pw_setup(n=4, m=3, seed=0):
     cfg = RoundConfig(protocol="pw", n=n, m=m, dh=DH_GROUP_TEST)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     ws = [np.ones(m) * (i + 1) for i in range(n)]
-    clients = [PwClient(i, cfg, ws[i], rngs[i]) for i in range(n)]
+    ctx = RoundContext()
+    clients = [PwClient(i, cfg, ws[i], rngs[i], ctx) for i in range(n)]
     outboxes = {c.id: c.start() for c in clients}
     for sender, outbox in outboxes.items():
         for rcpt, msg in outbox:
@@ -456,6 +510,58 @@ def test_divergent_survivors_raise_typed_error(monkeypatch):
     with pytest.raises(DivergentAggregate, match="survivors 0 and 3"):
         nv_round([np.ones(4)] * 5, cfg, MessageBus(cfg, master_seed=1))
     report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    assert report.result is None
+    assert report.failure.startswith("DivergentAggregate")
+
+
+# Five clients at clip 1 with 2 fractional bits fill F_41 exactly
+# (2 * 5 * 4 = q - 1): every field sum decodes, so a survivor that opened
+# a wrong sum can only show it by disagreeing with the others.
+WHOLE_BAND = dict(n=5, field=FieldPrime(41),
+                  fp=FixedPointConfig(frac_bits=2, clip_magnitude=1.0))
+
+
+def test_lwe_survivor_with_corrupted_sum_share_diverges(monkeypatch):
+    on_message = LweClient.on_message
+    q = np.uint64(WHOLE_BAND["field"].q)
+
+    def corrupt(self, msg):
+        if (self.id, msg.sender, msg.kind) == (3, 1, MsgKind.SECRET_SUM_SHARE):
+            sv = msg.payload.sv
+            sv = dataclasses.replace(sv, values=(sv.values + np.uint64(1)) % q)
+            msg = dataclasses.replace(msg, payload=ShareVectorPayload(sv))
+        return on_message(self, msg)
+
+    monkeypatch.setattr(LweClient, "on_message", corrupt)
+    cfg = RoundConfig(protocol="lwe", m=8, lwe=SMALL_LWE, **WHOLE_BAND)
+    # t + k - 1 = n, so every summed share, the corrupted one included,
+    # enters each survivor's reconstruction of s_sum
+    assert cfg.t + cfg.k - 1 == cfg.n
+    with pytest.raises(DivergentAggregate, match="survivors 0 and 3"):
+        lwe_round([np.zeros(8)] * 5, cfg, MessageBus(cfg, master_seed=1))
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    assert report.result is None
+    assert report.failure.startswith("DivergentAggregate: survivors 0 and 3")
+
+
+def test_pw_survivor_with_other_public_key_diverges(monkeypatch):
+    finalize = PwClient.finalize
+
+    def skewed(self):
+        # the last survivor sees another subgroup residue as the first
+        # contributor's public key
+        if self.id == max(self.contributors):
+            j = self.contributors[0]
+            self._pks[j] = self._pks[j] * DH_GROUP_TEST.g % DH_GROUP_TEST.p
+        return finalize(self)
+
+    monkeypatch.setattr(PwClient, "finalize", skewed)
+    cfg = RoundConfig(protocol="pw", m=8, dh=DH_GROUP_TEST,
+                      planned_dropouts=1, **WHOLE_BAND)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=4,
+                                      dropout_rate=0.2,
+                                      dropout_stage_policy="masked_vector"))
+    assert len(report.schedule.dropped) == 1
     assert report.result is None
     assert report.failure.startswith("DivergentAggregate")
 
