@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle
 from .errors import SecAggError
-from .field import FieldPrime, encode_vec
+from .field import M61, FieldPrime, encode_vec, matmul_mod
 from .masking import (DH_GROUP_2048, DH_GROUP_TEST, TAG_PAIRWISE, LweParams,
                       stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
@@ -288,6 +288,26 @@ def _prop_mask_stream(fault_inject: bool) -> bool:
     return full == [w for w in words if w < fld.q][:200]
 
 
+def _prop_matmul_dual_route(fault_inject: bool) -> bool:
+    """field.matmul_mod against a Python-int loop on F17, M61 and the
+    largest prime below 2^63, for shapes on the Python-int path and on the
+    3- and 4-limb float64 paths."""
+    rng = np.random.Generator(np.random.PCG64(13))
+    for q in (17, M61, (1 << 63) - 25):
+        for r, d, c in ((2, 5, 3), (3, 100, 40), (2, 5000, 3)):
+            M = rng.integers(0, q, size=(r, d), dtype=np.uint64)
+            V = rng.integers(0, q, size=(d, c), dtype=np.uint64)
+            got = matmul_mod(M, V, FieldPrime(q)).tolist()
+            if fault_inject:
+                got[0][0] = (got[0][0] + 1) % q
+            Ml, Vl = M.tolist(), V.tolist()
+            want = [[sum(Ml[i][k] * Vl[k][j] for k in range(d)) % q
+                     for j in range(c)] for i in range(r)]
+            if got != want:
+                return False
+    return True
+
+
 def _prop_protocol_equivalence() -> bool:
     for proto, rate in ((NV, 0.0), (NV, 0.2), (PW, 0.0), (PW, 0.25),
                         (LWE, 0.0)):
@@ -343,6 +363,7 @@ def cmd_verify(args) -> int:
         ("share_consistency_histograms", lambda: _prop_share_consistency()),
         ("share_vector_roundtrip", lambda: _prop_share_roundtrip(args.fault_inject)),
         ("mask_stream_prefix_and_kat", lambda: _prop_mask_stream(args.fault_inject)),
+        ("matmul_mod_dual_route", lambda: _prop_matmul_dual_route(args.fault_inject)),
         ("protocol_vs_plaintext", lambda: _prop_protocol_equivalence()),
         ("trajectory_parity", lambda: _prop_trajectory_parity()),
         ("metering_identity", lambda: _prop_metering(not args.quick)),

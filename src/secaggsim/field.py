@@ -4,7 +4,9 @@ Scalars are plain Python ints in [0, q); vectors are numpy uint64 arrays.
 The default modulus is the Mersenne prime 2^61 - 1, which keeps every
 element in one machine word and leaves headroom so sums over hundreds of
 clients (clip 2^20, 16 fractional bits) never wrap.  Every exact matrix
-product mod q goes through one kernel, matmul_mod.
+product mod q goes through one kernel, matmul_mod: float64 limbs, one
+BLAS matmul, and a recombination that for 2^61 - 1 is a 61-bit rotation
+per weight class (2^61 = 1 mod q) into one uint64 accumulator.
 
 Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 """
@@ -184,7 +186,7 @@ def sum_mod(vectors, field: FieldPrime) -> np.ndarray:
 
 # Up to this many scalar products (rows * inner * cols), Python-int
 # arithmetic beats the fixed cost of limb splitting and recombination.
-_SMALL_PRODUCT = 1024
+_SMALL_PRODUCT = 512
 
 
 def limb_bits(inner: int, field: FieldPrime) -> int:
@@ -193,35 +195,75 @@ def limb_bits(inner: int, field: FieldPrime) -> int:
     return min((53 - max(inner, 1).bit_length()) // 2, field.bit_width)
 
 
-def split_limbs(X, bits: int, field: FieldPrime) -> np.ndarray:
-    """The bits-wide limbs of a reduced (r x c) matrix, lowest first,
-    stacked as one (limbs*r x c) float64 matrix."""
+def split_limbs(X, bits: int, field: FieldPrime, axis: int = 0) -> np.ndarray:
+    """The bits-wide limbs of a reduced (r x c) matrix, lowest first, as
+    one float64 matrix: stacked down the rows (limbs*r x c) for axis 0,
+    the left operand of limb_product, or across the columns (r x limbs*c,
+    limb i in columns i*c to (i+1)*c) for axis 1, the right operand."""
     X = _as_u64(X)
+    r, c = X.shape
     count = -(-field.bit_width // bits)
-    out = np.empty((count,) + X.shape, dtype=np.float64)
+    out = np.empty((count, r, c) if axis == 0 else (r, count, c))
+    limbs = out if axis == 0 else out.swapaxes(0, 1)
     mask = np.uint64((1 << bits) - 1)
     for i in range(count):
-        out[i] = (X >> np.uint64(bits * i)) & mask
-    return out.reshape(count * X.shape[0], X.shape[1])
+        limbs[i] = (X >> np.uint64(bits * i)) & mask
+    return out.reshape(count * r, c) if axis == 0 else out.reshape(r, count * c)
 
 
-def limb_product(M_limbs: np.ndarray, Vt_limbs: np.ndarray, bits: int,
+def _weight_class(P: np.ndarray, w: int, count: int) -> np.ndarray:
+    """Sum of the limb-pair products of weight w, as uint64.  Each float64
+    block is converted as the sum reads it, so no uint64 copy of P is
+    ever made."""
+    lo, hi = max(0, w - count + 1), min(w, count - 1)
+    part = P[lo, :, w - lo].astype(np.uint64)
+    for i in range(lo + 1, hi + 1):
+        np.add(part, P[i, :, w - i], out=part, dtype=np.uint64,
+               casting="unsafe")
+    return part
+
+
+def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits: int,
                  field: FieldPrime) -> np.ndarray:
-    """(M @ V) mod q from split_limbs(M) and split_limbs(V.T).
+    """(M @ V) mod q from split_limbs(M, axis=0) and split_limbs(V, axis=1).
 
     One BLAS matmul forms every limb-pair product M_i @ V_j exactly; the
-    products of equal weight i + j are summed (fewer than 2^59) and
-    recombined mod q.
+    products of equal weight w = i + j are summed (fewer than 2^59) and
+    scaled by 2^(bits*w).  For M61, 2^61 = 1 (mod q) makes that scaling a
+    61-bit rotation, and up to seven rotated classes share one uint64
+    accumulator that is folded once at the end (more classes fold as they
+    go).  Other moduli multiply each class by 2^(bits*w) mod q.
     """
     count = -(-field.bit_width // bits)
     r = M_limbs.shape[0] // count
-    c = Vt_limbs.shape[0] // count
-    P = (M_limbs @ Vt_limbs.T).astype(np.uint64).reshape(count, r, count, c)
+    c = V_limbs.shape[1] // count
+    P = (M_limbs @ V_limbs).reshape(count, r, count, c)
+    classes = (_weight_class(P, w, count) for w in range(2 * count - 1))
+    if field.q == M61:
+        q, top = np.uint64(M61), np.uint64(61)
+        fold_each = 2 * count - 1 > 7  # eight classes near 2^61 would wrap
+        acc = next(classes)  # weight 0 needs no rotation
+        for w, part in enumerate(classes, 1):
+            # part < 2^61, so its 61-bit rotation by s is part * 2^s mod q
+            # (or q itself, for a part of q)
+            s = bits * w % 61
+            high = part >> np.uint64(61 - s)
+            part <<= np.uint64(s)
+            part &= q
+            part |= high
+            acc += part
+            if fold_each:
+                high = acc >> top
+                acc &= q
+                acc += high
+        high = acc >> top
+        acc &= q
+        acc += high
+        np.subtract(acc, q, out=acc, where=acc >= q)
+        return acc
     reduced = (count << 53) <= field.q  # every weight-class sum is below q
     acc = None
-    for w in range(2 * count - 1):
-        part = sum(P[i, :, w - i]
-                   for i in range(max(0, w - count + 1), min(w, count - 1) + 1))
+    for w, part in enumerate(classes):
         if not reduced:
             part %= np.uint64(field.q)
         if w:
@@ -245,7 +287,7 @@ def matmul_mod(M, V, field: FieldPrime) -> np.ndarray:
                           for col in cols] for row in M], dtype=np.uint64)
     bits = limb_bits(d, field)
     return limb_product(split_limbs(M, bits, field),
-                        split_limbs(_as_u64(V).T, bits, field), bits, field)
+                        split_limbs(V, bits, field, axis=1), bits, field)
 
 
 # --- wire format ------------------------------------------------------------

@@ -213,9 +213,11 @@ def lwe_mask(w: np.ndarray, s: np.ndarray, e: np.ndarray, A: np.ndarray,
 class LweMatrixOps:
     """Exact modular products of a fixed public m x n_lwe matrix A.
 
-    The matrix is split once into float64 limbs (field.split_limbs); each
-    product then runs through the limb-product and recombination step of
-    field.matmul_mod, one BLAS matmul however many secrets it covers.
+    The matrix is split once into (limbs*m x n_lwe) float64 limbs
+    (field.split_limbs, axis 0); the secrets, as the columns of an
+    n_lwe x k matrix, are split into (n_lwe x limbs*k) on each call (axis
+    1).  The product then runs through field.limb_product, the kernel of
+    field.matmul_mod: one BLAS matmul however many secrets it covers.
     `matvec(s)` takes one secret (shape n_lwe, returns A.s, length m) or a
     stack of k secrets (shape k x n_lwe, returns the m x k matrix whose
     column j is A.s_j).  Bit-identical to mat_vec_mod, column by column.
@@ -233,7 +235,8 @@ class LweMatrixOps:
         if S.ndim not in (1, 2) or S.shape[-1] != d:
             raise DimensionMismatch(
                 f"matrix is {m}x{d}, secrets have shape {S.shape}")
-        s_limbs = split_limbs(S.reshape(-1, d), self._bits, self.field)
+        s_limbs = split_limbs(S.reshape(-1, d).T, self._bits, self.field,
+                              axis=1)
         out = limb_product(self._limbs, s_limbs, self._bits, self.field)
         return out[:, 0] if S.ndim == 1 else out
 

@@ -123,10 +123,12 @@ class AggregateResult:
 
 
 class BaseClient:
-    def __init__(self, cid: int, cfg, w, rng, round_index: int = 0):
+    def __init__(self, cid: int, cfg, w, rng, ctx: RoundContext,
+                 round_index: int = 0):
         self.id = cid
         self.cfg = cfg
         self.rng = rng
+        self.ctx = ctx
         self.round = round_index
         self.ops = OpsTally()
         self.contributors: tuple[int, ...] | None = None
@@ -179,8 +181,9 @@ class NvClient(BaseClient):
     SUM_KIND = MsgKind.AGGREGATED_SHARE_VECTOR
     ACCEPTS = (SHARE_KIND, MsgKind.CONTRIBUTOR_SET, SUM_KIND)
 
-    def __init__(self, cid, cfg, w, rng, round_index: int = 0):
-        super().__init__(cid, cfg, w, rng, round_index)
+    def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
+                 round_index: int = 0):
+        super().__init__(cid, cfg, w, rng, ctx, round_index)
         self._shares: dict[int, object] = {}
         self._sum_shares: dict[int, object] = {}
 
@@ -228,7 +231,9 @@ class NvClient(BaseClient):
                 for j in range(cfg.n) if j != self.id]
 
     def _open_sum(self) -> np.ndarray:
-        """Reconstruct the summed vector from the summed shares in hand."""
+        """Reconstruct the summed vector from the summed shares in hand.
+        Survivors holding the same points and values share one read-only
+        reconstruction; a survivor with a different view recomputes."""
         cfg = self.cfg
         need = cfg.t + cfg.k - 1
         if self.contributors is None:
@@ -237,8 +242,17 @@ class NvClient(BaseClient):
             raise InsufficientSurvivors(
                 f"client {self.id}: {len(self._sum_shares)} summed shares "
                 f"< t+k-1 = {need}")
-        svs = list(self._sum_shares.values())
-        vec = reconstruct_vector(svs)
+        svs = sorted(self._sum_shares.values(), key=lambda sv: sv.x)
+        key = ("open", tuple(sv.x for sv in svs),
+               tuple(sv.shape() for sv in svs),
+               b"".join(sv.values.tobytes() for sv in svs))
+
+        def open_once():
+            vec = reconstruct_vector(svs)
+            vec.flags.writeable = False
+            return vec
+
+        vec = self.ctx.cached(key, open_once)
         self.ops.mul += svs[0].chunk_count * cfg.k * need
         self.ops.add += svs[0].chunk_count * cfg.k * (need - 1)
         return vec
@@ -267,8 +281,7 @@ class LweClient(NvClient):
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
-        super().__init__(cid, cfg, w, rng, round_index)
-        self.ctx = ctx
+        super().__init__(cid, cfg, w, rng, ctx, round_index)
         self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
                               dtype=np.uint64)
         self._secret_index = ctx.register_secret(self.s)
@@ -324,8 +337,7 @@ class PwClient(BaseClient):
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
-        super().__init__(cid, cfg, w, rng, round_index)
-        self.ctx = ctx
+        super().__init__(cid, cfg, w, rng, ctx, round_index)
         self.keypair = dh_keygen(cfg.dh, rng)
         self.personal_seed = rng.bytes(32) if cfg.personal_mask else None
         self._pks: dict[int, int] = {cid: self.keypair.pk}

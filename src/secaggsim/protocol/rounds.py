@@ -143,19 +143,20 @@ def _finalize(clients, bus, cfg) -> AggregateResult:
     return first
 
 
-def _drive(inputs, cfg: RoundConfig, bus, make_client, openers,
+def _drive(inputs, cfg: RoundConfig, bus, client_cls, openers,
            no_contributors: str, matrix_ops=None) -> AggregateResult:
     """The one stage loop behind every protocol.  Each opening stage asks
     its live clients for outbound messages (client method `openers[i]`)
     and exchanges them; the senders of the last opening stage become the
     contributor set.  Its announcement is the one event that makes clients
-    emit the final stage's messages.  make_client(i, ctx) builds client i
+    emit the final stage's messages.  Every client_cls instance is built
     on the round's one RoundContext."""
     if len(inputs) != cfg.n:
         raise ValueError(f"{len(inputs)} inputs for n={cfg.n} clients")
     *opening, st_final = cfg.stages
     ctx = RoundContext(matrix_ops)
-    clients = [make_client(i, ctx) for i in range(cfg.n)]
+    clients = [client_cls(i, cfg, inputs[i], bus.client_rng(i), ctx, bus.round)
+               for i in range(cfg.n)]
     for stage, opener in zip(opening, openers):
         outbox = []
         for c in clients:
@@ -173,19 +174,15 @@ def _drive(inputs, cfg: RoundConfig, bus, make_client, openers,
 def nv_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """Share-vector aggregation: packed input shares out, contributor set
     announced, aggregated shares broadcast, reconstruct and average."""
-    return _drive(inputs, cfg, bus,
-                  lambda i, ctx: NvClient(i, cfg, inputs[i],
-                                          bus.client_rng(i), bus.round),
-                  ("start",), "every client dropped before sharing")
+    return _drive(inputs, cfg, bus, NvClient, ("start",),
+                  "every client dropped before sharing")
 
 
 def lwe_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """LWE-masked aggregation: secret vectors are Shamir-shared, masked
     vectors broadcast, and only the summed secret is ever reconstructed."""
-    return _drive(inputs, cfg, bus,
-                  lambda i, ctx: LweClient(i, cfg, inputs[i],
-                                           bus.client_rng(i), ctx, bus.round),
-                  ("start", "emit_masked"), "no masked vector was delivered",
+    return _drive(inputs, cfg, bus, LweClient, ("start", "emit_masked"),
+                  "no masked vector was delivered",
                   lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field))
 
 
@@ -193,10 +190,8 @@ def pw_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:
     """Pairwise-masked aggregation with dropout recovery: reconstruct the
     DH key of clients that vanished after setup, the personal seed of
     everyone whose masked vector counted -- never both."""
-    return _drive(inputs, cfg, bus,
-                  lambda i, ctx: PwClient(i, cfg, inputs[i],
-                                          bus.client_rng(i), ctx, bus.round),
-                  ("start", "emit_masked"), "no masked vector was delivered")
+    return _drive(inputs, cfg, bus, PwClient, ("start", "emit_masked"),
+                  "no masked vector was delivered")
 
 
 ROUND_FNS = {NV: nv_round, LWE: lwe_round, PW: pw_round}

@@ -23,10 +23,12 @@ from secaggsim.field import (
     fp_decode,
     fp_encode,
     limb_bits,
+    limb_product,
     matmul_mod,
     mod_inverse,
     mul_mod,
     mul_mod_m61,
+    split_limbs,
 )
 
 F17 = FieldPrime(17)
@@ -244,12 +246,44 @@ def test_mul_mod_by_scalar_above_2_32():
 
 
 def test_matmul_mod_extreme_operands():
-    # all-(q-1) operands maximize every limb and every weight-class sum
+    # all-(q-1) operands maximize every limb and every weight-class sum;
+    # inner 700 splits M61 into 3 limbs, inner 5000 into 4
     for field in (DEFAULT_FIELD, F63):
         q = field.q
-        M = np.full((3, 700), q - 1, dtype=np.uint64)
-        V = np.full((700, 4), q - 1, dtype=np.uint64)
-        assert matmul_mod(M, V, field).tolist() == [[700 % q] * 4] * 3
+        for inner in (700, 5000):
+            M = np.full((3, inner), q - 1, dtype=np.uint64)
+            V = np.full((inner, 4), q - 1, dtype=np.uint64)
+            assert matmul_mod(M, V, field).tolist() == [[inner % q] * 4] * 3
+
+
+@pytest.mark.parametrize("bits, classes", [(12, 11), (15, 9)])
+def test_m61_limb_product_folds_many_weight_classes(bits, classes):
+    # narrow limbs give more than seven weight classes, so the rotated
+    # classes are folded as they are added
+    count = -(-DEFAULT_FIELD.bit_width // bits)
+    assert 2 * count - 1 == classes
+    g = np.random.default_rng(bits)
+    for M, V in ((np.full((3, 7), M61 - 1, dtype=np.uint64),
+                  np.full((7, 5), M61 - 1, dtype=np.uint64)),
+                 (random_matrix(g, M61, 4, 9), random_matrix(g, M61, 9, 6))):
+        got = limb_product(split_limbs(M, bits, DEFAULT_FIELD),
+                           split_limbs(V, bits, DEFAULT_FIELD, axis=1),
+                           bits, DEFAULT_FIELD)
+        assert got.tolist() == matmul_reference(M.tolist(), V.tolist(), M61)
+
+
+def test_m61_limb_product_folds_wide_weight_classes():
+    # An inner dimension near 2^29 gives 12-bit limbs and weight-class sums
+    # near 2^55.  Oversized limbs at inner dimension 1 give such sums
+    # cheaply; these eleven classes, rotated, add up past 2^64.
+    la = [11980259, 28190134, 34580119, 63816645, 51320468, 35694289]
+    lb = [22202282, 22863082, 37253994, 28450972, 61983551, 214539]
+    a, b = (sum(limb << (12 * i) for i, limb in enumerate(ls))
+            for ls in (la, lb))
+    got = limb_product(np.array(la, dtype=np.float64).reshape(6, 1),
+                       np.array(lb, dtype=np.float64).reshape(1, 6),
+                       12, DEFAULT_FIELD)
+    assert got.tolist() == [[a * b % M61]]
 
 
 def test_matmul_mod_accepts_int_sequences():

@@ -7,6 +7,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from secaggsim.masking import DH_GROUP_TEST, LweParams
 from secaggsim.protocol import RoundConfig
 from secaggsim.simnet import SimConfig, run_simulation
@@ -59,6 +61,15 @@ def traced_calls(cfg, **sim):
         tracer.uninstall()
     assert report.failure is None, report.failure
     return report, Counter(s[0] for s in tracer.spans)
+
+
+@pytest.mark.parametrize("proto", ["nv", "lwe"])
+def test_survivors_share_one_opening_of_the_summed_shares(proto):
+    lwe = LweParams(n_lwe=8, sigma=1e-6, matrix_seed=b"\x05" * 32)
+    cfg = RoundConfig(protocol=proto, n=5, m=6,
+                      lwe=lwe if proto == "lwe" else None)
+    _, calls = traced_calls(cfg)
+    assert calls["shamir.reconstruct_vector"] == 1
 
 
 def test_lwe_round_makes_one_block_product_and_one_memo_miss():

@@ -48,7 +48,8 @@ def nv_cfg(n=4, m=3, **kw):
 def make_nv_clients(cfg, seed=0):
     rngs = [np.random.default_rng(seed + i) for i in range(cfg.n)]
     ws = [np.arange(cfg.m, dtype=float) + i for i in range(cfg.n)]
-    return [NvClient(i, cfg, ws[i], rngs[i]) for i in range(cfg.n)], ws
+    ctx = RoundContext()
+    return [NvClient(i, cfg, ws[i], rngs[i], ctx) for i in range(cfg.n)], ws
 
 
 # --- client state machine surface -----------------------------------------------
@@ -81,13 +82,11 @@ def test_share_after_contributor_set_rejected(proto):
     cfg = RoundConfig(protocol=proto, n=3, m=2,
                       lwe=SMALL_LWE if proto == "lwe" else None)
     rngs = [np.random.default_rng(i) for i in range(cfg.n)]
-    if proto == "lwe":
-        ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field))
-        clients = [LweClient(i, cfg, np.zeros(2), rngs[i], ctx)
-                   for i in range(cfg.n)]
-    else:
-        clients = [NvClient(i, cfg, np.zeros(2), rngs[i])
-                   for i in range(cfg.n)]
+    ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
+                       if proto == "lwe" else None)
+    client_cls = LweClient if proto == "lwe" else NvClient
+    clients = [client_cls(i, cfg, np.zeros(2), rngs[i], ctx)
+               for i in range(cfg.n)]
     outboxes = [c.start() for c in clients]
     share = {i: next(m for rcpt, m in outboxes[i] if rcpt == 0)
              for i in (1, 2)}
@@ -200,7 +199,7 @@ def test_nv_client_dropping_at_final_stage_only_shared():
     assert report.failure is None
     probe = NvClient(0, RoundConfig(protocol="nv", n=6, m=4,
                                     planned_dropouts=2),
-                     np.zeros(4), np.random.default_rng(0))
+                     np.zeros(4), np.random.default_rng(0), RoundContext())
     probe.start()
     for cid in report.schedule.dropped:
         assert report.metrics.field_ops[cid] == {
@@ -521,18 +520,23 @@ WHOLE_BAND = dict(n=5, field=FieldPrime(41),
                   fp=FixedPointConfig(frac_bits=2, clip_magnitude=1.0))
 
 
-def test_lwe_survivor_with_corrupted_sum_share_diverges(monkeypatch):
-    on_message = LweClient.on_message
+def corrupt_sum_share(monkeypatch, client_cls, kind):
+    """Client 3 receives client 1's summed share plus one."""
+    on_message = client_cls.on_message
     q = np.uint64(WHOLE_BAND["field"].q)
 
     def corrupt(self, msg):
-        if (self.id, msg.sender, msg.kind) == (3, 1, MsgKind.SECRET_SUM_SHARE):
+        if (self.id, msg.sender, msg.kind) == (3, 1, kind):
             sv = msg.payload.sv
             sv = dataclasses.replace(sv, values=(sv.values + np.uint64(1)) % q)
             msg = dataclasses.replace(msg, payload=ShareVectorPayload(sv))
         return on_message(self, msg)
 
-    monkeypatch.setattr(LweClient, "on_message", corrupt)
+    monkeypatch.setattr(client_cls, "on_message", corrupt)
+
+
+def test_lwe_survivor_with_corrupted_sum_share_diverges(monkeypatch):
+    corrupt_sum_share(monkeypatch, LweClient, MsgKind.SECRET_SUM_SHARE)
     cfg = RoundConfig(protocol="lwe", m=8, lwe=SMALL_LWE, **WHOLE_BAND)
     # t + k - 1 = n, so every summed share, the corrupted one included,
     # enters each survivor's reconstruction of s_sum
@@ -542,6 +546,24 @@ def test_lwe_survivor_with_corrupted_sum_share_diverges(monkeypatch):
     report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
     assert report.result is None
     assert report.failure.startswith("DivergentAggregate: survivors 0 and 3")
+
+
+def test_nv_survivor_with_corrupted_sum_share_diverges(monkeypatch):
+    # the survivors share one opening of the summed shares only when they
+    # hold the same ones; client 3's corrupted share makes it reopen
+    corrupt_sum_share(monkeypatch, NvClient, MsgKind.AGGREGATED_SHARE_VECTOR)
+    cfg = RoundConfig(protocol="nv", m=8, **WHOLE_BAND)
+    assert cfg.t + cfg.k - 1 == cfg.n
+    with pytest.raises(DivergentAggregate, match="survivors 0 and 3"):
+        nv_round([np.zeros(8)] * 5, cfg, MessageBus(cfg, master_seed=1))
+
+
+def test_nv_opened_sum_is_read_only():
+    cfg = nv_cfg(n=5, m=4, t=3)
+    result = nv_round([np.ones(4)] * 5, cfg, MessageBus(cfg, master_seed=1))
+    assert not result.field_sum.flags.writeable
+    with pytest.raises(ValueError):
+        result.field_sum[0] = 0
 
 
 def test_pw_survivor_with_other_public_key_diverges(monkeypatch):
