@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle
 from .errors import SecAggError
-from .field import M61, FieldPrime, encode_vec, matmul_mod
+from .field import M61, FieldPrime, encode_vec, matmul_mod, sum_mod
 from .masking import (DH_GROUP_2048, DH_GROUP_TEST, TAG_PAIRWISE, LweParams,
                       stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
@@ -308,6 +308,23 @@ def _prop_matmul_dual_route(fault_inject: bool) -> bool:
     return True
 
 
+def _prop_sum_dual_route(fault_inject: bool) -> bool:
+    """field.sum_mod against a Python-int loop on F17, M61 and the largest
+    prime below 2^63, for row counts on both sides of a 64-row block, with
+    random and all-(q-1) rows."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    for q in (17, M61, (1 << 63) - 25):
+        for rows in (1, 63, 64, 65, 130):
+            for vs in (rng.integers(0, q, size=(rows, 7), dtype=np.uint64),
+                       np.full((rows, 7), q - 1, dtype=np.uint64)):
+                got = sum_mod(iter(vs), FieldPrime(q)).tolist()
+                if fault_inject:
+                    got[0] = (got[0] + 1) % q
+                if got != [sum(col) % q for col in zip(*vs.tolist())]:
+                    return False
+    return True
+
+
 def _prop_protocol_equivalence() -> bool:
     for proto, rate in ((NV, 0.0), (NV, 0.2), (PW, 0.0), (PW, 0.25),
                         (LWE, 0.0)):
@@ -364,6 +381,7 @@ def cmd_verify(args) -> int:
         ("share_vector_roundtrip", lambda: _prop_share_roundtrip(args.fault_inject)),
         ("mask_stream_prefix_and_kat", lambda: _prop_mask_stream(args.fault_inject)),
         ("matmul_mod_dual_route", lambda: _prop_matmul_dual_route(args.fault_inject)),
+        ("sum_mod_dual_route", lambda: _prop_sum_dual_route(args.fault_inject)),
         ("protocol_vs_plaintext", lambda: _prop_protocol_equivalence()),
         ("trajectory_parity", lambda: _prop_trajectory_parity()),
         ("metering_identity", lambda: _prop_metering(not args.quick)),

@@ -379,11 +379,15 @@ class PwClient(BaseClient):
 
     def _apply_masks(self, v: np.ndarray, terms) -> np.ndarray:
         """v plus sign * stream_expand(seed, tag) for each (sign, seed,
-        tag) term, one stream at a time."""
+        tag) term: the streams of each sign are expanded lazily into one
+        stacked sum_mod, so at most a block of them is held at once."""
         cfg = self.cfg
-        for sign, seed, tag in terms:
-            stream = stream_expand(seed, tag, cfg.m, cfg.field)
-            v = (add_mod if sign > 0 else sub_mod)(v, stream, cfg.field)
+        for sign, combine in ((1, add_mod), (-1, sub_mod)):
+            seeds = [(seed, tag) for s, seed, tag in terms if s == sign]
+            if seeds:
+                v = combine(v, sum_mod(
+                    (stream_expand(seed, tag, cfg.m, cfg.field)
+                     for seed, tag in seeds), cfg.field), cfg.field)
         return v
 
     def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
@@ -452,10 +456,11 @@ class PwClient(BaseClient):
             return []
         return self._broadcast(MsgKind.UNMASK_SHARE, payload)
 
-    def _open_secrets(self) -> list[int]:
+    def _open_secrets(self) -> tuple[int, ...]:
         """Every secret named by this client's own unmask entries, opened
         from its own and the other openers' share rows side by side in one
-        interpolation."""
+        interpolation.  Survivors holding the same openers, names and rows
+        share one opening; a survivor with a different view reopens."""
         names = self._unmask[self.id].names
         for sender, payload in self._unmask.items():
             if payload.names != names:
@@ -463,18 +468,24 @@ class PwClient(BaseClient):
                     f"client {self.id}: unmask shares from {sender} name "
                     f"other secrets than its own")
         if not names:
-            return []
+            return ()
         if len(self._unmask) < self.cfg.t:
             raise InsufficientSurvivors(
                 f"client {self.id}: {len(self._unmask)} shares of each "
                 f"opened secret < t = {self.cfg.t}")
-        openers = sorted(self._unmask)
+        openers = tuple(sorted(self._unmask))
         self.ops.inv += len(openers) * len(names)
         ys = [self._unmask[s].row for s in openers]
-        widths = [self._order_bits if kind == SECRET_DH_KEY
-                  else PERSONAL_SEED_BITS for kind, _, _ in names]
-        return reconstruct_integer([s + 1 for s in openers], ys, self.cfg.t,
-                                   widths, self.cfg.field)
+
+        def open_once():
+            widths = [self._order_bits if kind == SECRET_DH_KEY
+                      else PERSONAL_SEED_BITS for kind, _, _ in names]
+            return tuple(reconstruct_integer([s + 1 for s in openers], ys,
+                                             self.cfg.t, widths,
+                                             self.cfg.field))
+
+        key = ("pw-open", openers, names, b"".join(y.tobytes() for y in ys))
+        return self.ctx.cached(key, open_once)
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
@@ -498,7 +509,7 @@ class PwClient(BaseClient):
         # by the survivors that derived the same inputs
         pks = tuple(self._pks[j] for j in contributors)
         v = add_mod(v, self.ctx.cached(
-            ("pw-correction", contributors, dropped, tuple(opened), pks),
+            ("pw-correction", contributors, dropped, opened, pks),
             correction), cfg.field)
         self.ops.add += cfg.m * (len(seeds) + len(dropped) * len(contributors))
         n_contrib = len(contributors)

@@ -127,28 +127,25 @@ class Metrics:
             stage, {"messages_sent": 0, "bytes_sent": 0,
                     "bytes_delivered": 0, "bytes_to_dropped": 0})
 
-    def record_send(self, stage: str, sender: int, nbytes: int,
-                    delivered: bool, recipient: int):
+    def record_exchange(self, stage: str, messages: int, delivered: int,
+                        to_dropped: int, per_client=()):
+        """Add one exchange's traffic: its message count, the bytes
+        delivered and addressed to dropped clients, and a (client id,
+        messages sent, bytes sent, bytes received) row for each client
+        that sent or received anything.  An exchange that sent nothing
+        adds no row."""
+        if not messages:
+            return
         row = self._stage(stage)
-        row["messages_sent"] += 1
-        row["bytes_sent"] += nbytes
-        c = self._client(sender)
-        c["messages_sent"] += 1
-        c["bytes_sent"] += nbytes
-        if delivered:
-            row["bytes_delivered"] += nbytes
-            self._client(recipient)["bytes_received"] += nbytes
-        else:
-            row["bytes_to_dropped"] += nbytes
-
-    def record_control(self, nbytes: int, delivered: bool):
-        row = self._stage(CONTROL_STAGE)
-        row["messages_sent"] += 1
-        row["bytes_sent"] += nbytes
-        if delivered:
-            row["bytes_delivered"] += nbytes
-        else:
-            row["bytes_to_dropped"] += nbytes
+        row["messages_sent"] += messages
+        row["bytes_sent"] += delivered + to_dropped
+        row["bytes_delivered"] += delivered
+        row["bytes_to_dropped"] += to_dropped
+        for cid, count, nbytes, got in per_client:
+            c = self._client(cid)
+            c["messages_sent"] += count
+            c["bytes_sent"] += nbytes
+            c["bytes_received"] += got
 
     @property
     def total_messages(self) -> int:
@@ -189,6 +186,11 @@ class Metrics:
 # --- the bus -------------------------------------------------------------------
 
 
+def _delivery_order(pair) -> tuple:
+    rcpt, msg = pair
+    return msg.sender, msg.kind, rcpt
+
+
 class MessageBus:
     """Synchronous, stage-stepped delivery with per-sender FIFO order.
 
@@ -214,9 +216,13 @@ class MessageBus:
             i: np.random.Generator(np.random.PCG64(client_seed(master_seed, i)))
             for i in range(cfg.n)
         }
-        self._drop_idx = {
-            cid: self.stage_order.index(st)
-            for cid, st in self.schedule.stages.items()
+        drop_idx = {cid: self.stage_order.index(st)
+                    for cid, st in self.schedule.stages.items()}
+        # liveness per stage, indexed by client id: a client is live
+        # before the stage it drops at
+        self._alive = {
+            stage: [drop_idx.get(i, k + 1) > k for i in range(cfg.n)]
+            for k, stage in enumerate(self.stage_order)
         }
         self._senders: dict[str, set[int]] = {}
 
@@ -227,46 +233,56 @@ class MessageBus:
     def client_rng(self, cid: int) -> np.random.Generator:
         return self._rngs[cid]
 
-    def _stage_idx(self, stage: str) -> int:
-        return self.stage_order.index(stage)
-
     def alive(self, cid: int, stage: str) -> bool:
-        idx = self._drop_idx.get(cid)
-        return idx is None or self._stage_idx(stage) < idx
+        return self._alive[stage][cid]
 
     def live_at_end(self) -> list[int]:
-        return [i for i in range(self.n) if i not in self._drop_idx]
+        return [i for i in range(self.n) if i not in self.schedule.stages]
 
     def exchange(self, stage: str, outbox) -> list[tuple[int, ProtocolMessage]]:
         """Deliver one stage's traffic; returns (recipient, message) pairs
-        in deterministic order."""
+        in deterministic order.  The stage is metered once, from counts
+        kept per client id."""
+        alive = self._alive[stage]
+        sent = [0] * self.n
+        sent_bytes = [0] * self.n
+        received = [0] * self.n
+        to_dropped = 0
         delivered = []
-        senders = self._senders.setdefault(stage, set())
-        for rcpt, msg in sorted(outbox, key=lambda p: (p[1].sender,
-                                                       int(p[1].kind), p[0])):
-            if not self.alive(msg.sender, stage):
+        for rcpt, msg in sorted(outbox, key=_delivery_order):
+            sender = msg.sender
+            if not alive[sender]:
                 continue  # dropped clients send nothing from their stage on
-            senders.add(msg.sender)
-            ok = self.alive(rcpt, stage)
-            self.metrics.record_send(stage, msg.sender, msg.wire_size,
-                                     ok, rcpt)
-            if ok:
+            size = msg.wire_size
+            sent[sender] += 1
+            sent_bytes[sender] += size
+            if alive[rcpt]:
+                received[rcpt] += size
                 delivered.append((rcpt, msg))
-                if self._record:
-                    self.transcript.append((rcpt, msg))
+            else:
+                to_dropped += size
+        if self._record:
+            self.transcript.extend(delivered)
+        self._senders.setdefault(stage, set()).update(
+            i for i, count in enumerate(sent) if count)
+        # every message has a header, so a client that received anything
+        # has a nonzero byte count
+        self.metrics.record_exchange(
+            stage, sum(sent), sum(received), to_dropped,
+            [row for row in zip(range(self.n), sent, sent_bytes, received)
+             if row[1] or row[3]])
         return delivered
 
     def control(self, stage: str, msg: ProtocolMessage):
         """Bus-issued broadcast (contributor set), metered separately."""
-        delivered = []
+        alive = self._alive[stage]
+        delivered = [(rcpt, msg) for rcpt in range(self.n) if alive[rcpt]]
+        if self._record:
+            self.transcript.extend(delivered)
         size = msg.wire_size
-        for rcpt in range(self.n):
-            ok = self.alive(rcpt, stage)
-            self.metrics.record_control(size, ok)
-            if ok:
-                delivered.append((rcpt, msg))
-                if self._record:
-                    self.transcript.append((rcpt, msg))
+        self.metrics.record_exchange(
+            CONTROL_STAGE, self.n, size * len(delivered),
+            size * (self.n - len(delivered)))
         return delivered
 
     def delivery_record(self) -> dict[str, tuple[int, ...]]:

@@ -29,6 +29,7 @@ from secaggsim.field import (
     mul_mod,
     mul_mod_m61,
     split_limbs,
+    sum_mod,
 )
 
 F17 = FieldPrime(17)
@@ -204,6 +205,54 @@ def test_non_finite_inputs_rejected(bad):
         fp_encode(bad)
     with pytest.raises(NonFiniteInput):
         encode_vec([0.5, bad, 1.0])
+
+
+# --- stacked modular sums ---------------------------------------------------------
+
+SUM_FIELDS = [F7, F17, DEFAULT_FIELD, F63]
+# one row, either side of a 64-row block, and two full blocks plus two rows
+SUM_ROWS = [1, 63, 64, 65, 130]
+
+
+def sum_reference(rows, q):
+    return [sum(col) % q for col in zip(*rows)]
+
+
+@given(field=st.sampled_from(SUM_FIELDS), rows=st.sampled_from(SUM_ROWS),
+       m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sum_mod_matches_python_ints(field, rows, m, seed):
+    g = np.random.default_rng(seed)
+    vs = [g.integers(0, field.q, size=m, dtype=np.uint64)
+          for _ in range(rows)]
+    want = sum_reference([v.tolist() for v in vs], field.q)
+    assert sum_mod(vs, field).tolist() == want
+    # a generator is read once, lazily, with the same result
+    assert sum_mod((v for v in vs), field).tolist() == want
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS)
+@pytest.mark.parametrize("rows", SUM_ROWS)
+def test_sum_mod_all_top_elements(field, rows):
+    # q - 1 in every row fills both 32-bit halves as far as q allows
+    q = field.q
+    vs = (np.full(3, q - 1, dtype=np.uint64) for _ in range(rows))
+    assert sum_mod(vs, field).tolist() == [rows * (q - 1) % q] * 3
+
+
+def test_sum_mod_of_nothing_is_a_value_error():
+    with pytest.raises(ValueError):
+        sum_mod([], F17)
+
+    def empty():
+        yield from ()
+
+    # inside a generator a leaked StopIteration would be a RuntimeError
+    def wrapped():
+        yield sum_mod(empty(), F17)
+
+    with pytest.raises(ValueError):
+        next(wrapped())
 
 
 # --- exact modular matrix product -------------------------------------------------

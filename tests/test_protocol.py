@@ -588,6 +588,34 @@ def test_pw_survivor_with_other_public_key_diverges(monkeypatch):
     assert report.failure.startswith("DivergentAggregate")
 
 
+def test_pw_survivor_with_corrupted_unmask_row_diverges(monkeypatch):
+    # survivors share one opening of the unmasked secrets only when they
+    # hold the same rows; client 3 gets client 1's row with one chunk
+    # plus one under the same names, so it must reopen
+    from secaggsim.protocol import UnmaskPayload
+    on_message = PwClient.on_message
+    q = np.uint64(WHOLE_BAND["field"].q)
+
+    def corrupt(self, msg):
+        if (self.id, msg.sender, msg.kind) == (3, 1, MsgKind.UNMASK_SHARE):
+            first, *rest = msg.payload.entries
+            chunks = first.chunks.copy()  # its lowest chunk comes last
+            chunks[-1] = (chunks[-1] + np.uint64(1)) % q
+            first = dataclasses.replace(first, chunks=chunks)
+            payload = UnmaskPayload((first, *rest))
+            assert payload.names == msg.payload.names
+            msg = dataclasses.replace(msg, payload=payload)
+        return on_message(self, msg)
+
+    monkeypatch.setattr(PwClient, "on_message", corrupt)
+    cfg = RoundConfig(protocol="pw", m=8, dh=DH_GROUP_TEST, **WHOLE_BAND)
+    # t = 3: the rows of openers 0, 1 and 2 give every secret
+    assert cfg.t == 3
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=4))
+    assert report.result is None
+    assert report.failure.startswith("DivergentAggregate: survivors 0 and 3")
+
+
 def test_sub_unit_clip_nv_round():
     cfg = nv_cfg(n=5, m=8, fp=FixedPointConfig(clip_magnitude=0.5))
     report = run_simulation(SimConfig(round_cfg=cfg, master_seed=0),

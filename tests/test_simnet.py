@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -177,6 +178,60 @@ def test_per_client_totals_match_stage_totals():
     stage_bytes = sum(v["bytes_sent"] for s, v in metr.per_stage.items()
                       if s != CONTROL_STAGE)
     assert client_bytes == stage_bytes
+
+
+_TINY_LWE = LweParams(n_lwe=16, sigma=1e-6)
+_PW = dict(dh=DH_GROUP_TEST)
+_PW_NO_SEED = dict(dh=DH_GROUP_TEST, personal_mask=False)
+
+# SHA-256 of the Metrics.to_dict() JSON of seed-31, n=7, m=5 runs, recorded
+# when every send was metered one call at a time.  It pins the counters
+# and which clients and stages have rows at all: a pw round without
+# personal masks whose dropouts all left at setup sends nothing in its
+# final stage, so that stage has no row.  The last case fails with
+# InsufficientSurvivors after every stage was metered.
+METER_DIGESTS = [
+    ("nv", {}, 0.3, "uniform", 2, True,
+     "2058ffc21840c1e3d39e994004c78ee123904ed8f24a754c5db0add3b04ca2f5"),
+    ("nv", {}, 0.3, "aggregate_shares", 1, True,
+     "60ae6e9a59d67718bc8b087be23941f3470dfe148a35dc5822c63cc5070458dc"),
+    ("lwe", dict(lwe=_TINY_LWE), 0.3, "uniform", 1, True,
+     "3bd01704dc9fc5f0f09ccd5fdedde60ac538740c81ed56bafe9505da0a88bb82"),
+    ("lwe", dict(lwe=_TINY_LWE), 0.3, "masked_vector", 2, True,
+     "9e1dfee6f907d7cecdd1f5eb7ba1e96cb8ede48949390f2147e98b0824a992dc"),
+    ("pw", _PW, 0.3, "uniform", 1, True,
+     "c73ce94556af8700d17e0c899604875dafa8f121ed6accbd868d82e7298b368a"),
+    ("pw", _PW, 0.3, "setup", 1, True,
+     "c27e4d898720c3f5064205f162b24fdf429d39b91137f52c015d46502b26e1f4"),
+    ("pw", _PW, 0.3, "unmask_shares", 2, True,
+     "80fcdab808391ec250c82a606c734ce52ae3f99bd8a26412c9e2a134ef4e729a"),
+    ("pw", _PW_NO_SEED, 0.3, "masked_vector", 1, True,
+     "6dcf24a8df8225b7e358baed4dcb6367474375841a7b71b6ccd79026b95700c9"),
+    ("pw", _PW_NO_SEED, 0.3, "setup", 1, True,
+     "13df1160d39eef7b5c1e281af1ffb9340e05bc1827a9339d5cbef0192109a27f"),
+    ("pw", _PW_NO_SEED, 0.0, "uniform", 1, True,
+     "42b019293cb19843c9828f49bd75dfcd844d123e660e61aa472930da5ab5b7f1"),
+    ("nv", {}, 0.3, "input_shares", 1, False,
+     "8f8bbe09d188289467eeb95616f05e741ea1ac50a5b4b6f44f4d1401b0f1034a"),
+]
+
+
+@pytest.mark.parametrize("proto,kw,rate,policy,rounds,planned,digest",
+                         METER_DIGESTS)
+def test_meters_under_dropout_match_recorded_digests(proto, kw, rate, policy,
+                                                     rounds, planned, digest):
+    rc = RoundConfig(protocol=proto, n=7, m=5,
+                     planned_dropouts=int(rate * 7) if planned else 0, **kw)
+    report = run_simulation(SimConfig(round_cfg=rc, master_seed=31,
+                                      dropout_rate=rate,
+                                      dropout_stage_policy=policy,
+                                      rounds=rounds))
+    assert (report.failure is None) == planned
+    metrics = report.metrics.to_dict()
+    if not kw.get("personal_mask", True) and policy != "masked_vector":
+        assert "unmask_shares" not in metrics["per_stage"]
+    blob = json.dumps(metrics, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_report_reproducible_modulo_wall_time():
