@@ -13,10 +13,8 @@ Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,38 +173,39 @@ def mul_mod(a, b, field: FieldPrime) -> np.ndarray:
     return ((a_obj * b_obj) % field.q).astype(np.uint64)
 
 
-SUM_BLOCK = 64  # rows per stacked block of sum_mod; bounds it at O(64 m)
-# which of the two uint32 halves of a uint64, viewed in place, is the low one
-_LOW_HALF = 0 if sys.byteorder == "little" else 1
+SUM_BLOCK = 64  # rows per stacked block of sum_mod
 
 
 def sum_mod(vectors, field: FieldPrime) -> np.ndarray:
-    """Sum an iterable of reduced uint64 vectors mod q, read lazily in
-    stacked blocks of SUM_BLOCK rows.  A block sums the low and high
-    32-bit halves of its rows apart, read in place as uint32 pairs; that
-    is exact in uint64 for any q < 2^63 (each half sum is below
-    64 * 2^32 = 2^38).  The two sums are joined mod q, and the blocks
-    are added with add_mod."""
-    it = iter(vectors)
-    q = np.uint64(field.q)
-    acc = None
-    while block := list(itertools.islice(it, SUM_BLOCK)):
-        rows = np.array(block, dtype=np.uint64)  # rejects ragged rows
-        halves = rows.view(np.uint32).reshape(*rows.shape, 2).sum(
-            axis=0, dtype=np.uint64)
-        low, high = halves[:, _LOW_HALF], halves[:, 1 - _LOW_HALF]
-        if field.q == M61:
-            # both sums are reduced already, and since 2^61 = 1 mod q,
-            # high * 2^32 mod q is the 61-bit rotation of high by 32
-            high = ((high << np.uint64(32)) & q) | (high >> np.uint64(29))
-        else:
-            low %= q
-            high = mul_mod(high % q, np.uint64((1 << 32) % field.q), field)
-        part = add_mod(high, low, field)
-        acc = part if acc is None else add_mod(acc, part, field)
-    if acc is None:
+    """Sum an iterable of reduced uint64 vectors mod q.  The vectors are
+    read lazily into one reused block of SUM_BLOCK rows, so one block
+    and one temporary of its size are held at once."""
+    acc = block = None
+    rows = 0
+    for v in vectors:
+        if block is None:
+            block = np.empty((SUM_BLOCK, *np.shape(v)), dtype=np.uint64)
+        block[rows] = v
+        rows += 1
+        if rows == SUM_BLOCK:
+            acc = _add_block_mod(acc, block, field)
+            rows = 0
+    if block is None:
         raise ValueError("sum_mod needs at least one vector")
-    return acc
+    return _add_block_mod(acc, block[:rows], field) if rows else acc
+
+
+def _add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
+    """acc (or zero, if None) plus the column sums of block, mod q.  The
+    low and high 32-bit halves of the rows are summed apart, which is
+    exact in uint64 for any q < 2^63 (each sum of SUM_BLOCK halves stays
+    below 2^38), and joined as high * 2^32 + low mod q."""
+    q = np.uint64(field.q)
+    low = (block & np.uint64(0xFFFFFFFF)).sum(axis=0, dtype=np.uint64) % q
+    high = (block >> np.uint64(32)).sum(axis=0, dtype=np.uint64) % q
+    part = add_mod(mul_mod(high, np.uint64((1 << 32) % field.q), field),
+                   low, field)
+    return part if acc is None else add_mod(acc, part, field)
 
 
 # --- exact modular matrix product ---------------------------------------------
