@@ -23,6 +23,7 @@ from .errors import (
     PointMismatch,
     ProtocolError,
     SafetyViolation,
+    SecretOutOfRange,
     SecAggError,
     TooManyDropouts,
     UnexpectedMessage,
@@ -65,7 +66,6 @@ from .protocol import (
     MsgKind,
     ProtocolMessage,
     RoundConfig,
-    client_on_message,
     contributor_set,
     lwe_round,
     nv_round,
@@ -74,7 +74,6 @@ from .protocol import (
 from .shamir import (
     Share,
     ShareSet,
-    ShareVector,
     packed_reconstruct,
     packed_share,
     reconstruct_vector,

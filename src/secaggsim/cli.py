@@ -265,10 +265,11 @@ def _prop_share_roundtrip(fault_inject: bool) -> bool:
     fld = FieldPrime()
     rng = np.random.Generator(np.random.PCG64(11))
     vec = [fld.rand(rng) for _ in range(50)]
-    svs = share_vector(vec, t=3, n=7, k=4, rng=rng, field=fld)
+    ys = share_vector(vec, t=3, n=7, k=4, rng=rng, field=fld)
     if fault_inject:
-        svs[2].values[0] = (svs[2].values[0] + 1) % fld.q
-    return reconstruct_vector(svs).tolist() == vec
+        ys[2, 0] = (ys[2, 0] + 1) % fld.q
+    xs = range(5, 12)  # recipient j holds point k+1+j
+    return reconstruct_vector(xs, ys, 3, 4, len(vec), fld).tolist() == vec
 
 
 def _prop_mask_stream(fault_inject: bool) -> bool:
@@ -290,8 +291,8 @@ def _prop_mask_stream(fault_inject: bool) -> bool:
 
 def _prop_matmul_dual_route(fault_inject: bool) -> bool:
     """field.matmul_mod against a Python-int loop on F17, M61 and the
-    largest prime below 2^63, for shapes on the Python-int path and on the
-    3- and 4-limb float64 paths."""
+    largest prime below 2^63, for a tiny product and for products that
+    split M61 into 3 and 4 float64 limbs."""
     rng = np.random.Generator(np.random.PCG64(13))
     for q in (17, M61, (1 << 63) - 25):
         for r, d, c in ((2, 5, 3), (3, 100, 40), (2, 5000, 3)):

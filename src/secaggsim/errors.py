@@ -98,6 +98,11 @@ class UnmaskMismatch(ProtocolError):
     """An unmask broadcast opens other secrets than the receiver's own."""
 
 
+class SecretOutOfRange(ProtocolError):
+    """An opened key or seed is wider than it was shared: a share row it
+    was interpolated from was corrupted."""
+
+
 class DivergentAggregate(ProtocolError):
     """Two survivors finished the round with different aggregates."""
 

@@ -14,7 +14,6 @@ Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,11 +209,6 @@ def _add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
 
 # --- exact modular matrix product ---------------------------------------------
 
-# Up to this many scalar products (rows * inner * cols), Python-int
-# arithmetic beats the fixed cost of limb splitting and recombination.
-_SMALL_PRODUCT = 512
-
-
 def limb_bits(inner: int, field: FieldPrime) -> int:
     """Widest limb for which a float64 dot product of `inner` pairs of
     limbs stays exact: inner * (2^bits - 1)^2 < 2^53."""
@@ -304,13 +298,6 @@ def matmul_mod(M, V, field: FieldPrime) -> np.ndarray:
     r, d, d2, c = len(M), len(M[0]), len(V), len(V[0])
     if d != d2:
         raise DimensionMismatch(f"cannot multiply {r}x{d} by {d2}x{c}")
-    if r * d * c <= _SMALL_PRODUCT:
-        # Python ints, since numpy integer scalars would wrap at 2^64
-        M = M.tolist() if isinstance(M, np.ndarray) else M
-        V = V.tolist() if isinstance(V, np.ndarray) else V
-        cols = list(zip(*V))
-        return np.array([[sum(map(operator.mul, row, col)) % field.q
-                          for col in cols] for row in M], dtype=np.uint64)
     bits = limb_bits(d, field)
     return limb_product(split_limbs(M, bits, field),
                         split_limbs(V, bits, field, axis=1), bits, field)

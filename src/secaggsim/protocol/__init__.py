@@ -27,7 +27,6 @@ from .rounds import (
     ROUND_FNS,
     STAGES,
     RoundConfig,
-    client_on_message,
     contributor_set,
     default_threshold,
     lwe_round,
@@ -43,6 +42,6 @@ __all__ = [
     "SECRET_PERSONAL_SEED", "ShareVectorPayload", "UnmaskEntry",
     "UnmaskPayload", "VectorPayload",
     "LWE", "NV", "PW", "ROUND_FNS", "STAGES", "RoundConfig",
-    "client_on_message", "contributor_set", "default_threshold",
+    "contributor_set", "default_threshold",
     "lwe_round", "nv_round", "pw_round",
 ]

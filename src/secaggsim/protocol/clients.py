@@ -22,6 +22,7 @@ from ..errors import (
     InsufficientContributors,
     InsufficientSurvivors,
     MissingKeyShares,
+    PointMismatch,
     SafetyViolation,
     UnexpectedMessage,
     UnmaskMismatch,
@@ -37,6 +38,7 @@ from ..masking import (
 )
 from ..shamir import (
     add_share_vectors,
+    chunk_count,
     reconstruct_integer,
     reconstruct_vector,
     share_integer,
@@ -168,6 +170,17 @@ class BaseClient:
                 f"client {self.id}: contributor set changed")
         self.contributors = ids
 
+    def _open(self, tag: str, rows: dict[int, np.ndarray], first_point: int,
+              names: tuple, open_rows):
+        """open_rows(xs, ys) of the openers' rows stacked in sender order,
+        sender s at point first_point + s; memoized under the points, names
+        and rows, so only a survivor with a different view reopens."""
+        senders = sorted(rows)
+        xs = tuple(first_point + s for s in senders)
+        ys = np.stack([rows[s] for s in senders])
+        return self.ctx.cached((tag, xs, names, ys.tobytes()),
+                               lambda: open_rows(xs, ys))
+
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
 
@@ -184,11 +197,29 @@ class NvClient(BaseClient):
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
         super().__init__(cid, cfg, w, rng, ctx, round_index)
-        self._shares: dict[int, object] = {}
-        self._sum_shares: dict[int, object] = {}
+        vec_len = self._shared_len()
+        self._header = (chunk_count(vec_len, cfg.k), vec_len, cfg.t, cfg.k)
+        # rows per sender, at point k+1+id (shares) or k+1+sender (sums),
+        # each with the ShareVectorPayload header above
+        self._shares: dict[int, np.ndarray] = {}
+        self._sum_shares: dict[int, np.ndarray] = {}
+
+    def _shared_len(self) -> int:
+        return self.cfg.m
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
         return self._share_out(self.enc_w)
+
+    def _row(self, msg: ProtocolMessage) -> np.ndarray:
+        if msg.payload.header != self._header:
+            raise PointMismatch(
+                f"client {self.id}: share header {msg.payload.header} from "
+                f"{msg.sender} != {self._header}")
+        return msg.payload.row
+
+    def _payload(self, row: np.ndarray) -> ShareVectorPayload:
+        _, vec_len, t, k = self._header
+        return ShareVectorPayload(row, vec_len, t, k)
 
     def on_message(self, msg: ProtocolMessage) -> list[tuple[int, ProtocolMessage]]:
         self._accept(msg, self.ACCEPTS)
@@ -197,7 +228,7 @@ class NvClient(BaseClient):
                 raise UnexpectedMessage(
                     f"client {self.id}: {msg.kind.name} after the "
                     f"contributor set")
-            self._shares[msg.sender] = msg.payload.sv
+            self._shares[msg.sender] = self._row(msg)
             return []
         if msg.kind == MsgKind.CONTRIBUTOR_SET:
             self._set_contributors(msg.payload.ids)
@@ -205,35 +236,33 @@ class NvClient(BaseClient):
             if missing:
                 raise MissingKeyShares(
                     f"client {self.id}: no shares from contributors {missing}")
-            agg = self._shares[self.contributors[0]]
-            for s in self.contributors[1:]:
-                agg = add_share_vectors(agg, self._shares[s])
-            self.ops.add += agg.chunk_count * (len(self.contributors) - 1)
+            agg = add_share_vectors(
+                (self._shares[s] for s in self.contributors), self.cfg.field)
+            self.ops.add += len(agg) * (len(self.contributors) - 1)
             self._sum_shares[self.id] = agg
-            return self._broadcast(self.SUM_KIND, ShareVectorPayload(agg))
+            return self._broadcast(self.SUM_KIND, self._payload(agg))
         if msg.kind == MsgKind.MASKED_VECTOR:  # lwe only, see ACCEPTS
             self._masked[msg.sender] = msg.payload.vec
             return []
-        self._sum_shares[msg.sender] = msg.payload.sv
+        self._sum_shares[msg.sender] = self._row(msg)
         return []
 
     def _share_out(self, vec) -> list[tuple[int, ProtocolMessage]]:
-        """Packed-share vec, keep this client's own share, and address
-        every peer its share."""
+        """Packed-share vec, keep this client's own row, and address every
+        peer its row."""
         cfg = self.cfg
-        svs = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
-        chunks = svs[0].chunk_count
+        rows = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
+        chunks = rows.shape[1]
         d = cfg.t + cfg.k - 1
         self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
         self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
-        self._shares[self.id] = svs[self.id]
-        return [(j, self._msg(self.SHARE_KIND, ShareVectorPayload(svs[j])))
+        self._shares[self.id] = rows[self.id]
+        return [(j, self._msg(self.SHARE_KIND, self._payload(rows[j])))
                 for j in range(cfg.n) if j != self.id]
 
     def _open_sum(self) -> np.ndarray:
-        """Reconstruct the summed vector from the summed shares in hand.
-        Survivors holding the same points and values share one read-only
-        reconstruction; a survivor with a different view recomputes."""
+        """Reconstruct the summed vector from the summed shares in hand,
+        as a read-only array that survivors with the same view share."""
         cfg = self.cfg
         need = cfg.t + cfg.k - 1
         if self.contributors is None:
@@ -242,19 +271,17 @@ class NvClient(BaseClient):
             raise InsufficientSurvivors(
                 f"client {self.id}: {len(self._sum_shares)} summed shares "
                 f"< t+k-1 = {need}")
-        svs = sorted(self._sum_shares.values(), key=lambda sv: sv.x)
-        key = ("open", tuple(sv.x for sv in svs),
-               tuple(sv.shape() for sv in svs),
-               b"".join(sv.values.tobytes() for sv in svs))
+        chunks, vec_len = self._header[:2]
 
-        def open_once():
-            vec = reconstruct_vector(svs)
+        def open_rows(xs, ys):
+            vec = reconstruct_vector(xs, ys, cfg.t, cfg.k, vec_len, cfg.field)
             vec.flags.writeable = False
             return vec
 
-        vec = self.ctx.cached(key, open_once)
-        self.ops.mul += svs[0].chunk_count * cfg.k * need
-        self.ops.add += svs[0].chunk_count * cfg.k * (need - 1)
+        vec = self._open("open", self._sum_shares, cfg.k + 1, self._header,
+                         open_rows)
+        self.ops.mul += chunks * cfg.k * need
+        self.ops.add += chunks * cfg.k * (need - 1)
         return vec
 
     def finalize(self) -> AggregateResult:
@@ -286,6 +313,9 @@ class LweClient(NvClient):
                               dtype=np.uint64)
         self._secret_index = ctx.register_secret(self.s)
         self._masked: dict[int, np.ndarray] = {}
+
+    def _shared_len(self) -> int:
+        return self.cfg.lwe.n_lwe
 
     def start(self) -> list[tuple[int, ProtocolMessage]]:
         return self._share_out(self.s)
@@ -459,8 +489,7 @@ class PwClient(BaseClient):
     def _open_secrets(self) -> tuple[int, ...]:
         """Every secret named by this client's own unmask entries, opened
         from its own and the other openers' share rows side by side in one
-        interpolation.  Survivors holding the same openers, names and rows
-        share one opening; a survivor with a different view reopens."""
+        interpolation."""
         names = self._unmask[self.id].names
         for sender, payload in self._unmask.items():
             if payload.names != names:
@@ -473,19 +502,16 @@ class PwClient(BaseClient):
             raise InsufficientSurvivors(
                 f"client {self.id}: {len(self._unmask)} shares of each "
                 f"opened secret < t = {self.cfg.t}")
-        openers = tuple(sorted(self._unmask))
-        self.ops.inv += len(openers) * len(names)
-        ys = [self._unmask[s].row for s in openers]
+        self.ops.inv += len(self._unmask) * len(names)
 
-        def open_once():
+        def open_rows(xs, ys):
             widths = [self._order_bits if kind == SECRET_DH_KEY
                       else PERSONAL_SEED_BITS for kind, _, _ in names]
-            return tuple(reconstruct_integer([s + 1 for s in openers], ys,
-                                             self.cfg.t, widths,
+            return tuple(reconstruct_integer(xs, ys, self.cfg.t, widths,
                                              self.cfg.field))
 
-        key = ("pw-open", openers, names, b"".join(y.tobytes() for y in ys))
-        return self.ctx.cached(key, open_once)
+        rows = {s: payload.row for s, payload in self._unmask.items()}
+        return self._open("pw-open", rows, 1, names, open_rows)
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg

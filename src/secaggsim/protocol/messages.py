@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from ..field import elems_to_bytes
-from ..shamir import ShareVector
 
 # Control messages are issued by the bus, not by a client.
 BUS_SENDER = 0xFFFFFFFF
@@ -48,16 +47,21 @@ class PubKeyPayload:
 
 @dataclass(frozen=True)
 class ShareVectorPayload:
-    """Per-recipient share of a vector: 16-byte header (chunk count,
+    """Per-recipient share row of a vector: 16-byte header (chunk count,
     vector length, t, k as 4-byte big-endian each) then one 8-byte word
     per chunk.  The evaluation point is implied by the recipient."""
 
-    sv: ShareVector
+    row: np.ndarray
+    vec_len: int
+    t: int
+    k: int
+
+    @property
+    def header(self) -> tuple[int, int, int, int]:
+        return len(self.row), self.vec_len, self.t, self.k
 
     def to_bytes(self) -> bytes:
-        head = struct.pack(">IIII", self.sv.chunk_count, self.sv.vec_len,
-                           self.sv.t, self.sv.k)
-        return head + elems_to_bytes(self.sv.values)
+        return struct.pack(">IIII", *self.header) + elems_to_bytes(self.row)
 
 
 @dataclass(frozen=True)

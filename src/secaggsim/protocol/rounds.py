@@ -104,14 +104,6 @@ def contributor_set(delivery_record, stage: str) -> tuple[int, ...]:
     return tuple(sorted(delivery_record[stage]))
 
 
-def client_on_message(client, msg: ProtocolMessage):
-    """Functional view of the client transition: (state, msg) -> outbound.
-
-    The state object is mutated in place and returned for convenience.
-    """
-    return client, client.on_message(msg)
-
-
 def _deliver(clients, delivered) -> list:
     out = []
     for rcpt, msg in delivered:

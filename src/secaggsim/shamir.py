@@ -12,13 +12,15 @@ points determine a degree-(t+k-2) polynomial).  Lagrange basis rows are
 cached per point set because reconstruction dominates the share-based
 aggregation protocol's cost.
 
-Shares live in uint64 arrays: sharing and reconstruction are each one
-field.matmul_mod product, and the scalar APIs wrap the same two cores.
+Vectors and wide integers share to one form, an (n x chunks) uint64
+matrix whose row j is recipient j's share of every chunk, at a point set
+by the holder (k+1+j packed, j+1 plain).  Sharing and reconstruction are
+each one field.matmul_mod product, and the scalar APIs wrap both cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +31,9 @@ from .errors import (
     DuplicatePoint,
     NotEnoughShares,
     PointMismatch,
+    SecretOutOfRange,
 )
-from .field import DEFAULT_FIELD, FieldPrime, add_mod, matmul_mod
+from .field import DEFAULT_FIELD, FieldPrime, add_mod, matmul_mod, sum_mod
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,6 @@ def _frozen(rows, width: int) -> np.ndarray:
     return out
 
 
-def _check_distinct(xs: tuple[int, ...]) -> None:
-    if len(set(xs)) != len(xs):
-        raise DuplicatePoint(f"repeated evaluation point in {xs}")
-
-
 def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
                  field: FieldPrime, need: int = 0) -> np.ndarray:
     """Values at `targets` of the polynomials through the points xs: ys
@@ -123,7 +121,8 @@ def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
     at least `need` points are required and the `need` lowest are used."""
     if len(xs) < need:
         raise NotEnoughShares(f"{len(xs)} shares < {need} needed")
-    _check_distinct(xs)
+    if len(set(xs)) != len(xs):
+        raise DuplicatePoint(f"repeated evaluation point in {xs}")
     if need:
         picked = sorted(range(len(xs)), key=xs.__getitem__)[:need]
         xs = tuple(xs[i] for i in picked)
@@ -233,73 +232,50 @@ def packed_reconstruct(share_set: ShareSet) -> list[int]:
 # --- packed sharing of whole vectors -----------------------------------------
 
 
-@dataclass
-class ShareVector:
-    """One recipient's share of a whole vector: the evaluations at this
-    recipient's point, one uint64 per k-wide chunk.  The final chunk is
-    zero-padded; vec_len trims it on reconstruction."""
-
-    x: int
-    values: np.ndarray
-    t: int
-    k: int
-    vec_len: int
-    field: FieldPrime = dc_field(default=DEFAULT_FIELD, repr=False)
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self.values)
-
-    def shape(self) -> tuple:
-        """What two share vectors must agree on to be combined."""
-        return self.t, self.k, self.vec_len, self.chunk_count, self.field.q
-
-
 def share_vector(w, t: int, n: int, k: int, rng,
-                 field: FieldPrime = DEFAULT_FIELD) -> list[ShareVector]:
-    """Chunk w into ceil(m/k) packed blocks and share each; recipient j
-    gets one field element per chunk, all at its own point k+1+j."""
+                 field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+    """Chunk w into chunk_count(len(w), k) packed blocks and share each;
+    the last is zero-padded.
+
+    Returns an (n x chunks) uint64 matrix: row j holds recipient j's
+    share of every chunk, all at the evaluation point x = k + 1 + j.
+    """
     _check_packing(t, n, k)
     w = np.asarray(w, dtype=np.uint64)
     m = len(w)
-    chunks = -(-m // k) if m else 1
+    chunks = chunk_count(m, k)
     blocks = np.zeros(chunks * k, dtype=np.uint64)
     np.remainder(w, np.uint64(field.q), out=blocks[:m])
-    shares = _packed_shares(blocks.reshape(chunks, k).T, t, n, rng, field)
-    return [
-        ShareVector(x=x, values=row, t=t, k=k, vec_len=m, field=field)
-        for x, row in enumerate(shares, k + 1)
-    ]
+    return _packed_shares(blocks.reshape(chunks, k).T, t, n, rng, field)
 
 
-def add_share_vectors(a: ShareVector, b: ShareVector) -> ShareVector:
-    if a.x != b.x or a.shape() != b.shape():
-        raise PointMismatch("share vectors do not line up")
-    return ShareVector(x=a.x, values=add_mod(a.values, b.values, a.field),
-                       t=a.t, k=a.k, vec_len=a.vec_len, field=a.field)
+def add_share_vectors(rows, field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+    """Sum of share rows held at one point; reconstructing the sums
+    yields the sum of the shared vectors."""
+    return sum_mod(rows, field)
 
 
-def reconstruct_vector(share_vectors: list[ShareVector]) -> np.ndarray:
-    """Recover the original vector from >= t+k-1 per-recipient shares."""
-    if not share_vectors:
-        raise NotEnoughShares("no share vectors supplied")
-    ref = share_vectors[0]
-    if any(sv.shape() != ref.shape() for sv in share_vectors[1:]):
-        raise PointMismatch("share vectors disagree on shape")
-    blocks = _interpolate(tuple(sv.x for sv in share_vectors),
-                          np.stack([sv.values for sv in share_vectors]),
-                          tuple(range(1, ref.k + 1)), ref.field,
-                          need=ref.t + ref.k - 1)
-    return blocks.T.reshape(-1)[: ref.vec_len]
+def reconstruct_vector(xs, ys, t: int, k: int, vec_len: int,
+                       field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+    """Recover a share_vector input from the t+k-1 lowest points of xs;
+    ys holds one share row per point."""
+    ys = np.asarray(ys, dtype=np.uint64)
+    if ys.shape[1:] != (chunk_count(vec_len, k),):
+        raise PointMismatch(
+            f"share rows of shape {ys.shape} for {vec_len} coords at k={k}")
+    blocks = _interpolate(tuple(xs), ys, tuple(range(1, k + 1)), field,
+                          need=t + k - 1)
+    return blocks.T.reshape(-1)[:vec_len]
 
 
 # --- chunked sharing of wide integers (keys, seeds) ---------------------------
 
 
-def chunk_count(total_bits: int, chunk_bits: int) -> int:
-    """Chunks of a total_bits-wide integer; depends only on the widths,
+def chunk_count(total: int, width: int) -> int:
+    """Chunks (at least one) of `width` bits or coordinates that hold a
+    total-bit integer or a total-long vector; depends only on the sizes,
     so every party agrees on the layout."""
-    return max(1, -(-total_bits // chunk_bits))
+    return max(1, -(-total // width))
 
 
 def integer_chunks(value: int, total_bits: int, chunk_bits: int) -> list[int]:
@@ -310,10 +286,17 @@ def integer_chunks(value: int, total_bits: int, chunk_bits: int) -> list[int]:
             for i in range(n_chunks)]
 
 
-def chunks_to_integer(chunks: list[int], chunk_bits: int) -> int:
+def chunks_to_integer(chunks: list[int], total_bits: int,
+                      chunk_bits: int) -> int:
+    """Inverse of integer_chunks.  Chunks opened from a corrupted share
+    row can be wider than chunk_bits or join to more than total_bits;
+    either raises SecretOutOfRange."""
     value = 0
     for c in chunks:
-        value = (value << chunk_bits) | c
+        value = (value << chunk_bits) + c
+    if max(chunks) >> chunk_bits or value >> total_bits:
+        raise SecretOutOfRange(
+            f"opened secret is wider than {total_bits} bits")
     return value
 
 
@@ -347,7 +330,7 @@ def reconstruct_integer(xs, ys, t: int, widths,
     if len(chunks) != sum(counts):
         raise ValueError(f"{len(chunks)} chunk shares for widths {widths}")
     out, at = [], 0
-    for c in counts:
-        out.append(chunks_to_integer(chunks[at:at + c], bits))
+    for w, c in zip(widths, counts):
+        out.append(chunks_to_integer(chunks[at:at + c], w, bits))
         at += c
     return out

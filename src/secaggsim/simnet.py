@@ -536,10 +536,10 @@ def coalition_view(report: SimReport, coalition: set[int]) -> dict:
         if rcpt not in coalition:
             continue
         if msg.kind == MsgKind.INPUT_SHARE_VECTOR:
-            saw("input", msg.sender, msg.payload.sv.x)
+            saw("input", msg.sender, cfg["k"] + 1 + rcpt)
         elif msg.kind == MsgKind.KEY_SHARE:
             if cfg["protocol"] == LWE:
-                saw("lwe_s", msg.sender, msg.payload.sv.x)
+                saw("lwe_s", msg.sender, cfg["k"] + 1 + rcpt)
             else:
                 saw("dh_key", msg.sender, rcpt + 1)
         elif msg.kind == MsgKind.PERSONAL_SEED_SHARE:

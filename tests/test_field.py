@@ -269,8 +269,8 @@ def random_matrix(g, q, rows, cols):
     return g.integers(0, q, size=(rows, cols), dtype=np.uint64)
 
 
-# (rows, inner, cols): tiny products take the Python-int path, the rest the
-# float64 limb path; the inner dimensions span five limb widths.
+# (rows, inner, cols), from a 1x1x1 product up; the inner dimensions span
+# five limb widths.
 SHAPES = [(1, 1, 1), (2, 5, 3), (3, 1, 700), (4, 3, 300), (5, 10, 2000),
           (3, 100, 40), (2, 1000, 3), (2, 5000, 2)]
 

@@ -70,6 +70,10 @@ def test_survivors_share_one_opening_of_the_summed_shares(proto):
                       lwe=lwe if proto == "lwe" else None)
     _, calls = traced_calls(cfg)
     assert calls["shamir.reconstruct_vector"] == 1
+    # each client shares once and sums its contributors' rows in one call;
+    # a traced name kept only as an import would read zero here
+    assert calls["shamir.share_vector"] == cfg.n
+    assert calls["shamir.add_share_vectors"] == cfg.n
 
 
 def test_lwe_round_makes_one_block_product_and_one_memo_miss():

@@ -30,8 +30,6 @@ from secaggsim.protocol import (
     PwClient,
     RoundConfig,
     RoundContext,
-    ShareVectorPayload,
-    client_on_message,
     contributor_set,
     lwe_round,
     nv_round,
@@ -123,16 +121,6 @@ def test_wrong_round_rejected():
                           round=3, payload=ContributorSetPayload((0, 1)))
     with pytest.raises(UnexpectedMessage):
         clients[0].on_message(msg)
-
-
-def test_client_on_message_functional_wrapper():
-    cfg = nv_cfg()
-    clients, _ = make_nv_clients(cfg)
-    outbox = clients[1].start()
-    msg = next(m for rcpt, m in outbox if rcpt == 0)
-    state, out = client_on_message(clients[0], msg)
-    assert state is clients[0]
-    assert out == []
 
 
 def test_lwe_missing_key_share_detected():
@@ -520,19 +508,23 @@ WHOLE_BAND = dict(n=5, field=FieldPrime(41),
                   fp=FixedPointConfig(frac_bits=2, clip_magnitude=1.0))
 
 
-def corrupt_sum_share(monkeypatch, client_cls, kind):
-    """Client 3 receives client 1's summed share plus one."""
+def corrupt_share_payload(monkeypatch, client_cls, kind, forge):
+    """Client 3 receives forge(payload) for client 1's payload of kind."""
     on_message = client_cls.on_message
-    q = np.uint64(WHOLE_BAND["field"].q)
 
     def corrupt(self, msg):
         if (self.id, msg.sender, msg.kind) == (3, 1, kind):
-            sv = msg.payload.sv
-            sv = dataclasses.replace(sv, values=(sv.values + np.uint64(1)) % q)
-            msg = dataclasses.replace(msg, payload=ShareVectorPayload(sv))
+            msg = dataclasses.replace(msg, payload=forge(msg.payload))
         return on_message(self, msg)
 
     monkeypatch.setattr(client_cls, "on_message", corrupt)
+
+
+def corrupt_sum_share(monkeypatch, client_cls, kind):
+    """Client 3 receives client 1's summed share plus one."""
+    q = np.uint64(WHOLE_BAND["field"].q)
+    corrupt_share_payload(monkeypatch, client_cls, kind, lambda p: (
+        dataclasses.replace(p, row=(p.row + np.uint64(1)) % q)))
 
 
 def test_lwe_survivor_with_corrupted_sum_share_diverges(monkeypatch):
@@ -556,6 +548,33 @@ def test_nv_survivor_with_corrupted_sum_share_diverges(monkeypatch):
     assert cfg.t + cfg.k - 1 == cfg.n
     with pytest.raises(DivergentAggregate, match="survivors 0 and 3"):
         nv_round([np.zeros(8)] * 5, cfg, MessageBus(cfg, master_seed=1))
+
+
+def one_chunk_too_few(p):
+    return dataclasses.replace(p, row=p.row[:-1])
+
+
+def other_threshold(p):
+    return dataclasses.replace(p, t=p.t - 1)
+
+
+@pytest.mark.parametrize("proto,kinds", [
+    ("nv", (MsgKind.INPUT_SHARE_VECTOR, MsgKind.AGGREGATED_SHARE_VECTOR)),
+    ("lwe", (MsgKind.KEY_SHARE, MsgKind.SECRET_SUM_SHARE)),
+])
+@pytest.mark.parametrize("forge", [one_chunk_too_few, other_threshold])
+def test_malformed_share_header_is_a_point_mismatch(monkeypatch, proto, kinds,
+                                                     forge):
+    client_cls = NvClient if proto == "nv" else LweClient
+    cfg = RoundConfig(protocol=proto, n=5, m=300, t=3, k=2,
+                      lwe=SMALL_LWE if proto == "lwe" else None)
+    for kind in kinds:
+        with monkeypatch.context() as mp:
+            corrupt_share_payload(mp, client_cls, kind, forge)
+            report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+        assert report.result is None
+        assert report.failure.startswith("PointMismatch: client 3"), \
+            report.failure
 
 
 def test_nv_opened_sum_is_read_only():
@@ -588,32 +607,53 @@ def test_pw_survivor_with_other_public_key_diverges(monkeypatch):
     assert report.failure.startswith("DivergentAggregate")
 
 
-def test_pw_survivor_with_corrupted_unmask_row_diverges(monkeypatch):
-    # survivors share one opening of the unmasked secrets only when they
-    # hold the same rows; client 3 gets client 1's row with one chunk
-    # plus one under the same names, so it must reopen
+def corrupt_first_unmask_entry(monkeypatch, forge):
+    """Client 3 receives client 1's unmask payload with the chunks of its
+    first entry (contributor 0's seed share) replaced by forge(chunks)."""
     from secaggsim.protocol import UnmaskPayload
     on_message = PwClient.on_message
-    q = np.uint64(WHOLE_BAND["field"].q)
 
     def corrupt(self, msg):
         if (self.id, msg.sender, msg.kind) == (3, 1, MsgKind.UNMASK_SHARE):
             first, *rest = msg.payload.entries
-            chunks = first.chunks.copy()  # its lowest chunk comes last
-            chunks[-1] = (chunks[-1] + np.uint64(1)) % q
-            first = dataclasses.replace(first, chunks=chunks)
+            first = dataclasses.replace(first, chunks=forge(first.chunks))
             payload = UnmaskPayload((first, *rest))
             assert payload.names == msg.payload.names
             msg = dataclasses.replace(msg, payload=payload)
         return on_message(self, msg)
 
     monkeypatch.setattr(PwClient, "on_message", corrupt)
+
+
+def test_pw_survivor_with_corrupted_unmask_row_diverges(monkeypatch):
+    # survivors share one opening of the unmasked secrets only when they
+    # hold the same rows; client 3 gets client 1's row with one chunk
+    # plus one under the same names, so it must reopen
+    q = np.uint64(WHOLE_BAND["field"].q)
+
+    def lowest_plus_one(chunks):
+        chunks = chunks.copy()  # its lowest chunk comes last
+        chunks[-1] = (chunks[-1] + np.uint64(1)) % q
+        return chunks
+
+    corrupt_first_unmask_entry(monkeypatch, lowest_plus_one)
     cfg = RoundConfig(protocol="pw", m=8, dh=DH_GROUP_TEST, **WHOLE_BAND)
     # t = 3: the rows of openers 0, 1 and 2 give every secret
     assert cfg.t == 3
     report = run_simulation(SimConfig(round_cfg=cfg, master_seed=4))
     assert report.result is None
     assert report.failure.startswith("DivergentAggregate: survivors 0 and 3")
+
+
+def test_pw_unmask_row_opening_a_too_wide_seed_is_a_typed_failure(monkeypatch):
+    # every chunk plus one: client 3 opens a chunk at or above 2^5 on F_41
+    q = np.uint64(WHOLE_BAND["field"].q)
+    corrupt_first_unmask_entry(monkeypatch,
+                               lambda chunks: (chunks + np.uint64(1)) % q)
+    cfg = RoundConfig(protocol="pw", m=8, dh=DH_GROUP_TEST, **WHOLE_BAND)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=4))
+    assert report.result is None
+    assert report.failure.startswith("SecretOutOfRange")
 
 
 def test_sub_unit_clip_nv_round():

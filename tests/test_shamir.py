@@ -192,36 +192,47 @@ def test_interpolate_at_matches_direct_eval():
 # --- vector sharing ----------------------------------------------------------------
 
 
+def points(n, k):
+    """share_vector's points: recipient j holds k+1+j."""
+    return tuple(range(k + 1, k + n + 1))
+
+
 def test_share_vector_chunk_count():
-    svs = share_vector([1, 2, 3, 4], t=2, n=3, k=2, rng=rng(20), field=F127)
-    assert len(svs) == 3
-    assert all(sv.chunk_count == 2 for sv in svs)
+    ys = share_vector([1, 2, 3, 4], t=2, n=3, k=2, rng=rng(20), field=F127)
+    assert ys.dtype == np.uint64 and ys.shape == (3, 2)
 
 
 def test_share_vector_roundtrip():
     vec = [int(v) for v in rng(21).integers(0, F127.q, size=10)]
-    svs = share_vector(vec, t=3, n=7, k=3, rng=rng(22), field=F127)
-    assert reconstruct_vector(svs).tolist() == vec
+    ys = share_vector(vec, t=3, n=7, k=3, rng=rng(22), field=F127)
+    xs = points(7, 3)
+    assert reconstruct_vector(xs, ys, 3, 3, 10, F127).tolist() == vec
     # exactly t+k-1 recipients are enough
-    assert reconstruct_vector(svs[: 3 + 3 - 1]).tolist() == vec
+    assert reconstruct_vector(xs[:5], ys[:5], 3, 3, 10, F127).tolist() == vec
+    with pytest.raises(NotEnoughShares):
+        reconstruct_vector(xs[:4], ys[:4], 3, 3, 10, F127)
+    # rows that do not hold chunk_count(10, 3) = 4 chunks do not line up
+    with pytest.raises(PointMismatch):
+        reconstruct_vector(xs, ys[:, :3], 3, 3, 10, F127)
 
 
 def test_share_vector_add_then_reconstruct():
     a = [1, 2, 3, 4, 5]
     b = [10, 20, 30, 40, 50]
-    sa = share_vector(a, 2, 5, 2, rng(23), F127)
-    sb = share_vector(b, 2, 5, 2, rng(24), F127)
-    summed = [add_share_vectors(x, y) for x, y in zip(sa, sb)]
-    assert reconstruct_vector(summed).tolist() == [(x + y) % 127
-                                                   for x, y in zip(a, b)]
+    c = [100, 0, 7, 0, 126]
+    shared = [share_vector(v, 2, 5, 2, rng(23 + i), F127)
+              for i, v in enumerate((a, b, c))]
+    summed = np.stack([add_share_vectors([ys[j] for ys in shared], F127)
+                       for j in range(5)])
+    opened = reconstruct_vector(points(5, 2), summed, 2, 2, 5, F127)
+    assert opened.tolist() == [(x + y + z) % 127 for x, y, z in zip(a, b, c)]
 
 
 def test_share_vector_determinism():
     vec = [5, 6, 7]
     a = share_vector(vec, 2, 4, 2, rng(42), F127)
     b = share_vector(vec, 2, 4, 2, rng(42), F127)
-    assert ([(sv.x, sv.values.tolist()) for sv in a]
-            == [(sv.x, sv.values.tolist()) for sv in b])
+    assert a.tolist() == b.tolist()
 
 
 @given(seed=st.integers(0, 10 ** 6), t=st.integers(1, 4), extra=st.integers(0, 3),
@@ -231,8 +242,8 @@ def test_share_vector_roundtrip_property(seed, t, extra, k, m):
     n = t + k - 1 + extra
     g = rng(seed)
     vec = [int(v) for v in g.integers(0, M61F.q, size=m)]
-    svs = share_vector(vec, t, n, k, g, M61F)
-    assert reconstruct_vector(svs).tolist() == vec
+    ys = share_vector(vec, t, n, k, g, M61F)
+    assert reconstruct_vector(points(n, k), ys, t, k, m, M61F).tolist() == vec
 
 
 def share_vector_by_chunks(w, t, n, k, rng, field):
@@ -265,18 +276,18 @@ def test_share_vector_matches_per_chunk_loop(seed, t, extra, k, m, field):
     n = t + k - 1 + extra
     vec = [int(v) for v in rng(seed).integers(0, field.q, size=m)]
     g_fast, g_ref = rng(seed + 1), rng(seed + 1)
-    svs = share_vector(vec, t, n, k, g_fast, field)
-    assert [sv.values.tolist() for sv in svs] == share_vector_by_chunks(
+    ys = share_vector(vec, t, n, k, g_fast, field)
+    assert ys.tolist() == share_vector_by_chunks(
         vec, t, n, k, g_ref, field)
     # the batched anchor draw leaves the generator where the loop left it
     assert g_fast.bit_generator.state == g_ref.bit_generator.state
 
 
 def test_share_vector_long_input_matches_per_chunk_loop():
-    # large enough that the product runs on the float64 limb path
+    # 600 chunks in one product
     vec = [int(v) for v in rng(25).integers(0, M61F.q, size=3000)]
-    svs = share_vector(vec, 4, 9, 5, rng(26), M61F)
-    assert [sv.values.tolist() for sv in svs] == share_vector_by_chunks(
+    ys = share_vector(vec, 4, 9, 5, rng(26), M61F)
+    assert ys.tolist() == share_vector_by_chunks(
         vec, 4, 9, 5, rng(26), M61F)
 
 
@@ -325,6 +336,23 @@ def test_share_integer_roundtrip_wide():
     secret = int.from_bytes(rng(31).bytes(255), "big")
     rows = share_integer(secret, 2040, t=3, n=5, rng=rng(32), field=M61F)
     assert reconstruct_integer([2, 3, 4], rows[1:4], 3, [2040], M61F) == [secret]
+
+
+def test_reconstruct_integer_rejects_a_secret_wider_than_shared():
+    # F_41 chunks are 5 bits wide, so a 256-bit seed takes 52 chunks whose
+    # top one holds 1 bit.  Adding v to one chunk of every row adds v to
+    # that opened chunk: 33 is no 5-bit chunk, and 2 overfills the top one.
+    # Either is a typed failure, not a number that to_bytes(32) fails on.
+    from secaggsim.errors import ProtocolError, SecretOutOfRange
+    f41 = FieldPrime(41)
+    rows = share_integer(0, 256, t=2, n=3, rng=rng(35), field=f41)[:2]
+    assert reconstruct_integer([1, 2], rows, 2, [256], f41) == [0]
+    for chunk, v in ((10, 33), (0, 2)):
+        bad = rows.copy()
+        bad[:, chunk] = (bad[:, chunk] + np.uint64(v)) % np.uint64(41)
+        with pytest.raises(SecretOutOfRange, match="wider than 256 bits"):
+            reconstruct_integer([1, 2], bad, 2, [256], f41)
+    assert issubclass(SecretOutOfRange, ProtocolError)
 
 
 def test_share_integer_too_few():
