@@ -8,7 +8,6 @@ from .clients import (
 )
 from .messages import (
     BUS_SENDER,
-    ChunkSharePayload,
     ContributorSetPayload,
     MsgKind,
     ProtocolMessage,
@@ -37,7 +36,7 @@ from .rounds import (
 __all__ = [
     "AggregateResult", "LweClient", "NvClient", "OpsTally", "PwClient",
     "RoundContext",
-    "BUS_SENDER", "ChunkSharePayload", "ContributorSetPayload", "MsgKind",
+    "BUS_SENDER", "ContributorSetPayload", "MsgKind",
     "ProtocolMessage", "PubKeyPayload", "SECRET_DH_KEY",
     "SECRET_PERSONAL_SEED", "ShareVectorPayload", "UnmaskEntry",
     "UnmaskPayload", "VectorPayload",

@@ -1,10 +1,10 @@
 """Per-client state machines for the three aggregation protocols.
 
 Each client is single-threaded and event-driven: peer traffic and the
-bus-issued contributor set arrive through on_message, which returns any
-outbound messages the event triggers.  Stage starts that in a real
-deployment would come from a synchrony barrier (begin masking, begin the
-round) are explicit method calls made by the round driver.
+bus-issued contributor set arrive through on_message, which returns the
+outbox entries (recipients, message) the event triggers.  Stage starts
+that in a real deployment would come from a synchrony barrier (begin
+masking, begin the round) are explicit method calls by the round driver.
 
 Clients never see who dropped except through the contributor set, keep
 per-sender buffers separate until that set arrives, and reject duplicate
@@ -47,7 +47,7 @@ from ..shamir import (
 from .messages import (
     SECRET_DH_KEY,
     SECRET_PERSONAL_SEED,
-    ChunkSharePayload,
+    Entry,
     MsgKind,
     ProtocolMessage,
     PubKeyPayload,
@@ -144,10 +144,10 @@ class BaseClient:
         return ProtocolMessage(kind=kind, sender=self.id, round=self.round,
                                payload=payload)
 
-    def _broadcast(self, kind: MsgKind, payload) -> list[tuple[int, ProtocolMessage]]:
-        """Same message object (one serialization) to every peer."""
-        msg = self._msg(kind, payload)
-        return [(j, msg) for j in range(self.cfg.n) if j != self.id]
+    def _broadcast(self, kind: MsgKind, payload) -> Entry:
+        """One entry addressing the same message to every peer."""
+        return (tuple(j for j in range(self.cfg.n) if j != self.id),
+                self._msg(kind, payload))
 
     def _accept(self, msg: ProtocolMessage, allowed: tuple[MsgKind, ...]):
         if msg.round != self.round:
@@ -207,7 +207,7 @@ class NvClient(BaseClient):
     def _shared_len(self) -> int:
         return self.cfg.m
 
-    def start(self) -> list[tuple[int, ProtocolMessage]]:
+    def start(self) -> list[Entry]:
         return self._share_out(self.enc_w)
 
     def _row(self, msg: ProtocolMessage) -> np.ndarray:
@@ -221,7 +221,7 @@ class NvClient(BaseClient):
         _, vec_len, t, k = self._header
         return ShareVectorPayload(row, vec_len, t, k)
 
-    def on_message(self, msg: ProtocolMessage) -> list[tuple[int, ProtocolMessage]]:
+    def on_message(self, msg: ProtocolMessage) -> list[Entry]:
         self._accept(msg, self.ACCEPTS)
         if msg.kind == self.SHARE_KIND:
             if self.contributors is not None:
@@ -240,14 +240,14 @@ class NvClient(BaseClient):
                 (self._shares[s] for s in self.contributors), self.cfg.field)
             self.ops.add += len(agg) * (len(self.contributors) - 1)
             self._sum_shares[self.id] = agg
-            return self._broadcast(self.SUM_KIND, self._payload(agg))
+            return [self._broadcast(self.SUM_KIND, self._payload(agg))]
         if msg.kind == MsgKind.MASKED_VECTOR:  # lwe only, see ACCEPTS
             self._masked[msg.sender] = msg.payload.vec
             return []
         self._sum_shares[msg.sender] = self._row(msg)
         return []
 
-    def _share_out(self, vec) -> list[tuple[int, ProtocolMessage]]:
+    def _share_out(self, vec) -> list[Entry]:
         """Packed-share vec, keep this client's own row, and address every
         peer its row."""
         cfg = self.cfg
@@ -257,7 +257,7 @@ class NvClient(BaseClient):
         self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
         self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
         self._shares[self.id] = rows[self.id]
-        return [(j, self._msg(self.SHARE_KIND, self._payload(rows[j])))
+        return [((j,), self._msg(self.SHARE_KIND, self._payload(rows[j])))
                 for j in range(cfg.n) if j != self.id]
 
     def _open_sum(self) -> np.ndarray:
@@ -317,10 +317,10 @@ class LweClient(NvClient):
     def _shared_len(self) -> int:
         return self.cfg.lwe.n_lwe
 
-    def start(self) -> list[tuple[int, ProtocolMessage]]:
+    def start(self) -> list[Entry]:
         return self._share_out(self.s)
 
-    def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
+    def emit_masked(self) -> list[Entry]:
         cfg = self.cfg
         e = gaussian_error(cfg.lwe.sigma, cfg.m, self.rng, cfg.field)
         h = add_mod(self.enc_w, self.ctx.mask_product(self._secret_index),
@@ -329,7 +329,7 @@ class LweClient(NvClient):
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
         self._masked[self.id] = h
-        return self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(h))
+        return [self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(h))]
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
@@ -390,14 +390,13 @@ class PwClient(BaseClient):
         rows = share_integer(value, total_bits, cfg.t, cfg.n, self.rng,
                              cfg.field)
         held[self.id] = rows[self.id]
-        return [(j, self._msg(kind, ChunkSharePayload(rows[j])))
+        return [((j,), self._msg(kind, VectorPayload(rows[j])))
                 for j in range(cfg.n) if j != self.id]
 
-    def start(self) -> list[tuple[int, ProtocolMessage]]:
+    def start(self) -> list[Entry]:
         cfg = self.cfg
-        out = self._broadcast(MsgKind.PUB_KEY,
-                              PubKeyPayload(self.keypair.pk,
-                                            cfg.dh.residue_bytes))
+        out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
+            self.keypair.pk, cfg.dh.residue_bytes))]
         out += self._share_secret(self.keypair.sk, self._order_bits,
                                   MsgKind.KEY_SHARE, self._key_shares)
         if cfg.personal_mask:
@@ -420,7 +419,7 @@ class PwClient(BaseClient):
                      for seed, tag in seeds), cfg.field), cfg.field)
         return v
 
-    def emit_masked(self) -> list[tuple[int, ProtocolMessage]]:
+    def emit_masked(self) -> list[Entry]:
         cfg = self.cfg
         terms = [(1, self.personal_seed, TAG_PERSONAL)] if cfg.personal_mask else []
         terms += [(1 if self.id < j else -1,
@@ -429,9 +428,9 @@ class PwClient(BaseClient):
         y = self._apply_masks(self.enc_w, terms)
         self.ops.add += cfg.m * len(terms)
         self._masked[self.id] = y
-        return self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(y))
+        return [self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(y))]
 
-    def on_message(self, msg: ProtocolMessage) -> list[tuple[int, ProtocolMessage]]:
+    def on_message(self, msg: ProtocolMessage) -> list[Entry]:
         self._accept(msg, (MsgKind.PUB_KEY, MsgKind.KEY_SHARE,
                            MsgKind.PERSONAL_SEED_SHARE, MsgKind.MASKED_VECTOR,
                            MsgKind.CONTRIBUTOR_SET, MsgKind.UNMASK_SHARE))
@@ -439,13 +438,13 @@ class PwClient(BaseClient):
             self._pks[msg.sender] = msg.payload.residue
             return []
         if msg.kind == MsgKind.KEY_SHARE:
-            self._key_shares[msg.sender] = msg.payload.chunks
+            self._key_shares[msg.sender] = msg.payload.vec
             return []
         if msg.kind == MsgKind.PERSONAL_SEED_SHARE:
             if not self.cfg.personal_mask:
                 raise UnexpectedMessage(
                     f"client {self.id}: seed share with personal masking off")
-            self._seed_shares[msg.sender] = msg.payload.chunks
+            self._seed_shares[msg.sender] = msg.payload.vec
             return []
         if msg.kind == MsgKind.MASKED_VECTOR:
             self._masked[msg.sender] = msg.payload.vec
@@ -468,7 +467,7 @@ class PwClient(BaseClient):
                 f"client {self.id}: contributors {sorted(stray)} skipped setup")
         return self.contributors, dropped
 
-    def _emit_unmask(self) -> list[tuple[int, ProtocolMessage]]:
+    def _emit_unmask(self) -> list[Entry]:
         if self.id in self._unmask:
             return []
         contributors, dropped = self._classify()
@@ -484,7 +483,7 @@ class PwClient(BaseClient):
         payload = self._unmask[self.id] = UnmaskPayload(tuple(entries))
         if not entries:
             return []
-        return self._broadcast(MsgKind.UNMASK_SHARE, payload)
+        return [self._broadcast(MsgKind.UNMASK_SHARE, payload)]
 
     def _open_secrets(self) -> tuple[int, ...]:
         """Every secret named by this client's own unmask entries, opened

@@ -2,14 +2,16 @@
 
 Wire layout: 1-byte kind, 4-byte sender, 4-byte round, 4-byte payload
 length, then the payload.  Field elements are 8-byte big-endian words;
-group residues are fixed-width big-endian.  The byte meters in the
-simulator hang off these encodings, so they are part of the contract.
+group residues are fixed-width big-endian.  The byte meters read each
+payload's `nbytes`, its encoded length from its shape, so they are part of
+the contract; only transcript readers call `to_bytes`.  A message is frozen:
+one object serves every recipient of an outbox entry (recipients, message).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
@@ -41,6 +43,10 @@ class PubKeyPayload:
     residue: int
     width: int
 
+    @property
+    def nbytes(self) -> int:
+        return self.width
+
     def to_bytes(self) -> bytes:
         return self.residue.to_bytes(self.width, "big")
 
@@ -60,28 +66,24 @@ class ShareVectorPayload:
     def header(self) -> tuple[int, int, int, int]:
         return len(self.row), self.vec_len, self.t, self.k
 
+    @property
+    def nbytes(self) -> int:
+        return SHARE_VECTOR_HEADER_BYTES + 8 * len(self.row)
+
     def to_bytes(self) -> bytes:
         return struct.pack(">IIII", *self.header) + elems_to_bytes(self.row)
 
 
 @dataclass(frozen=True)
-class ChunkSharePayload:
-    """Share of a chunked wide integer (a DH secret key or a 32-byte
-    seed) at the recipient's implicit point, one uint64 per chunk: 4-byte
-    chunk count then 8 bytes per chunk."""
-
-    chunks: np.ndarray
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">I", len(self.chunks)) + elems_to_bytes(self.chunks)
-
-
-@dataclass(frozen=True)
 class VectorPayload:
-    """A full field vector (masked model update): 4-byte length then
-    8 bytes per element."""
+    """A field vector (masked model update, or a pw key or seed share row
+    at the recipient's point): 4-byte length then 8 bytes per element."""
 
     vec: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return 4 + 8 * len(self.vec)
 
     def to_bytes(self) -> bytes:
         return struct.pack(">I", len(self.vec)) + elems_to_bytes(self.vec)
@@ -105,6 +107,10 @@ class UnmaskPayload:
     4-byte chunk count and 8 bytes per chunk."""
 
     entries: tuple[UnmaskEntry, ...]
+
+    @property
+    def nbytes(self) -> int:
+        return 4 + sum(9 + 8 * len(e.chunks) for e in self.entries)
 
     def to_bytes(self) -> bytes:
         parts = [struct.pack(">I", len(self.entries))]
@@ -132,32 +138,30 @@ class UnmaskPayload:
 class ContributorSetPayload:
     ids: tuple[int, ...]
 
+    @property
+    def nbytes(self) -> int:
+        return 4 + 4 * len(self.ids)
+
     def to_bytes(self) -> bytes:
         return struct.pack(">I", len(self.ids)) + b"".join(
             struct.pack(">I", i) for i in self.ids)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolMessage:
     kind: MsgKind
     sender: int
     round: int
     payload: object
-    _wire: bytes | None = dc_field(default=None, repr=False, compare=False)
 
     def to_bytes(self) -> bytes:
-        # broadcast payloads serialize once and share the result
-        if self._wire is None:
-            body = self.payload.to_bytes()
-            self._wire = struct.pack(">BIII", int(self.kind), self.sender,
-                                     self.round, len(body)) + body
-        return self._wire
+        body = self.payload.to_bytes()
+        return struct.pack(">BIII", int(self.kind), self.sender, self.round,
+                           len(body)) + body
 
     @property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        return HEADER_BYTES + self.payload.nbytes
 
 
-def unmask_entry_bytes(chunk_count: int) -> int:
-    """Wire size of one unmask entry (metering helper)."""
-    return 4 + 1 + 4 + 8 * chunk_count
+Entry = tuple[tuple[int, ...], ProtocolMessage]

@@ -1,7 +1,7 @@
 """Round configuration and orchestration of the three protocols.
 
 A round driver owns the synchrony structure: it asks live clients for
-their stage-opening messages, pushes everything through the bus (which
+their stage-opening outbox entries, pushes them through the bus (which
 meters bytes and applies stage-atomic dropout), feeds deliveries back
 into client state machines, and injects the bus-issued contributor set
 between the input and output halves of each protocol.
@@ -106,16 +106,10 @@ def contributor_set(delivery_record, stage: str) -> tuple[int, ...]:
 
 def _deliver(clients, delivered) -> list:
     out = []
-    for rcpt, msg in delivered:
-        out.extend(clients[rcpt].on_message(msg))
+    for rcpts, msg in delivered:
+        for rcpt in rcpts:
+            out.extend(clients[rcpt].on_message(msg))
     return out
-
-
-def _contributor_msgs(bus, contributors, stage):
-    payload = ContributorSetPayload(tuple(contributors))
-    msg = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
-                          round=bus.round, payload=payload)
-    return bus.control(stage, msg)
 
 
 def _finalize(clients, bus, cfg) -> AggregateResult:
@@ -158,7 +152,9 @@ def _drive(inputs, cfg: RoundConfig, bus, client_cls, openers,
     contributors = contributor_set(bus.delivery_record(), opening[-1])
     if not contributors:
         raise InsufficientContributors(no_contributors)
-    final = _deliver(clients, _contributor_msgs(bus, contributors, st_final))
+    announce = ProtocolMessage(MsgKind.CONTRIBUTOR_SET, BUS_SENDER, bus.round,
+                               ContributorSetPayload(contributors))
+    final = _deliver(clients, [bus.control(st_final, announce)])
     _deliver(clients, bus.exchange(st_final, final))
     return _finalize(clients, bus, cfg)
 

@@ -5,6 +5,8 @@ would add noise without adding coverage.  A client scheduled to
 drop at stage S sends zero bytes at stages >= S and receives nothing from
 stage S on; bytes addressed to it are still counted ("addressed to
 dropped") so complexity comparisons stay well-defined under dropout.
+An outbox entry (recipients, message) is metered as recipients times the
+message's wire size, from its shape; only a transcript serializes.
 
 Seed derivation: client i's generator is seeded with
 SHA-256(master_seed || "client" || i), the dropout schedule with
@@ -28,11 +30,11 @@ from .masking import LweParams
 from .protocol.clients import AggregateResult, OpsTally
 from .protocol.messages import (
     HEADER_BYTES,
+    Entry,
     MsgKind,
     ProtocolMessage,
     SECRET_DH_KEY,
     SHARE_VECTOR_HEADER_BYTES,
-    unmask_entry_bytes,
 )
 from .protocol.rounds import LWE, NV, PW, ROUND_FNS, STAGES, RoundConfig
 from .shamir import chunk_bits_for, chunk_count
@@ -186,28 +188,21 @@ class Metrics:
 # --- the bus -------------------------------------------------------------------
 
 
-def _delivery_order(pair) -> tuple:
-    rcpt, msg = pair
-    return msg.sender, msg.kind, rcpt
-
-
 class MessageBus:
     """Synchronous, stage-stepped delivery with per-sender FIFO order.
 
-    Delivery order is fully deterministic: messages of one stage are
-    processed sorted by (sender, kind, recipient).  Clients may be run in
-    any order by a parallel driver as long as that delivery order is kept;
-    this implementation is sequential.
+    Delivery order is fully deterministic: entries (recipients, message)
+    are sorted by (sender, kind, first recipient), and each reaches its
+    recipients in ascending order.  Clients may be run in any order by a
+    parallel driver as long as that delivery order is kept; this
+    implementation is sequential.
     """
 
     def __init__(self, cfg: RoundConfig, master_seed: int,
                  schedule: DropoutSchedule | None = None,
                  record_transcript: bool = False):
-        self.cfg = cfg
         self.n = cfg.n
-        self.master_seed = master_seed
         self.schedule = schedule or DropoutSchedule(stages={})
-        self.stage_order = cfg.stages
         self.metrics = Metrics()
         self.round = 0
         self.transcript: list[tuple[int, ProtocolMessage]] = []
@@ -216,13 +211,13 @@ class MessageBus:
             i: np.random.Generator(np.random.PCG64(client_seed(master_seed, i)))
             for i in range(cfg.n)
         }
-        drop_idx = {cid: self.stage_order.index(st)
+        drop_idx = {cid: cfg.stages.index(st)
                     for cid, st in self.schedule.stages.items()}
         # liveness per stage, indexed by client id: a client is live
         # before the stage it drops at
         self._alive = {
             stage: [drop_idx.get(i, k + 1) > k for i in range(cfg.n)]
-            for k, stage in enumerate(self.stage_order)
+            for k, stage in enumerate(cfg.stages)
         }
         self._senders: dict[str, set[int]] = {}
 
@@ -239,30 +234,33 @@ class MessageBus:
     def live_at_end(self) -> list[int]:
         return [i for i in range(self.n) if i not in self.schedule.stages]
 
-    def exchange(self, stage: str, outbox) -> list[tuple[int, ProtocolMessage]]:
-        """Deliver one stage's traffic; returns (recipient, message) pairs
-        in deterministic order.  The stage is metered once, from counts
-        kept per client id."""
+    def exchange(self, stage: str, outbox) -> list[Entry]:
+        """Deliver one stage's entries; returns (live recipients, message)
+        entries in deterministic order.  The stage is metered once, from
+        counts kept per client id."""
         alive = self._alive[stage]
         sent = [0] * self.n
         sent_bytes = [0] * self.n
         received = [0] * self.n
         to_dropped = 0
         delivered = []
-        for rcpt, msg in sorted(outbox, key=_delivery_order):
+        for rcpts, msg in sorted(outbox, key=lambda e: (e[1].sender,
+                                                        e[1].kind, e[0][0])):
             sender = msg.sender
             if not alive[sender]:
                 continue  # dropped clients send nothing from their stage on
             size = msg.wire_size
-            sent[sender] += 1
-            sent_bytes[sender] += size
-            if alive[rcpt]:
+            sent[sender] += len(rcpts)
+            sent_bytes[sender] += len(rcpts) * size
+            live = tuple(r for r in rcpts if alive[r])
+            for rcpt in live:
                 received[rcpt] += size
-                delivered.append((rcpt, msg))
-            else:
-                to_dropped += size
+            to_dropped += (len(rcpts) - len(live)) * size
+            if live:
+                delivered.append((live, msg))
         if self._record:
-            self.transcript.extend(delivered)
+            self.transcript.extend((rcpt, msg) for rcpts, msg in delivered
+                                   for rcpt in rcpts)
         self._senders.setdefault(stage, set()).update(
             i for i, count in enumerate(sent) if count)
         # every message has a header, so a client that received anything
@@ -273,17 +271,17 @@ class MessageBus:
              if row[1] or row[3]])
         return delivered
 
-    def control(self, stage: str, msg: ProtocolMessage):
-        """Bus-issued broadcast (contributor set), metered separately."""
+    def control(self, stage: str, msg: ProtocolMessage) -> Entry:
+        """Bus-issued broadcast (contributor set), metered separately;
+        returns one entry addressed to the live clients."""
         alive = self._alive[stage]
-        delivered = [(rcpt, msg) for rcpt in range(self.n) if alive[rcpt]]
+        live = tuple(r for r in range(self.n) if alive[r])
         if self._record:
-            self.transcript.extend(delivered)
+            self.transcript.extend((rcpt, msg) for rcpt in live)
         size = msg.wire_size
-        self.metrics.record_exchange(
-            CONTROL_STAGE, self.n, size * len(delivered),
-            size * (self.n - len(delivered)))
-        return delivered
+        self.metrics.record_exchange(CONTROL_STAGE, self.n, size * len(live),
+                                     size * (self.n - len(live)))
+        return live, msg
 
     def delivery_record(self) -> dict[str, tuple[int, ...]]:
         return {st: tuple(sorted(s)) for st, s in self._senders.items()}
@@ -468,7 +466,8 @@ def meter_expectations(cfg: RoundConfig, rounds: int = 1) -> dict:
         put("masked_vector", pair_msgs, vec_payload(m))
         put(CONTROL_STAGE, n, control_payload)
         if cfg.personal_mask:
-            unmask_payload = 4 + n * unmask_entry_bytes(seed_chunks)
+            # per entry: target id, secret type, chunk count, the chunks
+            unmask_payload = 4 + n * (4 + 1 + 4 + 8 * seed_chunks)
             put("unmask_shares", pair_msgs, unmask_payload)
     for row in stages.values():
         row["messages_sent"] *= rounds
@@ -512,6 +511,8 @@ def coalition_view(report: SimReport, coalition: set[int]) -> dict:
     if report.transcript is None or report.inputs is None:
         raise ValueError("run the simulation with keep_transcript=True")
     cfg = report.config
+    if cfg["rounds"] != 1:  # the report keeps only the last round's inputs
+        raise ValueError("coalition_view scans a one-round report")
     n = cfg["n"]
     contributors = set(report.result.contributors) if report.result else set()
     stage_order = STAGES[cfg["protocol"]]

@@ -48,6 +48,9 @@ def test_tracer_install_then_uninstall_restores_every_target():
     # every client masks with its personal stream and n-1 pairwise ones;
     # the survivors share one set of personal streams to remove
     assert calls["masking.stream_expand"] == cfg.n * cfg.n + cfg.n
+    # the bus meters each message from its shape; bytes are made only for
+    # a recorded transcript, and this round records none
+    assert calls["messages.serialize"] == 0
 
 
 def traced_calls(cfg, **sim):

@@ -65,13 +65,13 @@ def test_nv_contributor_set_triggers_aggregate_broadcast():
     target = clients[0]
     # every input share in hand (own one counted) still emits nothing
     for outbox in outboxes[1:]:
-        for rcpt, msg in outbox:
-            if rcpt == 0:
+        for rcpts, msg in outbox:
+            if 0 in rcpts:
                 assert target.on_message(msg) == []
     # the contributor set is the one trigger: the aggregated share goes
-    # to every peer
+    # to every peer, as one broadcast entry
     emitted = target.on_message(contributor_set_msg(tuple(range(cfg.n))))
-    assert len(emitted) == cfg.n - 1
+    assert [rcpts for rcpts, _ in emitted] == [tuple(range(1, cfg.n))]
     assert all(m.kind == MsgKind.AGGREGATED_SHARE_VECTOR for _, m in emitted)
 
 
@@ -86,10 +86,12 @@ def test_share_after_contributor_set_rejected(proto):
     clients = [client_cls(i, cfg, np.zeros(2), rngs[i], ctx)
                for i in range(cfg.n)]
     outboxes = [c.start() for c in clients]
-    share = {i: next(m for rcpt, m in outboxes[i] if rcpt == 0)
+    share = {i: next(m for rcpts, m in outboxes[i] if rcpts == (0,))
              for i in (1, 2)}
     clients[0].on_message(share[1])
-    assert len(clients[0].on_message(contributor_set_msg((0, 1)))) == 2
+    # one summed-share broadcast, to both peers
+    emitted = clients[0].on_message(contributor_set_msg((0, 1)))
+    assert [rcpts for rcpts, _ in emitted] == [(1, 2)]
     # client 2's share arrives late; it must not join the summed shares
     with pytest.raises(UnexpectedMessage):
         clients[0].on_message(share[2])
@@ -99,7 +101,7 @@ def test_duplicate_sender_rejected():
     cfg = nv_cfg()
     clients, _ = make_nv_clients(cfg)
     outbox = clients[1].start()
-    share_msg = next(m for rcpt, m in outbox if rcpt == 0)
+    share_msg = next(m for rcpts, m in outbox if rcpts == (0,))
     clients[0].on_message(share_msg)
     with pytest.raises(DuplicateSender):
         clients[0].on_message(share_msg)
@@ -374,6 +376,15 @@ def test_round_determinism():
 # --- scripted pairwise scenarios ---------------------------------------------------
 
 
+def deliver(clients, outbox, live=None):
+    """Hand every (recipients, message) entry of outbox to each of its
+    recipients below live (all of them by default), in order."""
+    for rcpts, msg in outbox:
+        for rcpt in rcpts:
+            if live is None or rcpt < live:
+                clients[rcpt].on_message(msg)
+
+
 def drive_pw_setup(n=4, m=3, seed=0):
     from secaggsim.protocol import PwClient
     cfg = RoundConfig(protocol="pw", n=n, m=m, dh=DH_GROUP_TEST)
@@ -381,10 +392,9 @@ def drive_pw_setup(n=4, m=3, seed=0):
     ws = [np.ones(m) * (i + 1) for i in range(n)]
     ctx = RoundContext()
     clients = [PwClient(i, cfg, ws[i], rngs[i], ctx) for i in range(n)]
-    outboxes = {c.id: c.start() for c in clients}
-    for sender, outbox in outboxes.items():
-        for rcpt, msg in outbox:
-            clients[rcpt].on_message(msg)
+    outboxes = [c.start() for c in clients]
+    for outbox in outboxes:
+        deliver(clients, outbox)
     return cfg, clients
 
 
@@ -394,13 +404,12 @@ def test_pw_contributor_set_with_dropout_emits_key_unmask_share():
     from secaggsim.protocol import SECRET_DH_KEY, SECRET_PERSONAL_SEED
     cfg, clients = drive_pw_setup()
     for c in clients[:3]:
-        for rcpt, msg in c.emit_masked():
-            if rcpt < 3:
-                clients[rcpt].on_message(msg)
+        deliver(clients, c.emit_masked(), live=3)
     cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                          round=0, payload=ContributorSetPayload((0, 1, 2)))
     out = clients[0].on_message(cs)
-    assert len(out) == 3
+    # one unmask broadcast, to the three peers
+    assert [rcpts for rcpts, _ in out] == [(1, 2, 3)]
     entries = out[0][1].payload.entries
     key_targets = [e.target for e in entries
                    if e.secret_type == SECRET_DH_KEY]
@@ -431,12 +440,11 @@ def drive_pw_to_unmask(forge=None):
     from secaggsim.protocol import UnmaskPayload
     cfg, clients = drive_pw_setup()
     for c in clients[:3]:
-        for rcpt, msg in c.emit_masked():
-            if rcpt < 3:
-                clients[rcpt].on_message(msg)
+        deliver(clients, c.emit_masked(), live=3)
     cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                          round=0, payload=ContributorSetPayload((0, 1, 2)))
-    unmask = [out for c in clients[:3] for out in c.on_message(cs)]
+    unmask = [(rcpt, msg) for c in clients[:3]
+              for rcpts, msg in c.on_message(cs) for rcpt in rcpts]
     for rcpt, msg in unmask:
         if rcpt < 3:
             if forge is not None and (msg.sender, rcpt) == (1, 0):

@@ -8,9 +8,20 @@ import pytest
 from secaggsim.errors import TooManyDropouts
 from secaggsim.masking import DH_GROUP_TEST, LweParams
 from secaggsim.oracle import plaintext_aggregate
-from secaggsim.protocol import STAGES, RoundConfig
+from secaggsim.protocol import (
+    BUS_SENDER,
+    STAGES,
+    ContributorSetPayload,
+    MsgKind,
+    ProtocolMessage,
+    PubKeyPayload,
+    RoundConfig,
+    VectorPayload,
+)
 from secaggsim.simnet import (
     CONTROL_STAGE,
+    DropoutSchedule,
+    MessageBus,
     SimConfig,
     coalition_view,
     make_dropout_schedule,
@@ -234,6 +245,101 @@ def test_meters_under_dropout_match_recorded_digests(proto, kw, rate, policy,
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_exchange_meters_entries_by_count_times_size():
+    cfg = RoundConfig(protocol="pw", n=4, m=2, dh=DH_GROUP_TEST)
+    bus = MessageBus(cfg, master_seed=0,
+                     schedule=DropoutSchedule(stages={3: "setup"}),
+                     record_transcript=True)
+
+    def msg(kind, sender, payload):
+        return ProtocolMessage(kind=kind, sender=sender, round=0,
+                               payload=payload)
+
+    pk = msg(MsgKind.PUB_KEY, 0, PubKeyPayload(5, 4))           # 17 bytes
+    share = {j: msg(MsgKind.KEY_SHARE, 0, VectorPayload(
+        np.full(1, j, dtype=np.uint64))) for j in (1, 2, 3)}    # 25 each
+    vec = msg(MsgKind.MASKED_VECTOR, 1,
+              VectorPayload(np.zeros(2, dtype=np.uint64)))      # 33 bytes
+    gone = msg(MsgKind.MASKED_VECTOR, 3,
+               VectorPayload(np.zeros(2, dtype=np.uint64)))
+    assert (pk.wire_size, share[1].wire_size, vec.wire_size) == (17, 25, 33)
+    # out of order on purpose; client 3 dropped at this stage, so its own
+    # broadcast is never sent and what is addressed to it is not delivered
+    outbox = [((0, 2, 3), vec), ((0, 1, 2), gone), ((3,), share[3]),
+              ((2,), share[2]), ((1, 2, 3), pk), ((1,), share[1])]
+    delivered = bus.exchange("setup", outbox)
+    assert delivered == [((1, 2), pk), ((1,), share[1]), ((2,), share[2]),
+                         ((0, 2), vec)]
+    assert bus.transcript == [(1, pk), (2, pk), (1, share[1]),
+                              (2, share[2]), (0, vec), (2, vec)]
+    metr = bus.metrics
+    assert metr.per_stage["setup"] == {
+        "messages_sent": 9, "bytes_sent": 3 * 17 + 3 * 25 + 3 * 33,
+        "bytes_delivered": 2 * 17 + 2 * 25 + 2 * 33,
+        "bytes_to_dropped": 17 + 25 + 33}
+    assert metr.per_client == {
+        0: {"messages_sent": 6, "bytes_sent": 3 * 17 + 3 * 25,
+            "bytes_received": 33},
+        1: {"messages_sent": 3, "bytes_sent": 3 * 33,
+            "bytes_received": 17 + 25},
+        2: {"messages_sent": 0, "bytes_sent": 0,
+            "bytes_received": 17 + 25 + 33}}
+    assert bus.delivery_record() == {"setup": (0, 1)}
+
+
+def test_control_is_one_entry_to_the_live_clients():
+    cfg = RoundConfig(protocol="nv", n=4, m=3)
+    bus = MessageBus(cfg, master_seed=0,
+                     schedule=DropoutSchedule(stages={2: "aggregate_shares"}))
+    msg = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
+                          round=0, payload=ContributorSetPayload((0, 1, 2)))
+    assert bus.control("aggregate_shares", msg) == ((0, 1, 3), msg)
+    size = 13 + 4 + 4 * 3
+    assert bus.metrics.per_stage[CONTROL_STAGE] == {
+        "messages_sent": 4, "bytes_sent": 4 * size,
+        "bytes_delivered": 3 * size, "bytes_to_dropped": size}
+
+
+# Seed 32 drops one client before the final stage and one at it, so the
+# pw rounds open a DH key as well as (with personal masks) the seeds.
+_PW_KINDS = {MsgKind.PUB_KEY, MsgKind.KEY_SHARE, MsgKind.MASKED_VECTOR,
+             MsgKind.UNMASK_SHARE}
+SIZE_CASES = [
+    ("nv", {}, {MsgKind.INPUT_SHARE_VECTOR, MsgKind.AGGREGATED_SHARE_VECTOR}),
+    ("lwe", dict(lwe=LweParams(n_lwe=16, sigma=1e-6)),
+     {MsgKind.KEY_SHARE, MsgKind.MASKED_VECTOR, MsgKind.SECRET_SUM_SHARE}),
+    ("pw", _PW, _PW_KINDS | {MsgKind.PERSONAL_SEED_SHARE}),
+    ("pw", _PW_NO_SEED, _PW_KINDS),
+]
+SIZE_IDS = ["nv", "lwe", "pw", "pw-no-seed"]
+
+
+@pytest.mark.parametrize("proto,kw,kinds", SIZE_CASES, ids=SIZE_IDS)
+def test_wire_size_is_the_length_of_the_wire_bytes(proto, kw, kinds):
+    rc = RoundConfig(protocol=proto, n=7, m=5, planned_dropouts=2, **kw)
+    report = run_simulation(SimConfig(round_cfg=rc, master_seed=32,
+                                      dropout_rate=0.3), keep_transcript=True)
+    assert report.failure is None and len(report.schedule.dropped) == 2
+    for _, msg in report.transcript:
+        assert msg.wire_size == len(msg.to_bytes()), msg.kind.name
+    assert ({msg.kind for _, msg in report.transcript}
+            == kinds | {MsgKind.CONTRIBUTOR_SET})
+
+
+@pytest.mark.parametrize("proto,kw,kinds", SIZE_CASES, ids=SIZE_IDS)
+def test_round_without_transcript_never_serializes(proto, kw, kinds,
+                                                   monkeypatch):
+    def refuse(self):
+        raise AssertionError("a round without a transcript serialized")
+
+    monkeypatch.setattr(ProtocolMessage, "to_bytes", refuse)
+    rc = RoundConfig(protocol=proto, n=7, m=5, planned_dropouts=2, **kw)
+    report = run_simulation(SimConfig(round_cfg=rc, master_seed=32,
+                                      dropout_rate=0.3))
+    assert report.failure is None
+    assert report.metrics.total_bytes > 0
+
+
 def test_report_reproducible_modulo_wall_time():
     rc1 = RoundConfig(protocol="lwe", n=5, m=6,
                       lwe=LweParams(n_lwe=16, sigma=1.5))
@@ -272,6 +378,17 @@ def test_coalition_view_counts_stay_below_threshold():
     # the dropped clients' DH keys were opened on purpose
     assert any(k[0] == "dh_key" and c >= t
                for k, c in view["opened_share_counts"].items())
+
+
+def test_coalition_view_refuses_a_multi_round_report():
+    # the report keeps only the last round's inputs, so a scan of every
+    # round's traffic against them would miss earlier rounds' leaks
+    rc = RoundConfig(protocol="nv", n=4, m=3)
+    report = run_simulation(SimConfig(round_cfg=rc, master_seed=22, rounds=3),
+                            keep_transcript=True)
+    assert report.failure is None
+    with pytest.raises(ValueError, match="one-round report"):
+        coalition_view(report, {0})
 
 
 def test_coalition_view_requires_transcript():
