@@ -14,6 +14,7 @@ from .messages import (
     PubKeyPayload,
     SECRET_DH_KEY,
     SECRET_PERSONAL_SEED,
+    ShareBundlePayload,
     ShareVectorPayload,
     UnmaskEntry,
     UnmaskPayload,
@@ -38,7 +39,8 @@ __all__ = [
     "RoundContext",
     "BUS_SENDER", "ContributorSetPayload", "MsgKind",
     "ProtocolMessage", "PubKeyPayload", "SECRET_DH_KEY",
-    "SECRET_PERSONAL_SEED", "ShareVectorPayload", "UnmaskEntry",
+    "SECRET_PERSONAL_SEED", "ShareBundlePayload", "ShareVectorPayload",
+    "UnmaskEntry",
     "UnmaskPayload", "VectorPayload",
     "LWE", "NV", "PW", "ROUND_FNS", "STAGES", "RoundConfig",
     "contributor_set", "default_threshold",

@@ -1,10 +1,13 @@
 """Per-client state machines for the three aggregation protocols.
 
 Each client is single-threaded and event-driven: peer traffic and the
-bus-issued contributor set arrive through on_message, which returns the
-outbox entries (recipients, message) the event triggers.  Stage starts
-that in a real deployment would come from a synchrony barrier (begin
-masking, begin the round) are explicit method calls by the round driver.
+bus-issued contributor set arrive through on_message, one inbox per stage
+(the messages that reached the client, in (sender, kind) order), which
+returns the outbox entries (recipients, message) the inbox triggers.  A
+client's shares of a secret leave as one entry, a share bundle addressed to
+every peer, of which each peer reads its own row.  Stage starts that in a
+real deployment would come from a synchrony barrier (begin masking, begin
+the round) are explicit method calls by the round driver.
 
 Clients never see who dropped except through the contributor set, keep
 per-sender buffers separate until that set arrives, and reject duplicate
@@ -51,6 +54,7 @@ from .messages import (
     MsgKind,
     ProtocolMessage,
     PubKeyPayload,
+    ShareBundlePayload,
     ShareVectorPayload,
     UnmaskEntry,
     UnmaskPayload,
@@ -85,6 +89,9 @@ class RoundContext:
     when the client is built) and a memo of survivor-invariant work.  A
     memo entry is keyed on every input that determines it, never on the
     client that asked, so a survivor with a different view recomputes.
+    An opening is keyed on the payload objects it reads, which hash by
+    identity: one object serves every recipient of a message, so the
+    survivors that received the same messages share one opening.
     """
 
     def __init__(self, matrix_ops=None):
@@ -146,21 +153,32 @@ class BaseClient:
 
     def _broadcast(self, kind: MsgKind, payload) -> Entry:
         """One entry addressing the same message to every peer."""
-        return (tuple(j for j in range(self.cfg.n) if j != self.id),
+        return ((*range(self.id), *range(self.id + 1, self.cfg.n)),
                 self._msg(kind, payload))
 
-    def _accept(self, msg: ProtocolMessage, allowed: tuple[MsgKind, ...]):
-        if msg.round != self.round:
-            raise UnexpectedMessage(
-                f"client {self.id}: round {msg.round} != {self.round}")
-        if msg.kind not in allowed:
-            raise UnexpectedMessage(
-                f"client {self.id}: {msg.kind.name} not expected now")
-        key = (msg.kind, msg.sender)
-        if key in self._seen:
-            raise DuplicateSender(
-                f"client {self.id}: second {msg.kind.name} from {msg.sender}")
-        self._seen.add(key)
+    def _accept(self, inbox: list[ProtocolMessage],
+                allowed: tuple[MsgKind, ...]):
+        """Check the inbox's rounds, kinds and (kind, sender) keys as sets.
+        If a check fails, the messages are checked one by one in order,
+        so the first offender raises."""
+        keys = {(msg.kind, msg.sender) for msg in inbox}
+        if ({msg.round for msg in inbox} == {self.round}
+                and {kind for kind, _ in keys}.issubset(allowed)
+                and len(keys) == len(inbox) and keys.isdisjoint(self._seen)):
+            self._seen |= keys
+            return
+        for msg in inbox:
+            if msg.round != self.round:
+                raise UnexpectedMessage(
+                    f"client {self.id}: round {msg.round} != {self.round}")
+            if msg.kind not in allowed:
+                raise UnexpectedMessage(
+                    f"client {self.id}: {msg.kind.name} not expected now")
+            key = (msg.kind, msg.sender)
+            if key in self._seen:
+                raise DuplicateSender(f"client {self.id}: second "
+                                      f"{msg.kind.name} from {msg.sender}")
+            self._seen.add(key)
 
     def _set_contributors(self, ids: tuple[int, ...]):
         if not ids:
@@ -170,16 +188,14 @@ class BaseClient:
                 f"client {self.id}: contributor set changed")
         self.contributors = ids
 
-    def _open(self, tag: str, rows: dict[int, np.ndarray], first_point: int,
-              names: tuple, open_rows):
-        """open_rows(xs, ys) of the openers' rows stacked in sender order,
-        sender s at point first_point + s; memoized under the points, names
-        and rows, so only a survivor with a different view reopens."""
-        senders = sorted(rows)
-        xs = tuple(first_point + s for s in senders)
-        ys = np.stack([rows[s] for s in senders])
-        return self.ctx.cached((tag, xs, names, ys.tobytes()),
-                               lambda: open_rows(xs, ys))
+    def _open(self, tag: str, view: dict, first_point: int, open_rows):
+        """open_rows(xs, payloads) of the openers' payloads in the view
+        (sender -> payload), in sender order, sender s at point
+        first_point + s; memoized under the payload objects, so only a
+        survivor that holds another payload reopens."""
+        items = sorted(view.items())
+        return self.ctx.cached((tag, *items), lambda: open_rows(
+            tuple(first_point + s for s, _ in items), [p for _, p in items]))
 
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
@@ -199,10 +215,10 @@ class NvClient(BaseClient):
         super().__init__(cid, cfg, w, rng, ctx, round_index)
         vec_len = self._shared_len()
         self._header = (chunk_count(vec_len, cfg.k), vec_len, cfg.t, cfg.k)
-        # rows per sender, at point k+1+id (shares) or k+1+sender (sums),
-        # each with the ShareVectorPayload header above
+        # share rows per sender, at point k+1+id, and summed-share payloads
+        # per sender, at point k+1+sender, all with the header above
         self._shares: dict[int, np.ndarray] = {}
-        self._sum_shares: dict[int, np.ndarray] = {}
+        self._sum_shares: dict[int, ShareVectorPayload] = {}
 
     def _shared_len(self) -> int:
         return self.cfg.m
@@ -210,46 +226,51 @@ class NvClient(BaseClient):
     def start(self) -> list[Entry]:
         return self._share_out(self.enc_w)
 
-    def _row(self, msg: ProtocolMessage) -> np.ndarray:
+    def _checked(self, msg: ProtocolMessage):
+        """The payload of a share bundle or summed share, whose header
+        must be this client's."""
         if msg.payload.header != self._header:
             raise PointMismatch(
                 f"client {self.id}: share header {msg.payload.header} from "
                 f"{msg.sender} != {self._header}")
-        return msg.payload.row
+        return msg.payload
 
-    def _payload(self, row: np.ndarray) -> ShareVectorPayload:
+    def on_message(self, inbox: list[ProtocolMessage]) -> list[Entry]:
+        self._accept(inbox, self.ACCEPTS)
+        out = []
+        for msg in inbox:
+            if msg.kind == self.SHARE_KIND:
+                if self.contributors is not None:
+                    raise UnexpectedMessage(
+                        f"client {self.id}: {msg.kind.name} after the "
+                        f"contributor set")
+                self._shares[msg.sender] = self._checked(msg).rows[self.id]
+            elif msg.kind == MsgKind.CONTRIBUTOR_SET:
+                out += self._sum_out(msg.payload.ids)
+            elif msg.kind == MsgKind.MASKED_VECTOR:  # lwe only, see ACCEPTS
+                self._masked[msg.sender] = msg.payload.vec
+            else:
+                self._sum_shares[msg.sender] = self._checked(msg)
+        return out
+
+    def _sum_out(self, contributors: tuple[int, ...]) -> list[Entry]:
+        """Sum the contributors' share rows and broadcast the sum."""
+        self._set_contributors(contributors)
+        missing = [s for s in self.contributors if s not in self._shares]
+        if missing:
+            raise MissingKeyShares(
+                f"client {self.id}: no shares from contributors {missing}")
+        agg = add_share_vectors(
+            (self._shares[s] for s in self.contributors), self.cfg.field)
+        self.ops.add += len(agg) * (len(self.contributors) - 1)
         _, vec_len, t, k = self._header
-        return ShareVectorPayload(row, vec_len, t, k)
-
-    def on_message(self, msg: ProtocolMessage) -> list[Entry]:
-        self._accept(msg, self.ACCEPTS)
-        if msg.kind == self.SHARE_KIND:
-            if self.contributors is not None:
-                raise UnexpectedMessage(
-                    f"client {self.id}: {msg.kind.name} after the "
-                    f"contributor set")
-            self._shares[msg.sender] = self._row(msg)
-            return []
-        if msg.kind == MsgKind.CONTRIBUTOR_SET:
-            self._set_contributors(msg.payload.ids)
-            missing = [s for s in self.contributors if s not in self._shares]
-            if missing:
-                raise MissingKeyShares(
-                    f"client {self.id}: no shares from contributors {missing}")
-            agg = add_share_vectors(
-                (self._shares[s] for s in self.contributors), self.cfg.field)
-            self.ops.add += len(agg) * (len(self.contributors) - 1)
-            self._sum_shares[self.id] = agg
-            return [self._broadcast(self.SUM_KIND, self._payload(agg))]
-        if msg.kind == MsgKind.MASKED_VECTOR:  # lwe only, see ACCEPTS
-            self._masked[msg.sender] = msg.payload.vec
-            return []
-        self._sum_shares[msg.sender] = self._row(msg)
-        return []
+        payload = self._sum_shares[self.id] = ShareVectorPayload(
+            agg, vec_len, t, k)
+        return [self._broadcast(self.SUM_KIND, payload)]
 
     def _share_out(self, vec) -> list[Entry]:
-        """Packed-share vec, keep this client's own row, and address every
-        peer its row."""
+        """Packed-share vec, keep this client's own row, and send every
+        peer the bundle of rows."""
         cfg = self.cfg
         rows = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
         chunks = rows.shape[1]
@@ -257,8 +278,8 @@ class NvClient(BaseClient):
         self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
         self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
         self._shares[self.id] = rows[self.id]
-        return [((j,), self._msg(self.SHARE_KIND, self._payload(rows[j])))
-                for j in range(cfg.n) if j != self.id]
+        return [self._broadcast(self.SHARE_KIND,
+                                ShareBundlePayload(rows, self._header[1:]))]
 
     def _open_sum(self) -> np.ndarray:
         """Reconstruct the summed vector from the summed shares in hand,
@@ -273,13 +294,13 @@ class NvClient(BaseClient):
                 f"< t+k-1 = {need}")
         chunks, vec_len = self._header[:2]
 
-        def open_rows(xs, ys):
-            vec = reconstruct_vector(xs, ys, cfg.t, cfg.k, vec_len, cfg.field)
+        def open_rows(xs, payloads):
+            vec = reconstruct_vector(xs, [p.row for p in payloads], cfg.t,
+                                     cfg.k, vec_len, cfg.field)
             vec.flags.writeable = False
             return vec
 
-        vec = self._open("open", self._sum_shares, cfg.k + 1, self._header,
-                         open_rows)
+        vec = self._open("open", self._sum_shares, cfg.k + 1, open_rows)
         self.ops.mul += chunks * cfg.k * need
         self.ops.add += chunks * cfg.k * (need - 1)
         return vec
@@ -383,27 +404,25 @@ class PwClient(BaseClient):
         return self.cfg.dh.subgroup_order.bit_length()
 
     def _share_secret(self, value: int, total_bits: int, kind: MsgKind,
-                      held: dict):
-        """Chunk-share value, keep this client's own row in held, and
-        address every peer its row."""
+                      held: dict) -> Entry:
+        """Chunk-share value, keep this client's own row in held, and send
+        every peer the bundle of rows."""
         cfg = self.cfg
         rows = share_integer(value, total_bits, cfg.t, cfg.n, self.rng,
                              cfg.field)
         held[self.id] = rows[self.id]
-        return [((j,), self._msg(kind, VectorPayload(rows[j])))
-                for j in range(cfg.n) if j != self.id]
+        return self._broadcast(kind, ShareBundlePayload(rows))
 
     def start(self) -> list[Entry]:
         cfg = self.cfg
         out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
             self.keypair.pk, cfg.dh.residue_bytes))]
-        out += self._share_secret(self.keypair.sk, self._order_bits,
-                                  MsgKind.KEY_SHARE, self._key_shares)
+        out.append(self._share_secret(self.keypair.sk, self._order_bits,
+                                      MsgKind.KEY_SHARE, self._key_shares))
         if cfg.personal_mask:
-            out += self._share_secret(int.from_bytes(self.personal_seed, "big"),
-                                      PERSONAL_SEED_BITS,
-                                      MsgKind.PERSONAL_SEED_SHARE,
-                                      self._seed_shares)
+            out.append(self._share_secret(
+                int.from_bytes(self.personal_seed, "big"), PERSONAL_SEED_BITS,
+                MsgKind.PERSONAL_SEED_SHARE, self._seed_shares))
         return out
 
     def _apply_masks(self, v: np.ndarray, terms) -> np.ndarray:
@@ -430,31 +449,30 @@ class PwClient(BaseClient):
         self._masked[self.id] = y
         return [self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(y))]
 
-    def on_message(self, msg: ProtocolMessage) -> list[Entry]:
-        self._accept(msg, (MsgKind.PUB_KEY, MsgKind.KEY_SHARE,
-                           MsgKind.PERSONAL_SEED_SHARE, MsgKind.MASKED_VECTOR,
-                           MsgKind.CONTRIBUTOR_SET, MsgKind.UNMASK_SHARE))
-        if msg.kind == MsgKind.PUB_KEY:
-            self._pks[msg.sender] = msg.payload.residue
-            return []
-        if msg.kind == MsgKind.KEY_SHARE:
-            self._key_shares[msg.sender] = msg.payload.vec
-            return []
-        if msg.kind == MsgKind.PERSONAL_SEED_SHARE:
-            if not self.cfg.personal_mask:
-                raise UnexpectedMessage(
-                    f"client {self.id}: seed share with personal masking off")
-            self._seed_shares[msg.sender] = msg.payload.vec
-            return []
-        if msg.kind == MsgKind.MASKED_VECTOR:
-            self._masked[msg.sender] = msg.payload.vec
-            return []
-        if msg.kind == MsgKind.CONTRIBUTOR_SET:
-            self._set_contributors(msg.payload.ids)
-            return self._emit_unmask()
-        # UNMASK_SHARE: the sender opens its held shares (point sender+1)
-        self._unmask[msg.sender] = msg.payload
-        return []
+    def on_message(self, inbox: list[ProtocolMessage]) -> list[Entry]:
+        self._accept(inbox, (MsgKind.PUB_KEY, MsgKind.KEY_SHARE,
+                             MsgKind.PERSONAL_SEED_SHARE, MsgKind.MASKED_VECTOR,
+                             MsgKind.CONTRIBUTOR_SET, MsgKind.UNMASK_SHARE))
+        out = []
+        for msg in inbox:
+            kind, sender, payload = msg.kind, msg.sender, msg.payload
+            if kind == MsgKind.PUB_KEY:
+                self._pks[sender] = payload.residue
+            elif kind == MsgKind.KEY_SHARE:
+                self._key_shares[sender] = payload.rows[self.id]
+            elif kind == MsgKind.PERSONAL_SEED_SHARE:
+                if not self.cfg.personal_mask:
+                    raise UnexpectedMessage(f"client {self.id}: seed share "
+                                            f"with personal masking off")
+                self._seed_shares[sender] = payload.rows[self.id]
+            elif kind == MsgKind.MASKED_VECTOR:
+                self._masked[sender] = payload.vec
+            elif kind == MsgKind.CONTRIBUTOR_SET:
+                self._set_contributors(payload.ids)
+                out += self._emit_unmask()
+            else:  # UNMASK_SHARE: the sender opens its held shares
+                self._unmask[sender] = payload  # at point sender+1
+        return out
 
     def _classify(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(contributors, dropped-after-setup): the second group finished
@@ -488,29 +506,31 @@ class PwClient(BaseClient):
     def _open_secrets(self) -> tuple[int, ...]:
         """Every secret named by this client's own unmask entries, opened
         from its own and the other openers' share rows side by side in one
-        interpolation."""
+        interpolation.  The check that every opener names the same secrets
+        runs with the opening, once per view of unmask payloads."""
         names = self._unmask[self.id].names
-        for sender, payload in self._unmask.items():
-            if payload.names != names:
-                raise UnmaskMismatch(
-                    f"client {self.id}: unmask shares from {sender} name "
-                    f"other secrets than its own")
-        if not names:
-            return ()
-        if len(self._unmask) < self.cfg.t:
-            raise InsufficientSurvivors(
-                f"client {self.id}: {len(self._unmask)} shares of each "
-                f"opened secret < t = {self.cfg.t}")
-        self.ops.inv += len(self._unmask) * len(names)
 
-        def open_rows(xs, ys):
+        def open_rows(xs, payloads):
+            for sender, payload in self._unmask.items():
+                if payload.names != names:
+                    raise UnmaskMismatch(
+                        f"client {self.id}: unmask shares from {sender} name "
+                        f"other secrets than its own")
+            if not names:
+                return ()
+            if len(xs) < self.cfg.t:
+                raise InsufficientSurvivors(
+                    f"client {self.id}: {len(xs)} shares of each opened "
+                    f"secret < t = {self.cfg.t}")
             widths = [self._order_bits if kind == SECRET_DH_KEY
                       else PERSONAL_SEED_BITS for kind, _, _ in names]
-            return tuple(reconstruct_integer(xs, ys, self.cfg.t, widths,
-                                             self.cfg.field))
+            return tuple(reconstruct_integer(
+                xs, np.stack([p.row for p in payloads]), self.cfg.t, widths,
+                self.cfg.field))
 
-        rows = {s: payload.row for s, payload in self._unmask.items()}
-        return self._open("pw-open", rows, 1, names, open_rows)
+        opened = self._open("pw-open", self._unmask, 1, open_rows)
+        self.ops.inv += len(self._unmask) * len(names)
+        return opened
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg

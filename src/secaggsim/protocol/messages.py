@@ -6,14 +6,22 @@ group residues are fixed-width big-endian.  The byte meters read each
 payload's `nbytes`, its encoded length from its shape, so they are part of
 the contract; only transcript readers call `to_bytes`.  A message is frozen:
 one object serves every recipient of an outbox entry (recipients, message).
+
+A sender's shares of one secret travel as one entry too: a
+`ShareBundlePayload` holds the whole (n x chunks) share matrix, and client j
+reads row j.  On the wire each recipient gets only its own row, so a bundle
+is metered at the size of one row's payload per recipient, and a recorded
+transcript holds `ProtocolMessage.at(j)`, the message narrowed to that row.
+The payloads that survivors open secrets from (summed shares, unmask shares)
+compare and hash by identity, so a round can key an opening on the very
+objects its survivors hold.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +59,7 @@ class PubKeyPayload:
         return self.residue.to_bytes(self.width, "big")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShareVectorPayload:
     """Per-recipient share row of a vector: 16-byte header (chunk count,
     vector length, t, k as 4-byte big-endian each) then one 8-byte word
@@ -89,6 +97,32 @@ class VectorPayload:
         return struct.pack(">I", len(self.vec)) + elems_to_bytes(self.vec)
 
 
+@dataclass(frozen=True)
+class ShareBundlePayload:
+    """One sender's share rows of a secret, row j for client j.  Recipient
+    j receives `at(j)`: a ShareVectorPayload of its row when share_header
+    holds (vector length, t, k), as nv and lwe send, and a VectorPayload
+    of it otherwise, as pw sends.  Every row has the same length, so
+    `nbytes` is the size of each recipient's payload."""
+
+    rows: np.ndarray
+    share_header: tuple[int, int, int] | None = None
+
+    @property
+    def header(self) -> tuple[int, int, int, int]:
+        """The header every row's ShareVectorPayload carries."""
+        return (self.rows.shape[1], *self.share_header)
+
+    @property
+    def nbytes(self) -> int:
+        return self.at(0).nbytes
+
+    def at(self, rcpt: int):
+        if self.share_header is None:
+            return VectorPayload(self.rows[rcpt])
+        return ShareVectorPayload(self.rows[rcpt], *self.share_header)
+
+
 SECRET_DH_KEY = 0
 SECRET_PERSONAL_SEED = 1
 
@@ -100,7 +134,7 @@ class UnmaskEntry:
     chunks: np.ndarray  # the opener's share row, one uint64 per chunk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnmaskPayload:
     """The sender's stored shares for every secret being opened: 4-byte
     entry count, then per entry 4-byte target id, 1-byte secret type,
@@ -120,15 +154,13 @@ class UnmaskPayload:
             parts.append(elems_to_bytes(e.chunks))
         return b"".join(parts)
 
-    # A broadcast payload is one object shared by every recipient, so each
-    # is worked out once however many survivors read it.
-    @cached_property
+    @property
     def names(self) -> tuple[tuple[int, int, int], ...]:
         """(secret type, target, chunk count) of every entry, in order."""
         return tuple((e.secret_type, e.target, len(e.chunks))
                      for e in self.entries)
 
-    @cached_property
+    @property
     def row(self) -> np.ndarray:
         """Every entry's share row, end to end."""
         return np.concatenate([e.chunks for e in self.entries])
@@ -162,6 +194,13 @@ class ProtocolMessage:
     @property
     def wire_size(self) -> int:
         return HEADER_BYTES + self.payload.nbytes
+
+    def at(self, rcpt: int) -> ProtocolMessage:
+        """The message as rcpt receives it on the wire: a share bundle
+        narrowed to rcpt's row, any other message as it is."""
+        if isinstance(self.payload, ShareBundlePayload):
+            return replace(self, payload=self.payload.at(rcpt))
+        return self
 
 
 Entry = tuple[tuple[int, ...], ProtocolMessage]

@@ -2,8 +2,8 @@
 
 A round driver owns the synchrony structure: it asks live clients for
 their stage-opening outbox entries, pushes them through the bus (which
-meters bytes and applies stage-atomic dropout), feeds deliveries back
-into client state machines, and injects the bus-issued contributor set
+meters bytes and applies stage-atomic dropout), serves each client the
+inbox the bus built for it, and injects the bus-issued contributor set
 between the input and output halves of each protocol.
 
 The bus is duck-typed; any object with the MessageBus surface works, so
@@ -104,11 +104,13 @@ def contributor_set(delivery_record, stage: str) -> tuple[int, ...]:
     return tuple(sorted(delivery_record[stage]))
 
 
-def _deliver(clients, delivered) -> list:
+def _deliver(clients, inboxes) -> list:
+    """Serve every client with a nonempty inbox, in ascending id; returns
+    the entries they emit."""
     out = []
-    for rcpts, msg in delivered:
-        for rcpt in rcpts:
-            out.extend(clients[rcpt].on_message(msg))
+    for client, inbox in zip(clients, inboxes):
+        if inbox:
+            out += client.on_message(inbox)
     return out
 
 
@@ -154,7 +156,7 @@ def _drive(inputs, cfg: RoundConfig, bus, client_cls, openers,
         raise InsufficientContributors(no_contributors)
     announce = ProtocolMessage(MsgKind.CONTRIBUTOR_SET, BUS_SENDER, bus.round,
                                ContributorSetPayload(contributors))
-    final = _deliver(clients, [bus.control(st_final, announce)])
+    final = _deliver(clients, bus.control(st_final, announce))
     _deliver(clients, bus.exchange(st_final, final))
     return _finalize(clients, bus, cfg)
 

@@ -6,7 +6,10 @@ drop at stage S sends zero bytes at stages >= S and receives nothing from
 stage S on; bytes addressed to it are still counted ("addressed to
 dropped") so complexity comparisons stay well-defined under dropout.
 An outbox entry (recipients, message) is metered as recipients times the
-message's wire size, from its shape; only a transcript serializes.
+message's wire size, from its shape; a share bundle's wire size is that of
+one recipient's row.  The bus hands each client one inbox per stage, and
+only a recorded transcript serializes, one message per delivery with each
+bundle narrowed to the recipient's row.
 
 Seed derivation: client i's generator is seeded with
 SHA-256(master_seed || "client" || i), the dropout schedule with
@@ -192,10 +195,11 @@ class MessageBus:
     """Synchronous, stage-stepped delivery with per-sender FIFO order.
 
     Delivery order is fully deterministic: entries (recipients, message)
-    are sorted by (sender, kind, first recipient), and each reaches its
-    recipients in ascending order.  Clients may be run in any order by a
-    parallel driver as long as that delivery order is kept; this
-    implementation is sequential.
+    are sorted by (sender, kind, first recipient), and each stage gives
+    every client one inbox, the messages that reached it in that order.
+    Clients share no state but a memo keyed on its inputs, so a parallel
+    driver may serve the inboxes in any order; this one serves them in
+    ascending client id.
     """
 
     def __init__(self, cfg: RoundConfig, master_seed: int,
@@ -205,6 +209,7 @@ class MessageBus:
         self.schedule = schedule or DropoutSchedule(stages={})
         self.metrics = Metrics()
         self.round = 0
+        # one (recipient, message) pair per delivery, bundles narrowed
         self.transcript: list[tuple[int, ProtocolMessage]] = []
         self._record = record_transcript
         self._rngs = {
@@ -234,16 +239,17 @@ class MessageBus:
     def live_at_end(self) -> list[int]:
         return [i for i in range(self.n) if i not in self.schedule.stages]
 
-    def exchange(self, stage: str, outbox) -> list[Entry]:
-        """Deliver one stage's entries; returns (live recipients, message)
-        entries in deterministic order.  The stage is metered once, from
-        counts kept per client id."""
+    def exchange(self, stage: str, outbox: list[Entry]
+                 ) -> list[list[ProtocolMessage]]:
+        """Deliver one stage's entries; returns every client's inbox,
+        indexed by client id, in deterministic order.  The stage is
+        metered once, from counts kept per client id."""
         alive = self._alive[stage]
         sent = [0] * self.n
         sent_bytes = [0] * self.n
         received = [0] * self.n
+        inboxes = [[] for _ in range(self.n)]
         to_dropped = 0
-        delivered = []
         for rcpts, msg in sorted(outbox, key=lambda e: (e[1].sender,
                                                         e[1].kind, e[0][0])):
             sender = msg.sender
@@ -252,15 +258,13 @@ class MessageBus:
             size = msg.wire_size
             sent[sender] += len(rcpts)
             sent_bytes[sender] += len(rcpts) * size
-            live = tuple(r for r in rcpts if alive[r])
+            live = [r for r in rcpts if alive[r]]
             for rcpt in live:
                 received[rcpt] += size
+                inboxes[rcpt].append(msg)
             to_dropped += (len(rcpts) - len(live)) * size
-            if live:
-                delivered.append((live, msg))
-        if self._record:
-            self.transcript.extend((rcpt, msg) for rcpts, msg in delivered
-                                   for rcpt in rcpts)
+            if self._record:
+                self.transcript.extend((rcpt, msg.at(rcpt)) for rcpt in live)
         self._senders.setdefault(stage, set()).update(
             i for i, count in enumerate(sent) if count)
         # every message has a header, so a client that received anything
@@ -269,11 +273,12 @@ class MessageBus:
             stage, sum(sent), sum(received), to_dropped,
             [row for row in zip(range(self.n), sent, sent_bytes, received)
              if row[1] or row[3]])
-        return delivered
+        return inboxes
 
-    def control(self, stage: str, msg: ProtocolMessage) -> Entry:
+    def control(self, stage: str, msg: ProtocolMessage
+                ) -> list[list[ProtocolMessage]]:
         """Bus-issued broadcast (contributor set), metered separately;
-        returns one entry addressed to the live clients."""
+        returns every client's inbox: the message for each live client."""
         alive = self._alive[stage]
         live = tuple(r for r in range(self.n) if alive[r])
         if self._record:
@@ -281,7 +286,7 @@ class MessageBus:
         size = msg.wire_size
         self.metrics.record_exchange(CONTROL_STAGE, self.n, size * len(live),
                                      size * (self.n - len(live)))
-        return live, msg
+        return [[msg] if a else [] for a in alive]
 
     def delivery_record(self) -> dict[str, tuple[int, ...]]:
         return {st: tuple(sorted(s)) for st, s in self._senders.items()}

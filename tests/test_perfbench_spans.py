@@ -79,6 +79,18 @@ def test_survivors_share_one_opening_of_the_summed_shares(proto):
     assert calls["shamir.add_share_vectors"] == cfg.n
 
 
+@pytest.mark.parametrize("proto,stages", [("nv", 3), ("lwe", 4), ("pw", 4)])
+def test_each_live_client_takes_one_inbox_per_stage(proto, stages):
+    # the contributor set counts as a stage: one on_message call per live
+    # client for each stage's inbox, however many messages it holds
+    lwe = LweParams(n_lwe=8, sigma=1e-6, matrix_seed=b"\x05" * 32)
+    cfg = RoundConfig(protocol=proto, n=5, m=6,
+                      lwe=lwe if proto == "lwe" else None,
+                      dh=DH_GROUP_TEST if proto == "pw" else None)
+    _, calls = traced_calls(cfg)
+    assert calls["protocol.client.on_message"] == stages * cfg.n
+
+
 def test_lwe_round_makes_one_block_product_and_one_memo_miss():
     cfg = RoundConfig(protocol="lwe", n=5, m=6, lwe=LweParams(
         n_lwe=8, sigma=1e-6, matrix_seed=b"\x05" * 32))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -29,12 +30,15 @@ from secaggsim.protocol import (
     ProtocolMessage,
     PwClient,
     RoundConfig,
+    ROUND_FNS,
     RoundContext,
+    ShareBundlePayload,
     contributor_set,
     lwe_round,
     nv_round,
 )
-from secaggsim.simnet import MessageBus, SimConfig, run_simulation
+from secaggsim.simnet import (DropoutSchedule, MessageBus, SimConfig,
+                              run_simulation)
 
 SMALL_LWE = LweParams(n_lwe=16, sigma=1e-6, matrix_seed=b"\x01" * 32)
 
@@ -67,10 +71,10 @@ def test_nv_contributor_set_triggers_aggregate_broadcast():
     for outbox in outboxes[1:]:
         for rcpts, msg in outbox:
             if 0 in rcpts:
-                assert target.on_message(msg) == []
+                assert target.on_message([msg]) == []
     # the contributor set is the one trigger: the aggregated share goes
     # to every peer, as one broadcast entry
-    emitted = target.on_message(contributor_set_msg(tuple(range(cfg.n))))
+    emitted = target.on_message([contributor_set_msg(tuple(range(cfg.n)))])
     assert [rcpts for rcpts, _ in emitted] == [tuple(range(1, cfg.n))]
     assert all(m.kind == MsgKind.AGGREGATED_SHARE_VECTOR for _, m in emitted)
 
@@ -86,25 +90,25 @@ def test_share_after_contributor_set_rejected(proto):
     clients = [client_cls(i, cfg, np.zeros(2), rngs[i], ctx)
                for i in range(cfg.n)]
     outboxes = [c.start() for c in clients]
-    share = {i: next(m for rcpts, m in outboxes[i] if rcpts == (0,))
+    share = {i: next(m for rcpts, m in outboxes[i] if 0 in rcpts)
              for i in (1, 2)}
-    clients[0].on_message(share[1])
+    clients[0].on_message([share[1]])
     # one summed-share broadcast, to both peers
-    emitted = clients[0].on_message(contributor_set_msg((0, 1)))
+    emitted = clients[0].on_message([contributor_set_msg((0, 1))])
     assert [rcpts for rcpts, _ in emitted] == [(1, 2)]
     # client 2's share arrives late; it must not join the summed shares
     with pytest.raises(UnexpectedMessage):
-        clients[0].on_message(share[2])
+        clients[0].on_message([share[2]])
 
 
 def test_duplicate_sender_rejected():
     cfg = nv_cfg()
     clients, _ = make_nv_clients(cfg)
     outbox = clients[1].start()
-    share_msg = next(m for rcpts, m in outbox if rcpts == (0,))
-    clients[0].on_message(share_msg)
+    share_msg = next(m for rcpts, m in outbox if 0 in rcpts)
+    clients[0].on_message([share_msg])
     with pytest.raises(DuplicateSender):
-        clients[0].on_message(share_msg)
+        clients[0].on_message([share_msg])
 
 
 def test_unexpected_kind_rejected():
@@ -113,7 +117,7 @@ def test_unexpected_kind_rejected():
     bad = ProtocolMessage(kind=MsgKind.PUB_KEY, sender=1, round=0,
                           payload=ContributorSetPayload((0,)))
     with pytest.raises(UnexpectedMessage):
-        clients[0].on_message(bad)
+        clients[0].on_message([bad])
 
 
 def test_wrong_round_rejected():
@@ -122,7 +126,7 @@ def test_wrong_round_rejected():
     msg = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                           round=3, payload=ContributorSetPayload((0, 1)))
     with pytest.raises(UnexpectedMessage):
-        clients[0].on_message(msg)
+        clients[0].on_message([msg])
 
 
 def test_lwe_missing_key_share_detected():
@@ -134,7 +138,78 @@ def test_lwe_missing_key_share_detected():
     cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                          round=0, payload=ContributorSetPayload((0, 2)))
     with pytest.raises(MissingKeyShares):
-        client.on_message(cs)
+        client.on_message([cs])
+
+
+def test_inbox_check_raises_for_its_first_offender():
+    cfg = nv_cfg()
+    share = {i: msg for i, c in enumerate(make_nv_clients(cfg)[0])
+             for _, msg in c.start()}
+    late = dataclasses.replace(share[2], round=3)
+    pub_key = ProtocolMessage(kind=MsgKind.PUB_KEY, sender=2, round=0,
+                              payload=ContributorSetPayload((0,)))
+    cases = [
+        ([share[1], share[2], share[1]], DuplicateSender,
+         "client 0: second INPUT_SHARE_VECTOR from 1"),
+        ([share[1], late, share[3], pub_key], UnexpectedMessage,
+         "client 0: round 3 != 0"),
+        ([share[1], pub_key, share[3], late], UnexpectedMessage,
+         "client 0: PUB_KEY not expected now"),
+    ]
+    for inbox, error, text in cases:
+        target = make_nv_clients(cfg)[0][0]
+        with pytest.raises(error) as raised:
+            target.on_message(inbox)
+        assert str(raised.value) == text
+    # a sender already taken from an earlier inbox is a duplicate too
+    target = make_nv_clients(cfg)[0][0]
+    assert target.on_message([share[1]]) == []
+    with pytest.raises(DuplicateSender, match="second INPUT_SHARE_VECTOR "
+                                              "from 1"):
+        target.on_message([share[2], share[1]])
+
+
+def bundle_outboxes(proto):
+    """The start() outbox of every client of a 4-client round."""
+    if proto == "pw":
+        cfg = RoundConfig(protocol="pw", n=4, m=3, dh=DH_GROUP_TEST)
+        ctx, client_cls = RoundContext(), PwClient
+    else:
+        cfg = RoundConfig(protocol=proto, n=4, m=300, t=2, k=2,
+                          lwe=SMALL_LWE if proto == "lwe" else None)
+        ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
+                           if proto == "lwe" else None)
+        client_cls = LweClient if proto == "lwe" else NvClient
+    clients = [client_cls(i, cfg, np.zeros(cfg.m), np.random.default_rng(i),
+                          ctx) for i in range(cfg.n)]
+    return cfg, [c.start() for c in clients]
+
+
+@pytest.mark.parametrize("proto", ["nv", "lwe", "pw"])
+def test_bundle_expands_to_each_recipients_row_message(proto):
+    cfg, outboxes = bundle_outboxes(proto)
+    bundles = [(rcpts, msg) for outbox in outboxes for rcpts, msg in outbox
+               if isinstance(msg.payload, ShareBundlePayload)]
+    assert len(bundles) == cfg.n * (2 if proto == "pw" else 1)
+    for rcpts, msg in bundles:
+        rows = msg.payload.rows
+        assert rcpts == tuple(j for j in range(cfg.n) if j != msg.sender)
+        for j in rcpts:
+            # the 13-byte message header, then the row's payload: nv and
+            # lwe send (chunks, vector length, t, k) before the words, pw
+            # the chunk count
+            if proto == "pw":
+                body = struct.pack(">I", rows.shape[1])
+            else:
+                vec_len = cfg.m if proto == "nv" else cfg.lwe.n_lwe
+                body = struct.pack(">IIII", rows.shape[1], vec_len, cfg.t,
+                                   cfg.k)
+            body += rows[j].astype(">u8").tobytes()
+            wire = struct.pack(">BIII", msg.kind, msg.sender, 0,
+                               len(body)) + body
+            narrowed = msg.at(j)
+            assert narrowed.to_bytes() == wire
+            assert narrowed.wire_size == len(wire) == msg.wire_size
 
 
 def test_contributor_set_from_delivery_record():
@@ -378,11 +453,12 @@ def test_round_determinism():
 
 def deliver(clients, outbox, live=None):
     """Hand every (recipients, message) entry of outbox to each of its
-    recipients below live (all of them by default), in order."""
+    recipients below live (all of them by default), in order, as a
+    one-message inbox."""
     for rcpts, msg in outbox:
         for rcpt in rcpts:
             if live is None or rcpt < live:
-                clients[rcpt].on_message(msg)
+                clients[rcpt].on_message([msg])
 
 
 def drive_pw_setup(n=4, m=3, seed=0):
@@ -407,7 +483,7 @@ def test_pw_contributor_set_with_dropout_emits_key_unmask_share():
         deliver(clients, c.emit_masked(), live=3)
     cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                          round=0, payload=ContributorSetPayload((0, 1, 2)))
-    out = clients[0].on_message(cs)
+    out = clients[0].on_message([cs])
     # one unmask broadcast, to the three peers
     assert [rcpts for rcpts, _ in out] == [(1, 2, 3)]
     entries = out[0][1].payload.entries
@@ -444,13 +520,13 @@ def drive_pw_to_unmask(forge=None):
     cs = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                          round=0, payload=ContributorSetPayload((0, 1, 2)))
     unmask = [(rcpt, msg) for c in clients[:3]
-              for rcpts, msg in c.on_message(cs) for rcpt in rcpts]
+              for rcpts, msg in c.on_message([cs]) for rcpt in rcpts]
     for rcpt, msg in unmask:
         if rcpt < 3:
             if forge is not None and (msg.sender, rcpt) == (1, 0):
                 msg = ProtocolMessage(msg.kind, msg.sender, msg.round,
                                       UnmaskPayload(forge(msg.payload.entries)))
-            clients[rcpt].on_message(msg)
+            clients[rcpt].on_message([msg])
     return cfg, clients
 
 
@@ -517,13 +593,16 @@ WHOLE_BAND = dict(n=5, field=FieldPrime(41),
 
 
 def corrupt_share_payload(monkeypatch, client_cls, kind, forge):
-    """Client 3 receives forge(payload) for client 1's payload of kind."""
+    """Client 3's inbox holds forge(payload) for client 1's payload of
+    kind."""
     on_message = client_cls.on_message
 
-    def corrupt(self, msg):
-        if (self.id, msg.sender, msg.kind) == (3, 1, kind):
-            msg = dataclasses.replace(msg, payload=forge(msg.payload))
-        return on_message(self, msg)
+    def corrupt(self, inbox):
+        if self.id == 3:
+            inbox = [dataclasses.replace(msg, payload=forge(msg.payload))
+                     if (msg.sender, msg.kind) == (1, kind) else msg
+                     for msg in inbox]
+        return on_message(self, inbox)
 
     monkeypatch.setattr(client_cls, "on_message", corrupt)
 
@@ -558,11 +637,17 @@ def test_nv_survivor_with_corrupted_sum_share_diverges(monkeypatch):
         nv_round([np.zeros(8)] * 5, cfg, MessageBus(cfg, master_seed=1))
 
 
+# a share bundle (the share stage) or a summed share's payload
 def one_chunk_too_few(p):
+    if isinstance(p, ShareBundlePayload):
+        return dataclasses.replace(p, rows=p.rows[:, :-1])
     return dataclasses.replace(p, row=p.row[:-1])
 
 
 def other_threshold(p):
+    if isinstance(p, ShareBundlePayload):
+        vec_len, t, k = p.share_header
+        return dataclasses.replace(p, share_header=(vec_len, t - 1, k))
     return dataclasses.replace(p, t=p.t - 1)
 
 
@@ -619,18 +704,16 @@ def corrupt_first_unmask_entry(monkeypatch, forge):
     """Client 3 receives client 1's unmask payload with the chunks of its
     first entry (contributor 0's seed share) replaced by forge(chunks)."""
     from secaggsim.protocol import UnmaskPayload
-    on_message = PwClient.on_message
 
-    def corrupt(self, msg):
-        if (self.id, msg.sender, msg.kind) == (3, 1, MsgKind.UNMASK_SHARE):
-            first, *rest = msg.payload.entries
-            first = dataclasses.replace(first, chunks=forge(first.chunks))
-            payload = UnmaskPayload((first, *rest))
-            assert payload.names == msg.payload.names
-            msg = dataclasses.replace(msg, payload=payload)
-        return on_message(self, msg)
+    def forge_payload(p):
+        first, *rest = p.entries
+        first = dataclasses.replace(first, chunks=forge(first.chunks))
+        payload = UnmaskPayload((first, *rest))
+        assert payload.names == p.names
+        return payload
 
-    monkeypatch.setattr(PwClient, "on_message", corrupt)
+    corrupt_share_payload(monkeypatch, PwClient, MsgKind.UNMASK_SHARE,
+                          forge_payload)
 
 
 def test_pw_survivor_with_corrupted_unmask_row_diverges(monkeypatch):
@@ -662,6 +745,45 @@ def test_pw_unmask_row_opening_a_too_wide_seed_is_a_typed_failure(monkeypatch):
     report = run_simulation(SimConfig(round_cfg=cfg, master_seed=4))
     assert report.result is None
     assert report.failure.startswith("SecretOutOfRange")
+
+
+@pytest.mark.parametrize("proto,kind", [
+    ("nv", MsgKind.INPUT_SHARE_VECTOR),
+    ("lwe", MsgKind.KEY_SHARE),
+    ("pw", MsgKind.KEY_SHARE),
+], ids=["nv", "lwe", "pw"])
+def test_recipient_reads_only_its_own_bundle_row(monkeypatch, proto, kind):
+    # t + k - 1 = n for nv and lwe, so client 3's share enters the opening;
+    # in pw clients 0 and 1 drop after setup, so the key of client 1 opens
+    # from the rows of survivors 2, 3 and 4, at t = 3
+    extra = {"lwe": dict(lwe=SMALL_LWE), "pw": dict(dh=DH_GROUP_TEST)}
+    cfg = RoundConfig(protocol=proto, m=8, **extra.get(proto, {}),
+                      **WHOLE_BAND)
+    drops = {0: "masked_vector", 1: "masked_vector"} if proto == "pw" else {}
+    inputs = [np.full(cfg.m, (i - 2) / 4) for i in range(cfg.n)]
+
+    def field_sum():
+        bus = MessageBus(cfg, master_seed=1,
+                         schedule=DropoutSchedule(stages=drops))
+        return ROUND_FNS[proto](inputs, cfg, bus).field_sum
+
+    clean = field_sum()
+    q = np.uint64(cfg.field.q)
+
+    def all_rows_but_3_plus_one(p):
+        rows = (p.rows + np.uint64(1)) % q
+        rows[3] = p.rows[3]
+        return dataclasses.replace(p, rows=rows)
+
+    client_cls = {"nv": NvClient, "lwe": LweClient, "pw": PwClient}[proto]
+    corrupt_share_payload(monkeypatch, client_cls, kind,
+                          all_rows_but_3_plus_one)
+    assert np.array_equal(field_sum(), clean)
+    if proto != "lwe":  # nv and pw are exact
+        contributors = [i for i in range(cfg.n) if i not in drops]
+        oracle = sum(encode_vec(inputs[i], cfg.fp, cfg.field).astype(int)
+                     for i in contributors) % cfg.field.q
+        assert clean.tolist() == oracle.tolist()
 
 
 def test_sub_unit_clip_nv_round():

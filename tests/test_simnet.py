@@ -267,9 +267,9 @@ def test_exchange_meters_entries_by_count_times_size():
     # broadcast is never sent and what is addressed to it is not delivered
     outbox = [((0, 2, 3), vec), ((0, 1, 2), gone), ((3,), share[3]),
               ((2,), share[2]), ((1, 2, 3), pk), ((1,), share[1])]
-    delivered = bus.exchange("setup", outbox)
-    assert delivered == [((1, 2), pk), ((1,), share[1]), ((2,), share[2]),
-                         ((0, 2), vec)]
+    inboxes = bus.exchange("setup", outbox)
+    # one inbox per client id, in (sender, kind) order
+    assert inboxes == [[vec], [pk, share[1]], [pk, share[2], vec], []]
     assert bus.transcript == [(1, pk), (2, pk), (1, share[1]),
                               (2, share[2]), (0, vec), (2, vec)]
     metr = bus.metrics
@@ -293,7 +293,7 @@ def test_control_is_one_entry_to_the_live_clients():
                      schedule=DropoutSchedule(stages={2: "aggregate_shares"}))
     msg = ProtocolMessage(kind=MsgKind.CONTRIBUTOR_SET, sender=BUS_SENDER,
                           round=0, payload=ContributorSetPayload((0, 1, 2)))
-    assert bus.control("aggregate_shares", msg) == ((0, 1, 3), msg)
+    assert bus.control("aggregate_shares", msg) == [[msg], [msg], [], [msg]]
     size = 13 + 4 + 4 * 3
     assert bus.metrics.per_stage[CONTROL_STAGE] == {
         "messages_sent": 4, "bytes_sent": 4 * size,
