@@ -91,7 +91,9 @@ class RoundContext:
     client that asked, so a survivor with a different view recomputes.
     An opening is keyed on the payload objects it reads, which hash by
     identity: one object serves every recipient of a message, so the
-    survivors that received the same messages share one opening.
+    survivors that received the same messages share one opening.  The
+    share rows of those payloads are read-only from the moment they are
+    built, so an object always stands for the same rows.
     """
 
     def __init__(self, matrix_ops=None):
@@ -158,15 +160,8 @@ class BaseClient:
 
     def _accept(self, inbox: list[ProtocolMessage],
                 allowed: tuple[MsgKind, ...]):
-        """Check the inbox's rounds, kinds and (kind, sender) keys as sets.
-        If a check fails, the messages are checked one by one in order,
-        so the first offender raises."""
-        keys = {(msg.kind, msg.sender) for msg in inbox}
-        if ({msg.round for msg in inbox} == {self.round}
-                and {kind for kind, _ in keys}.issubset(allowed)
-                and len(keys) == len(inbox) and keys.isdisjoint(self._seen)):
-            self._seen |= keys
-            return
+        """Check every message's round, kind and (kind, sender) key in
+        inbox order, so the first offender raises."""
         for msg in inbox:
             if msg.round != self.round:
                 raise UnexpectedMessage(
@@ -191,8 +186,9 @@ class BaseClient:
     def _open(self, tag: str, view: dict, first_point: int, open_rows):
         """open_rows(xs, payloads) of the openers' payloads in the view
         (sender -> payload), in sender order, sender s at point
-        first_point + s; memoized under the payload objects, so only a
-        survivor that holds another payload reopens."""
+        first_point + s; memoized under the payload objects, whose rows
+        are read-only, so only a survivor that holds another payload
+        reopens."""
         items = sorted(view.items())
         return self.ctx.cached((tag, *items), lambda: open_rows(
             tuple(first_point + s for s, _ in items), [p for _, p in items]))

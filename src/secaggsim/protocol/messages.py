@@ -14,7 +14,9 @@ is metered at the size of one row's payload per recipient, and a recorded
 transcript holds `ProtocolMessage.at(j)`, the message narrowed to that row.
 The payloads that survivors open secrets from (summed shares, unmask shares)
 compare and hash by identity, so a round can key an opening on the very
-objects its survivors hold.
+objects its survivors hold.  That key is sound only while the rows it
+covers never change, so every share row a payload holds is made read-only
+when the payload is built.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ class ShareVectorPayload:
     t: int
     k: int
 
+    def __post_init__(self):
+        self.row.flags.writeable = False
+
     @property
     def header(self) -> tuple[int, int, int, int]:
         return len(self.row), self.vec_len, self.t, self.k
@@ -108,6 +113,9 @@ class ShareBundlePayload:
     rows: np.ndarray
     share_header: tuple[int, int, int] | None = None
 
+    def __post_init__(self):
+        self.rows.flags.writeable = False
+
     @property
     def header(self) -> tuple[int, int, int, int]:
         """The header every row's ShareVectorPayload carries."""
@@ -132,6 +140,9 @@ class UnmaskEntry:
     target: int
     secret_type: int  # SECRET_DH_KEY or SECRET_PERSONAL_SEED
     chunks: np.ndarray  # the opener's share row, one uint64 per chunk
+
+    def __post_init__(self):
+        self.chunks.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)

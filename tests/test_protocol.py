@@ -33,6 +33,9 @@ from secaggsim.protocol import (
     ROUND_FNS,
     RoundContext,
     ShareBundlePayload,
+    ShareVectorPayload,
+    UnmaskEntry,
+    UnmaskPayload,
     contributor_set,
     lwe_round,
     nv_round,
@@ -210,6 +213,19 @@ def test_bundle_expands_to_each_recipients_row_message(proto):
             narrowed = msg.at(j)
             assert narrowed.to_bytes() == wire
             assert narrowed.wire_size == len(wire) == msg.wire_size
+
+
+def test_payload_share_rows_are_read_only():
+    # an opening is memoized under the payload objects, so the rows they
+    # hold must never change after the payload is built
+    rows = np.arange(6, dtype=np.uint64).reshape(3, 2)
+    bundle = ShareBundlePayload(rows.copy(), (3, 2, 1))
+    held = [bundle.rows, bundle.at(1).row,
+            ShareVectorPayload(rows[0].copy(), 3, 2, 1).row,
+            UnmaskPayload((UnmaskEntry(0, 0, rows[1].copy()),)).entries[0].chunks]
+    for row in held:
+        with pytest.raises(ValueError):
+            row[0] = 1
 
 
 def test_contributor_set_from_delivery_record():
@@ -513,7 +529,6 @@ def drive_pw_to_unmask(forge=None):
     """Client 3 drops after setup; clients 0-2 mask, get the contributor
     set and exchange unmask shares.  forge(payload) may rewrite what
     client 1 sends to client 0."""
-    from secaggsim.protocol import UnmaskPayload
     cfg, clients = drive_pw_setup()
     for c in clients[:3]:
         deliver(clients, c.emit_masked(), live=3)
@@ -539,7 +554,6 @@ def test_pw_unmask_opens_every_secret_in_one_call():
 
 
 def test_pw_unmask_naming_other_secrets_raises():
-    from secaggsim.protocol import UnmaskEntry
 
     def retarget(entries):  # client 1 claims to open client 2's key instead
         return tuple(UnmaskEntry(2 if e.target == 3 else e.target,
@@ -703,7 +717,6 @@ def test_pw_survivor_with_other_public_key_diverges(monkeypatch):
 def corrupt_first_unmask_entry(monkeypatch, forge):
     """Client 3 receives client 1's unmask payload with the chunks of its
     first entry (contributor 0's seed share) replaced by forge(chunks)."""
-    from secaggsim.protocol import UnmaskPayload
 
     def forge_payload(p):
         first, *rest = p.entries
