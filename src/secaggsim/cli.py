@@ -23,8 +23,8 @@ import numpy as np
 from . import oracle
 from .errors import SecAggError
 from .field import M61, FieldPrime, encode_vec, matmul_mod, sum_mod
-from .masking import (DH_GROUP_2048, DH_GROUP_TEST, TAG_PAIRWISE, LweParams,
-                      stream_expand)
+from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SPLIT_BLOCK, TAG_PAIRWISE,
+                      LweMatrixOps, LweParams, mat_vec_mod, stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
 from .shamir import Share, reconstruct_vector, share_vector
 from .simnet import (
@@ -309,6 +309,26 @@ def _prop_matmul_dual_route(fault_inject: bool) -> bool:
     return True
 
 
+def _prop_lwe_matvec_dual_route(fault_inject: bool) -> bool:
+    """masking.LweMatrixOps.matvec, for one secret and a stack of five,
+    against mat_vec_mod on F17, M61 and the largest prime below 2^63, with
+    a row count that ends mid-way through a block of the limb build."""
+    rng = np.random.Generator(np.random.PCG64(19))
+    m, d = 2 * SPLIT_BLOCK + 3, 9
+    for q in (17, M61, (1 << 63) - 25):
+        fld = FieldPrime(q)
+        A = rng.integers(0, q, size=(m, d), dtype=np.uint64)
+        S = rng.integers(0, q, size=(5, d), dtype=np.uint64)
+        ops = LweMatrixOps(A, fld)
+        got = [ops.matvec(S[0]).tolist()] + ops.matvec(S).T.tolist()
+        if fault_inject:
+            got[0][m - 1] = (got[0][m - 1] + 1) % q
+        want = [mat_vec_mod(A, s, fld).tolist() for s in (S[0], *S)]
+        if got != want:
+            return False
+    return True
+
+
 def _prop_sum_dual_route(fault_inject: bool) -> bool:
     """field.sum_mod against a Python-int loop on F17, M61 and the largest
     prime below 2^63, for row counts on both sides of a 64-row block, with
@@ -382,6 +402,7 @@ def cmd_verify(args) -> int:
         ("share_vector_roundtrip", lambda: _prop_share_roundtrip(args.fault_inject)),
         ("mask_stream_prefix_and_kat", lambda: _prop_mask_stream(args.fault_inject)),
         ("matmul_mod_dual_route", lambda: _prop_matmul_dual_route(args.fault_inject)),
+        ("lwe_matvec_dual_route", lambda: _prop_lwe_matvec_dual_route(args.fault_inject)),
         ("sum_mod_dual_route", lambda: _prop_sum_dual_route(args.fault_inject)),
         ("protocol_vs_plaintext", lambda: _prop_protocol_equivalence()),
         ("trajectory_parity", lambda: _prop_trajectory_parity()),

@@ -215,6 +215,11 @@ def limb_bits(inner: int, field: FieldPrime) -> int:
     return min((53 - max(inner, 1).bit_length()) // 2, field.bit_width)
 
 
+def limb_count(bits: int, field: FieldPrime) -> int:
+    """Number of bits-wide limbs that hold a reduced element."""
+    return -(-field.bit_width // bits)
+
+
 def split_limbs(X, bits: int, field: FieldPrime, axis: int = 0) -> np.ndarray:
     """The bits-wide limbs of a reduced (r x c) matrix, lowest first, as
     one float64 matrix: stacked down the rows (limbs*r x c) for axis 0,
@@ -222,13 +227,20 @@ def split_limbs(X, bits: int, field: FieldPrime, axis: int = 0) -> np.ndarray:
     limb i in columns i*c to (i+1)*c) for axis 1, the right operand."""
     X = _as_u64(X)
     r, c = X.shape
-    count = -(-field.bit_width // bits)
+    count = limb_count(bits, field)
     out = np.empty((count, r, c) if axis == 0 else (r, count, c))
-    limbs = out if axis == 0 else out.swapaxes(0, 1)
-    mask = np.uint64((1 << bits) - 1)
-    for i in range(count):
-        limbs[i] = (X >> np.uint64(bits * i)) & mask
+    write_limbs(X, bits, out if axis == 0 else out.swapaxes(0, 1))
     return out.reshape(count * r, c) if axis == 0 else out.reshape(r, count * c)
+
+
+def write_limbs(X: np.ndarray, bits: int, limbs: np.ndarray) -> None:
+    """Write the bits-wide limbs of a reduced uint64 matrix X into
+    limbs[0], limbs[1], ..., lowest first.  limbs is any (count x r x c)
+    float64 array or view, so a caller can split a matrix in blocks
+    straight into its place in a larger one."""
+    mask = np.uint64((1 << bits) - 1)
+    for i in range(len(limbs)):
+        limbs[i] = (X >> np.uint64(bits * i)) & mask
 
 
 def _weight_class(P: np.ndarray, w: int, count: int) -> np.ndarray:
@@ -254,7 +266,7 @@ def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits: int,
     accumulator that is folded once at the end (more classes fold as they
     go).  Other moduli multiply each class by 2^(bits*w) mod q.
     """
-    count = -(-field.bit_width // bits)
+    count = limb_count(bits, field)
     r = M_limbs.shape[0] // count
     c = V_limbs.shape[1] // count
     P = (M_limbs @ V_limbs).reshape(count, r, count, c)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidPublicKey
 from .field import (DEFAULT_FIELD, FieldPrime, add_mod, limb_bits,
-                    limb_product, split_limbs)
-from .field import mul_mod  # noqa: F401 -- still importable from here
+                    limb_count, limb_product, split_limbs, write_limbs)
+from .field import mul_mod  # noqa: F401 -- perfbench's tracer wraps it here
 
 # RFC 3526 group 14 (2048-bit MODP).  p = 7 mod 8, so g=2 generates the
 # prime-order subgroup of size (p-1)/2.
@@ -210,24 +210,41 @@ def lwe_mask(w: np.ndarray, s: np.ndarray, e: np.ndarray, A: np.ndarray,
     return add_mod(h, e, field)
 
 
+# Rows of A per block of the limb build.  One block's limbs stay in cache
+# while they are written, so A is read in row order; splitting A.T whole
+# would read it column by column, at about twice the cost.
+SPLIT_BLOCK = 128
+
+
 class LweMatrixOps:
     """Exact modular products of a fixed public m x n_lwe matrix A.
 
-    The matrix is split once into (limbs*m x n_lwe) float64 limbs
-    (field.split_limbs, axis 0); the secrets, as the columns of an
-    n_lwe x k matrix, are split into (n_lwe x limbs*k) on each call (axis
-    1).  The product then runs through field.limb_product, the kernel of
-    field.matmul_mod: one BLAS matmul however many secrets it covers.
-    `matvec(s)` takes one secret (shape n_lwe, returns A.s, length m) or a
-    stack of k secrets (shape k x n_lwe, returns the m x k matrix whose
-    column j is A.s_j).  Bit-identical to mat_vec_mod, column by column.
+    A is split once, SPLIT_BLOCK rows at a time, into the limbs of its
+    transpose: one (n_lwe x limbs*m) float64 matrix, laid out as
+    split_limbs(A.T, axis=1) would give it.  A stack of k secrets, the
+    rows of a k x n_lwe matrix S, is split into (limbs*k x n_lwe) on each
+    call (axis 0), and field.limb_product, the kernel of field.matmul_mod,
+    forms S.A^T = (A.S^T)^T in one BLAS matmul however many secrets it
+    covers.  A^T's limbs are the right-hand operand because BLAS runs
+    this wide, short product about twice as fast as the same FLOPs in
+    the (limbs*m x n_lwe) @ (n_lwe x limbs*k) orientation.
+    `matvec(s)` takes one secret (shape n_lwe, returns A.s, length m) or
+    a stack of k secrets (shape k x n_lwe, returns an m x k transposed
+    view whose column j, A.s_j, is contiguous).  Bit-identical to
+    mat_vec_mod, column by column.
     """
 
     def __init__(self, A: np.ndarray, field: FieldPrime = DEFAULT_FIELD):
+        A = np.asarray(A, dtype=np.uint64)
         self.field = field
-        self.shape = A.shape
-        self._bits = limb_bits(A.shape[1], field)
-        self._limbs = split_limbs(A, self._bits, field)
+        self.shape = m, d = A.shape
+        self._bits = bits = limb_bits(d, field)
+        count = limb_count(bits, field)
+        limbs = np.empty((d, count, m))
+        for r in range(0, m, SPLIT_BLOCK):
+            write_limbs(A[r:r + SPLIT_BLOCK].T, bits,
+                        limbs[:, :, r:r + SPLIT_BLOCK].swapaxes(0, 1))
+        self._limbs_T = limbs.reshape(d, count * m)
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         m, d = self.shape
@@ -235,10 +252,9 @@ class LweMatrixOps:
         if S.ndim not in (1, 2) or S.shape[-1] != d:
             raise DimensionMismatch(
                 f"matrix is {m}x{d}, secrets have shape {S.shape}")
-        s_limbs = split_limbs(S.reshape(-1, d).T, self._bits, self.field,
-                              axis=1)
-        out = limb_product(self._limbs, s_limbs, self._bits, self.field)
-        return out[:, 0] if S.ndim == 1 else out
+        s_limbs = split_limbs(S.reshape(-1, d), self._bits, self.field)
+        out = limb_product(s_limbs, self._limbs_T, self._bits, self.field)
+        return out[0] if S.ndim == 1 else out.T
 
 
 # One big matrix at a time is plenty: the simulator shares a single matrix

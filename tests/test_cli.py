@@ -128,7 +128,7 @@ def test_verify_quick_passes(capsys):
     code, out = run_cli(capsys, "verify", "--quick")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
 
 
 def test_verify_fault_injection_is_detected(capsys):
@@ -137,6 +137,7 @@ def test_verify_fault_injection_is_detected(capsys):
     assert "FAIL share_vector_roundtrip" in out
     assert "FAIL mask_stream_prefix_and_kat" in out
     assert "FAIL matmul_mod_dual_route" in out
+    assert "FAIL lwe_matvec_dual_route" in out
     assert "FAIL sum_mod_dual_route" in out
 
 

@@ -9,10 +9,11 @@ from scipy import stats
 
 from secaggsim import masking
 from secaggsim.errors import DimensionMismatch, InvalidPublicKey
-from secaggsim.field import FieldPrime, add_mod
+from secaggsim.field import FieldPrime, add_mod, limb_bits, split_limbs
 from secaggsim.masking import (
     DH_GROUP_2048,
     DH_GROUP_TEST,
+    SPLIT_BLOCK,
     DhParams,
     LweMatrixOps,
     LweParams,
@@ -353,6 +354,33 @@ def test_stacked_matvec_is_one_matvec_per_secret(field):
         assert np.array_equal(out[:, j], mat_vec_mod(A, S[j], field))
         one = ops.matvec(S[j])  # a single secret still gives a vector
         assert one.shape == (m,) and np.array_equal(one, out[:, j])
+
+
+@pytest.mark.parametrize("field", [F17, M61F, FieldPrime((1 << 63) - 25)],
+                         ids=["F17", "M61", "2^63-25"])
+@pytest.mark.parametrize("m", [1, SPLIT_BLOCK - 1, SPLIT_BLOCK,
+                               SPLIT_BLOCK + 1, 2 * SPLIT_BLOCK + 3])
+def test_matvec_at_the_split_block_edges(field, m):
+    g = rng(m)
+    d = 7
+    A = g.integers(0, field.q, size=(m, d)).astype(np.uint64)
+    S = g.integers(0, field.q, size=(64, d)).astype(np.uint64)
+    want = np.stack([mat_vec_mod(A, s, field) for s in S], axis=1)
+    ops = LweMatrixOps(A, field)
+    assert np.array_equal(ops.matvec(S[0]), want[:, 0])
+    for k in (1, 5, 64):
+        out = ops.matvec(S[:k])
+        assert out.shape == (m, k) and np.array_equal(out, want[:, :k])
+
+
+@pytest.mark.parametrize("field", [F17, M61F, FieldPrime((1 << 63) - 25)],
+                         ids=["F17", "M61", "2^63-25"])
+def test_blocked_limb_build_equals_one_split_of_the_transpose(field):
+    m, d = 2 * SPLIT_BLOCK + 3, 11
+    A = rng(d).integers(0, field.q, size=(m, d)).astype(np.uint64)
+    bits = limb_bits(d, field)
+    assert np.array_equal(LweMatrixOps(A, field)._limbs_T,
+                          split_limbs(A.T, bits, field, axis=1))
 
 
 def test_matvec_rejects_a_wrong_width():
