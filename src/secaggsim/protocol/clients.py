@@ -9,9 +9,13 @@ every peer, of which each peer reads its own row.  Stage starts that in a
 real deployment would come from a synchrony barrier (begin masking, begin
 the round) are explicit method calls by the round driver.
 
-Clients never see who dropped except through the contributor set, keep
-per-sender buffers separate until that set arrives, and reject duplicate
-or out-of-stage messages.
+Every client holds what it has heard in one store, got[kind][sender] ->
+payload, with its own broadcasts under its own id, and checks an inbox in
+one receive pass (BaseClient.on_message): a message of another round, of a
+kind its class does not accept, or of a kind already heard from its sender
+raises.  Clients never see who dropped except through the contributor set,
+which only the bus announces and which is the one trigger of the final
+stage; a payload it needs that never arrived raises a typed ProtocolError.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from ..shamir import (
     share_vector,
 )
 from .messages import (
+    BUS_SENDER,
     SECRET_DH_KEY,
     SECRET_PERSONAL_SEED,
     Entry,
@@ -62,6 +67,7 @@ from .messages import (
 )
 
 PERSONAL_SEED_BITS = 256
+MASKED_MISSING = "masked vectors missing from {}"
 
 
 class OpsTally:
@@ -134,6 +140,16 @@ class AggregateResult:
 
 
 class BaseClient:
+    """A client's one store of what it holds and its one receive pass.
+
+    got[kind][sender] is the payload of kind that sender broadcast, for
+    every kind in the class's ACCEPTS; this client's own broadcasts are
+    held there under its own id, and the bus's contributor set under
+    BUS_SENDER.  A payload stays whole, so a share bundle is held as the
+    bundle, of which this client reads only its own row."""
+
+    ACCEPTS: tuple[MsgKind, ...] = ()
+
     def __init__(self, cid: int, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
         self.id = cid
@@ -143,45 +159,63 @@ class BaseClient:
         self.round = round_index
         self.ops = OpsTally()
         self.contributors: tuple[int, ...] | None = None
-        self._seen: set[tuple[MsgKind, int]] = set()
+        self.got: dict[MsgKind, dict[int, object]] = {
+            kind: {} for kind in self.ACCEPTS}
         if w is not None:
             if len(w) != cfg.m:
                 raise ValueError(f"input has {len(w)} coords, config says {cfg.m}")
             self.enc_w = encode_vec(w, cfg.fp, cfg.field)
 
-    def _msg(self, kind: MsgKind, payload) -> ProtocolMessage:
-        return ProtocolMessage(kind=kind, sender=self.id, round=self.round,
-                               payload=payload)
-
     def _broadcast(self, kind: MsgKind, payload) -> Entry:
-        """One entry addressing the same message to every peer."""
+        """Hold payload as this client's own of kind, and return one entry
+        addressing it to every peer."""
+        self.got[kind][self.id] = payload
         return ((*range(self.id), *range(self.id + 1, self.cfg.n)),
-                self._msg(kind, payload))
+                ProtocolMessage(kind, self.id, self.round, payload))
 
-    def _accept(self, inbox: list[ProtocolMessage],
-                allowed: tuple[MsgKind, ...]):
-        """Check every message's round, kind and (kind, sender) key in
-        inbox order, so the first offender raises."""
+    def on_message(self, inbox: list[ProtocolMessage]) -> list[Entry]:
+        """Check and hold every message of inbox in order, so the first
+        offender raises: its round, its kind, a first one of its kind from
+        its sender, then the class's own payload check.  The contributor
+        set, from the bus alone, returns the final stage's entries, from
+        the class's _final_out."""
+        out = []
         for msg in inbox:
             if msg.round != self.round:
                 raise UnexpectedMessage(
                     f"client {self.id}: round {msg.round} != {self.round}")
-            if msg.kind not in allowed:
+            held = self.got.get(msg.kind)
+            if held is None:
                 raise UnexpectedMessage(
                     f"client {self.id}: {msg.kind.name} not expected now")
-            key = (msg.kind, msg.sender)
-            if key in self._seen:
+            if msg.sender in held:
                 raise DuplicateSender(f"client {self.id}: second "
                                       f"{msg.kind.name} from {msg.sender}")
-            self._seen.add(key)
+            if msg.kind != MsgKind.CONTRIBUTOR_SET:
+                self._check(msg)
+                held[msg.sender] = msg.payload
+                continue
+            if msg.sender != BUS_SENDER:  # only the bus announces one
+                raise UnexpectedMessage(
+                    f"client {self.id}: {msg.kind.name} from {msg.sender}")
+            if not msg.payload.ids:
+                raise InsufficientContributors("empty contributor set")
+            held[msg.sender] = msg.payload
+            self.contributors = msg.payload.ids
+            out += self._final_out()
+        return out
 
-    def _set_contributors(self, ids: tuple[int, ...]):
-        if not ids:
-            raise InsufficientContributors("empty contributor set")
-        if self.contributors is not None and self.contributors != ids:
-            raise UnexpectedMessage(
-                f"client {self.id}: contributor set changed")
-        self.contributors = ids
+    def _check(self, msg: ProtocolMessage):
+        """Raise if msg's payload may not be held; every payload may."""
+
+    def _held(self, kind: MsgKind, senders, error, missing: str) -> list:
+        """The payloads of kind from senders, in order; error(missing with
+        the senders not heard from) if any is absent."""
+        held = self.got[kind]
+        absent = [s for s in senders if s not in held]
+        if absent:
+            raise error(f"client {self.id}: " + missing.format(absent))
+        return [held[s] for s in senders]
 
     def _open(self, tag: str, view: dict, first_point: int, open_rows):
         """open_rows(xs, payloads) of the openers' payloads in the view
@@ -210,11 +244,9 @@ class NvClient(BaseClient):
                  round_index: int = 0):
         super().__init__(cid, cfg, w, rng, ctx, round_index)
         vec_len = self._shared_len()
+        # the header of every share this client holds: a sender's bundle
+        # row for it, at point k+1+id, and a summed share, at k+1+sender
         self._header = (chunk_count(vec_len, cfg.k), vec_len, cfg.t, cfg.k)
-        # share rows per sender, at point k+1+id, and summed-share payloads
-        # per sender, at point k+1+sender, all with the header above
-        self._shares: dict[int, np.ndarray] = {}
-        self._sum_shares: dict[int, ShareVectorPayload] = {}
 
     def _shared_len(self) -> int:
         return self.cfg.m
@@ -222,58 +254,39 @@ class NvClient(BaseClient):
     def start(self) -> list[Entry]:
         return self._share_out(self.enc_w)
 
-    def _checked(self, msg: ProtocolMessage):
-        """The payload of a share bundle or summed share, whose header
-        must be this client's."""
-        if msg.payload.header != self._header:
+    on_message = BaseClient.on_message  # own attribute: perfbench traces it
+
+    def _check(self, msg: ProtocolMessage):
+        """A share bundle only before the contributor set, and a bundle or
+        summed share only with this client's header."""
+        if msg.kind == self.SHARE_KIND and self.contributors is not None:
+            raise UnexpectedMessage(
+                f"client {self.id}: {msg.kind.name} after the contributor set")
+        if (msg.kind in (self.SHARE_KIND, self.SUM_KIND)
+                and msg.payload.header != self._header):
             raise PointMismatch(
                 f"client {self.id}: share header {msg.payload.header} from "
                 f"{msg.sender} != {self._header}")
-        return msg.payload
 
-    def on_message(self, inbox: list[ProtocolMessage]) -> list[Entry]:
-        self._accept(inbox, self.ACCEPTS)
-        out = []
-        for msg in inbox:
-            if msg.kind == self.SHARE_KIND:
-                if self.contributors is not None:
-                    raise UnexpectedMessage(
-                        f"client {self.id}: {msg.kind.name} after the "
-                        f"contributor set")
-                self._shares[msg.sender] = self._checked(msg).rows[self.id]
-            elif msg.kind == MsgKind.CONTRIBUTOR_SET:
-                out += self._sum_out(msg.payload.ids)
-            elif msg.kind == MsgKind.MASKED_VECTOR:  # lwe only, see ACCEPTS
-                self._masked[msg.sender] = msg.payload.vec
-            else:
-                self._sum_shares[msg.sender] = self._checked(msg)
-        return out
-
-    def _sum_out(self, contributors: tuple[int, ...]) -> list[Entry]:
+    def _final_out(self) -> list[Entry]:
         """Sum the contributors' share rows and broadcast the sum."""
-        self._set_contributors(contributors)
-        missing = [s for s in self.contributors if s not in self._shares]
-        if missing:
-            raise MissingKeyShares(
-                f"client {self.id}: no shares from contributors {missing}")
-        agg = add_share_vectors(
-            (self._shares[s] for s in self.contributors), self.cfg.field)
+        bundles = self._held(self.SHARE_KIND, self.contributors,
+                             MissingKeyShares, "no shares from contributors {}")
+        agg = add_share_vectors((b.rows[self.id] for b in bundles),
+                                self.cfg.field)
         self.ops.add += len(agg) * (len(self.contributors) - 1)
         _, vec_len, t, k = self._header
-        payload = self._sum_shares[self.id] = ShareVectorPayload(
-            agg, vec_len, t, k)
-        return [self._broadcast(self.SUM_KIND, payload)]
+        return [self._broadcast(self.SUM_KIND,
+                                ShareVectorPayload(agg, vec_len, t, k))]
 
     def _share_out(self, vec) -> list[Entry]:
-        """Packed-share vec, keep this client's own row, and send every
-        peer the bundle of rows."""
+        """Packed-share vec and send every peer the bundle of rows."""
         cfg = self.cfg
         rows = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
         chunks = rows.shape[1]
         d = cfg.t + cfg.k - 1
         self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
         self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
-        self._shares[self.id] = rows[self.id]
         return [self._broadcast(self.SHARE_KIND,
                                 ShareBundlePayload(rows, self._header[1:]))]
 
@@ -284,9 +297,10 @@ class NvClient(BaseClient):
         need = cfg.t + cfg.k - 1
         if self.contributors is None:
             raise InsufficientContributors(f"client {self.id}: no contributor set")
-        if len(self._sum_shares) < need:
+        sums = self.got[self.SUM_KIND]
+        if len(sums) < need:
             raise InsufficientSurvivors(
-                f"client {self.id}: {len(self._sum_shares)} summed shares "
+                f"client {self.id}: {len(sums)} summed shares "
                 f"< t+k-1 = {need}")
         chunks, vec_len = self._header[:2]
 
@@ -296,7 +310,7 @@ class NvClient(BaseClient):
             vec.flags.writeable = False
             return vec
 
-        vec = self._open("open", self._sum_shares, cfg.k + 1, open_rows)
+        vec = self._open("open", sums, cfg.k + 1, open_rows)
         self.ops.mul += chunks * cfg.k * need
         self.ops.add += chunks * cfg.k * (need - 1)
         return vec
@@ -329,7 +343,6 @@ class LweClient(NvClient):
         self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
                               dtype=np.uint64)
         self._secret_index = ctx.register_secret(self.s)
-        self._masked: dict[int, np.ndarray] = {}
 
     def _shared_len(self) -> int:
         return self.cfg.lwe.n_lwe
@@ -345,17 +358,14 @@ class LweClient(NvClient):
         h = add_mod(h, e, cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
-        self._masked[self.id] = h
         return [self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(h))]
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
         s_sum = self._open_sum()
-        missing_h = [s for s in self.contributors if s not in self._masked]
-        if missing_h:
-            raise InsufficientContributors(
-                f"client {self.id}: masked vectors missing from {missing_h}")
-        h_sum = sum_mod((self._masked[s] for s in self.contributors), cfg.field)
+        h_sum = sum_mod((p.vec for p in self._held(
+            MsgKind.MASKED_VECTOR, self.contributors, InsufficientContributors,
+            MASKED_MISSING)), cfg.field)
         # every survivor that opened the same s_sum removes the same A.s_sum
         mask = self.ctx.cached(("A.s_sum", s_sum.tobytes()),
                                lambda: self.ctx.matrix_ops.matvec(s_sum))
@@ -382,31 +392,28 @@ class PwClient(BaseClient):
     client that never broadcast, or the personal seed of one that did.
     """
 
+    ACCEPTS = (MsgKind.PUB_KEY, MsgKind.KEY_SHARE, MsgKind.PERSONAL_SEED_SHARE,
+               MsgKind.MASKED_VECTOR, MsgKind.CONTRIBUTOR_SET,
+               MsgKind.UNMASK_SHARE)
+
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
         super().__init__(cid, cfg, w, rng, ctx, round_index)
         self.keypair = dh_keygen(cfg.dh, rng)
         self.personal_seed = rng.bytes(32) if cfg.personal_mask else None
-        self._pks: dict[int, int] = {cid: self.keypair.pk}
-        # held shares: my uint64 share row of each owner's chunked secret
-        self._key_shares: dict[int, np.ndarray] = {}
-        self._seed_shares: dict[int, np.ndarray] = {}
-        self._masked: dict[int, np.ndarray] = {}
-        # unmask payload per opener, this client's own included
-        self._unmask: dict[int, UnmaskPayload] = {}
+        if not cfg.personal_mask:
+            del self.got[MsgKind.PERSONAL_SEED_SHARE]
 
     @property
     def _order_bits(self) -> int:
         return self.cfg.dh.subgroup_order.bit_length()
 
-    def _share_secret(self, value: int, total_bits: int, kind: MsgKind,
-                      held: dict) -> Entry:
-        """Chunk-share value, keep this client's own row in held, and send
-        every peer the bundle of rows."""
+    def _share_secret(self, value: int, total_bits: int,
+                      kind: MsgKind) -> Entry:
+        """Chunk-share value and send every peer the bundle of rows."""
         cfg = self.cfg
         rows = share_integer(value, total_bits, cfg.t, cfg.n, self.rng,
                              cfg.field)
-        held[self.id] = rows[self.id]
         return self._broadcast(kind, ShareBundlePayload(rows))
 
     def start(self) -> list[Entry]:
@@ -414,11 +421,11 @@ class PwClient(BaseClient):
         out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
             self.keypair.pk, cfg.dh.residue_bytes))]
         out.append(self._share_secret(self.keypair.sk, self._order_bits,
-                                      MsgKind.KEY_SHARE, self._key_shares))
+                                      MsgKind.KEY_SHARE))
         if cfg.personal_mask:
             out.append(self._share_secret(
                 int.from_bytes(self.personal_seed, "big"), PERSONAL_SEED_BITS,
-                MsgKind.PERSONAL_SEED_SHARE, self._seed_shares))
+                MsgKind.PERSONAL_SEED_SHARE))
         return out
 
     def _apply_masks(self, v: np.ndarray, terms) -> np.ndarray:
@@ -438,76 +445,57 @@ class PwClient(BaseClient):
         cfg = self.cfg
         terms = [(1, self.personal_seed, TAG_PERSONAL)] if cfg.personal_mask else []
         terms += [(1 if self.id < j else -1,
-                   dh_agree(self.keypair.sk, self._pks[j], cfg.dh), TAG_PAIRWISE)
-                  for j in sorted(self._pks) if j != self.id]
+                   dh_agree(self.keypair.sk, pk.residue, cfg.dh), TAG_PAIRWISE)
+                  for j, pk in sorted(self.got[MsgKind.PUB_KEY].items())
+                  if j != self.id]
         y = self._apply_masks(self.enc_w, terms)
         self.ops.add += cfg.m * len(terms)
-        self._masked[self.id] = y
         return [self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(y))]
 
-    def on_message(self, inbox: list[ProtocolMessage]) -> list[Entry]:
-        self._accept(inbox, (MsgKind.PUB_KEY, MsgKind.KEY_SHARE,
-                             MsgKind.PERSONAL_SEED_SHARE, MsgKind.MASKED_VECTOR,
-                             MsgKind.CONTRIBUTOR_SET, MsgKind.UNMASK_SHARE))
-        out = []
-        for msg in inbox:
-            kind, sender, payload = msg.kind, msg.sender, msg.payload
-            if kind == MsgKind.PUB_KEY:
-                self._pks[sender] = payload.residue
-            elif kind == MsgKind.KEY_SHARE:
-                self._key_shares[sender] = payload.rows[self.id]
-            elif kind == MsgKind.PERSONAL_SEED_SHARE:
-                if not self.cfg.personal_mask:
-                    raise UnexpectedMessage(f"client {self.id}: seed share "
-                                            f"with personal masking off")
-                self._seed_shares[sender] = payload.rows[self.id]
-            elif kind == MsgKind.MASKED_VECTOR:
-                self._masked[sender] = payload.vec
-            elif kind == MsgKind.CONTRIBUTOR_SET:
-                self._set_contributors(payload.ids)
-                out += self._emit_unmask()
-            else:  # UNMASK_SHARE: the sender opens its held shares
-                self._unmask[sender] = payload  # at point sender+1
-        return out
+    on_message = BaseClient.on_message  # own attribute: perfbench traces it
 
     def _classify(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(contributors, dropped-after-setup): the second group finished
-        key setup but never broadcast a masked vector."""
-        setup_set = set(self._pks)
-        dropped = tuple(sorted(setup_set - set(self.contributors)))
-        stray = set(self.contributors) - setup_set
-        if stray:
-            raise MissingKeyShares(
-                f"client {self.id}: contributors {sorted(stray)} skipped setup")
-        return self.contributors, dropped
+        """(the contributors' public keys, dropped-after-setup): the second
+        group finished key setup but never broadcast a masked vector."""
+        pks = tuple(p.residue for p in self._held(
+            MsgKind.PUB_KEY, self.contributors, MissingKeyShares,
+            "contributors {} skipped setup"))
+        dropped = tuple(sorted(
+            self.got[MsgKind.PUB_KEY].keys() - set(self.contributors)))
+        return pks, dropped
 
-    def _emit_unmask(self) -> list[Entry]:
-        if self.id in self._unmask:
-            return []
-        contributors, dropped = self._classify()
-        overlap = set(contributors) & set(dropped)
+    def _final_out(self) -> list[Entry]:
+        """Broadcast this client's share rows of the secrets to open: the
+        DH key of each dropped peer, and each contributor's personal seed."""
+        _, dropped = self._classify()
+        overlap = set(self.contributors) & set(dropped)
         if overlap:
             raise SafetyViolation(
                 f"client {self.id}: both secrets of {sorted(overlap)} requested")
-        entries = [UnmaskEntry(k, SECRET_DH_KEY, self._key_shares[k])
-                   for k in dropped]
+        entries = [UnmaskEntry(k, SECRET_DH_KEY, b.rows[self.id])
+                   for k, b in zip(dropped, self._held(
+                       MsgKind.KEY_SHARE, dropped, MissingKeyShares,
+                       "no key shares from dropped peers {}"))]
         if self.cfg.personal_mask:
-            entries += [UnmaskEntry(i, SECRET_PERSONAL_SEED, self._seed_shares[i])
-                        for i in contributors]
-        payload = self._unmask[self.id] = UnmaskPayload(tuple(entries))
-        if not entries:
-            return []
-        return [self._broadcast(MsgKind.UNMASK_SHARE, payload)]
+            entries += [UnmaskEntry(i, SECRET_PERSONAL_SEED, b.rows[self.id])
+                        for i, b in zip(self.contributors, self._held(
+                            MsgKind.PERSONAL_SEED_SHARE, self.contributors,
+                            MissingKeyShares,
+                            "no seed shares from contributors {}"))]
+        entry = self._broadcast(MsgKind.UNMASK_SHARE,
+                                UnmaskPayload(tuple(entries)))
+        return [entry] if entries else []
 
     def _open_secrets(self) -> tuple[int, ...]:
         """Every secret named by this client's own unmask entries, opened
         from its own and the other openers' share rows side by side in one
         interpolation.  The check that every opener names the same secrets
         runs with the opening, once per view of unmask payloads."""
-        names = self._unmask[self.id].names
+        unmask = self.got[MsgKind.UNMASK_SHARE]
+        names = unmask[self.id].names
 
         def open_rows(xs, payloads):
-            for sender, payload in self._unmask.items():
+            for sender, payload in unmask.items():
                 if payload.names != names:
                     raise UnmaskMismatch(
                         f"client {self.id}: unmask shares from {sender} name "
@@ -524,16 +512,19 @@ class PwClient(BaseClient):
                 xs, np.stack([p.row for p in payloads]), self.cfg.t, widths,
                 self.cfg.field))
 
-        opened = self._open("pw-open", self._unmask, 1, open_rows)
-        self.ops.inv += len(self._unmask) * len(names)
+        opened = self._open("pw-open", unmask, 1, open_rows)
+        self.ops.inv += len(unmask) * len(names)
         return opened
 
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
         if self.contributors is None:
             raise InsufficientContributors(f"client {self.id}: no contributor set")
-        contributors, dropped = self._classify()
-        v = sum_mod((self._masked[i] for i in contributors), cfg.field)
+        contributors = self.contributors
+        pks, dropped = self._classify()
+        v = sum_mod((p.vec for p in self._held(
+            MsgKind.MASKED_VECTOR, contributors, InsufficientContributors,
+            MASKED_MISSING)), cfg.field)
         self.ops.add += cfg.m * (len(contributors) - 1)
         opened = self._open_secrets()
         # entries name the dropped clients' keys, then the personal seeds
@@ -541,14 +532,14 @@ class PwClient(BaseClient):
 
         def correction():
             terms = [(-1, s.to_bytes(32, "big"), TAG_PERSONAL) for s in seeds]
-            terms += [(-1 if j < k else 1, dh_agree(a_k, self._pks[j], cfg.dh),
+            terms += [(-1 if j < k else 1, dh_agree(a_k, pk_j, cfg.dh),
                        TAG_PAIRWISE)
-                      for k, a_k in zip(dropped, keys) for j in contributors]
+                      for k, a_k in zip(dropped, keys)
+                      for j, pk_j in zip(contributors, pks)]
             return self._apply_masks(np.zeros(cfg.m, dtype=np.uint64), terms)
 
         # the signed sum of every stream this survivor must remove, shared
         # by the survivors that derived the same inputs
-        pks = tuple(self._pks[j] for j in contributors)
         v = add_mod(v, self.ctx.cached(
             ("pw-correction", contributors, dropped, opened, pks),
             correction), cfg.field)

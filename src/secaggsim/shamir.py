@@ -44,17 +44,6 @@ class Share:
     x: int
     y: int
 
-    def to_bytes(self) -> bytes:
-        """Wire form: 8-byte x then 8-byte y, big-endian."""
-        return self.x.to_bytes(8, "big") + self.y.to_bytes(8, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Share":
-        if len(data) != 16:
-            raise ValueError(f"share encoding is 16 bytes, got {len(data)}")
-        return cls(x=int.from_bytes(data[:8], "big"),
-                   y=int.from_bytes(data[8:], "big"))
-
 
 @dataclass
 class ShareSet:

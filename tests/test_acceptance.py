@@ -244,7 +244,9 @@ def test_criterion_07_runtime_trend():
     # Flat LWE scaling requires the O(m*n_lwe) mask product to be
     # negligible next to the round's m-independent work, which holds on
     # GPU-class hardware; on a CPU-only host the exact modular mat-vec
-    # runs at the memory-bandwidth floor and dominates the round.
+    # grows with m and dominates the round.  It does not run at a
+    # memory-bandwidth floor: taking A^T's limbs as the right-hand operand
+    # halved its time at m=1e5.
     assert lwe_ratio < 3.0, (
         f"lwe round time grew x{lwe_ratio:.1f} from m=1e2 to m=1e5; "
         f"this host cannot make the m-dependent mask product negligible")

@@ -10,6 +10,7 @@ from secaggsim.errors import (
     BadThreshold,
     DivergentAggregate,
     DuplicateSender,
+    InsufficientContributors,
     MissingKeyShares,
     NonFiniteInput,
     ProtocolError,
@@ -172,8 +173,8 @@ def test_inbox_check_raises_for_its_first_offender():
         target.on_message([share[2], share[1]])
 
 
-def bundle_outboxes(proto):
-    """The start() outbox of every client of a 4-client round."""
+def make_clients(proto):
+    """The clients of a 4-client round, none of them started."""
     if proto == "pw":
         cfg = RoundConfig(protocol="pw", n=4, m=3, dh=DH_GROUP_TEST)
         ctx, client_cls = RoundContext(), PwClient
@@ -183,9 +184,50 @@ def bundle_outboxes(proto):
         ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
                            if proto == "lwe" else None)
         client_cls = LweClient if proto == "lwe" else NvClient
-    clients = [client_cls(i, cfg, np.zeros(cfg.m), np.random.default_rng(i),
-                          ctx) for i in range(cfg.n)]
+    return cfg, [client_cls(i, cfg, np.zeros(cfg.m),
+                            np.random.default_rng(i), ctx)
+                 for i in range(cfg.n)]
+
+
+def bundle_outboxes(proto):
+    """The start() outbox of every client of a 4-client round."""
+    cfg, clients = make_clients(proto)
     return cfg, [c.start() for c in clients]
+
+
+@pytest.mark.parametrize("proto", ["nv", "lwe", "pw"])
+def test_second_contributor_set_is_a_duplicate_sender(proto):
+    cfg, clients = make_clients(proto)
+    for c in clients:
+        deliver(clients, c.start())
+    if proto != "nv":
+        for c in clients:
+            deliver(clients, c.emit_masked())
+    everyone = tuple(range(cfg.n))
+    assert len(clients[0].on_message([contributor_set_msg(everyone)])) == 1
+    for ids in (everyone, everyone[:-1]):
+        with pytest.raises(DuplicateSender, match="client 0: second "
+                                                  "CONTRIBUTOR_SET from"):
+            clients[0].on_message([contributor_set_msg(ids)])
+        # nor may a peer announce one
+        with pytest.raises(UnexpectedMessage, match="client 0: "
+                                                    "CONTRIBUTOR_SET from 2"):
+            clients[0].on_message([dataclasses.replace(
+                contributor_set_msg(ids), sender=2)])
+    assert clients[0].contributors == everyone
+
+
+def test_pw_seed_share_with_personal_masking_off_is_unexpected():
+    cfg = RoundConfig(protocol="pw", n=3, m=2, dh=DH_GROUP_TEST)
+    sender = PwClient(1, cfg, np.zeros(2), np.random.default_rng(1),
+                      RoundContext())
+    seed_share = next(msg for _, msg in sender.start()
+                      if msg.kind == MsgKind.PERSONAL_SEED_SHARE)
+    receiver = PwClient(0, dataclasses.replace(cfg, personal_mask=False),
+                        np.zeros(2), np.random.default_rng(0), RoundContext())
+    with pytest.raises(UnexpectedMessage,
+                       match="client 0: PERSONAL_SEED_SHARE not expected now"):
+        receiver.on_message([seed_share])
 
 
 @pytest.mark.parametrize("proto", ["nv", "lwe", "pw"])
@@ -477,8 +519,9 @@ def deliver(clients, outbox, live=None):
                 clients[rcpt].on_message([msg])
 
 
-def drive_pw_setup(n=4, m=3, seed=0):
-    from secaggsim.protocol import PwClient
+def drive_pw_setup(n=4, m=3, seed=0, withhold=None):
+    """Every client's setup messages reach every peer, except that client
+    0 never receives the message of kind withhold from client 3."""
     cfg = RoundConfig(protocol="pw", n=n, m=m, dh=DH_GROUP_TEST)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     ws = [np.ones(m) * (i + 1) for i in range(n)]
@@ -486,8 +529,32 @@ def drive_pw_setup(n=4, m=3, seed=0):
     clients = [PwClient(i, cfg, ws[i], rngs[i], ctx) for i in range(n)]
     outboxes = [c.start() for c in clients]
     for outbox in outboxes:
-        deliver(clients, outbox)
+        for rcpts, msg in outbox:
+            if (msg.sender, msg.kind) == (3, withhold):
+                rcpts = tuple(r for r in rcpts if r != 0)
+            deliver(clients, [(rcpts, msg)])
     return cfg, clients
+
+
+def test_pw_contributor_without_a_masked_vector_is_a_typed_failure():
+    # the contributor set names client 3, whose masked vector never came
+    cfg, clients = drive_pw_setup()
+    for c in clients[:3]:
+        deliver(clients, c.emit_masked(), live=3)
+    clients[0].on_message([contributor_set_msg((0, 1, 2, 3))])
+    with pytest.raises(InsufficientContributors,
+                       match=r"client 0: masked vectors missing from \[3\]"):
+        clients[0].finalize()
+
+
+def test_pw_unmask_without_a_dropped_peers_key_share_is_a_typed_failure():
+    # client 3 drops after setup, but its key share never reached client 0
+    cfg, clients = drive_pw_setup(withhold=MsgKind.KEY_SHARE)
+    for c in clients[:3]:
+        deliver(clients, c.emit_masked(), live=3)
+    assert clients[1].on_message([contributor_set_msg((0, 1, 2))])
+    with pytest.raises(MissingKeyShares, match=r"client 0: .*\[3\]"):
+        clients[0].on_message([contributor_set_msg((0, 1, 2))])
 
 
 def test_pw_contributor_set_with_dropout_emits_key_unmask_share():
@@ -519,10 +586,9 @@ def test_pw_safety_guard_never_opens_both_secrets():
     target = clients[0]
     # sabotage the classification so client 3 looks dropped *and*
     # contributing; the guard must refuse to open both of its secrets
-    target.contributors = (0, 1, 2, 3)
-    target._classify = lambda: ((0, 1, 2, 3), (3,))
+    target._classify = lambda: ((), (3,))
     with pytest.raises(SafetyViolation):
-        target._emit_unmask()
+        target.on_message([contributor_set_msg((0, 1, 2, 3))])
 
 
 def drive_pw_to_unmask(forge=None):
@@ -699,8 +765,10 @@ def test_pw_survivor_with_other_public_key_diverges(monkeypatch):
         # the last survivor sees another subgroup residue as the first
         # contributor's public key
         if self.id == max(self.contributors):
+            pks = self.got[MsgKind.PUB_KEY]
             j = self.contributors[0]
-            self._pks[j] = self._pks[j] * DH_GROUP_TEST.g % DH_GROUP_TEST.p
+            pks[j] = dataclasses.replace(
+                pks[j], residue=pks[j].residue * DH_GROUP_TEST.g % DH_GROUP_TEST.p)
         return finalize(self)
 
     monkeypatch.setattr(PwClient, "finalize", skewed)

@@ -378,12 +378,3 @@ def test_reconstruct_integer_opens_mixed_widths_in_one_call():
         reconstruct_integer(xs[:t - 1], ys[order][:t - 1], t, widths, M61F)
     with pytest.raises(ValueError):
         reconstruct_integer(xs, ys[order], t, widths[:2], M61F)
-
-
-def test_share_wire_encoding_roundtrip():
-    s = Share(x=3, y=M61F.q - 1)
-    blob = s.to_bytes()
-    assert len(blob) == 16
-    assert Share.from_bytes(blob) == s
-    with pytest.raises(ValueError):
-        Share.from_bytes(blob + b"\x00")
