@@ -25,7 +25,6 @@ from .errors import (
     SafetyViolation,
     SecretOutOfRange,
     SecAggError,
-    TooManyDropouts,
     UnexpectedMessage,
     UnmaskMismatch,
     ZeroInverse,

@@ -26,7 +26,7 @@ from .field import M61, FieldPrime, encode_vec, matmul_mod, sum_mod
 from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SPLIT_BLOCK, TAG_PAIRWISE,
                       LweMatrixOps, LweParams, mat_vec_mod, stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
-from .shamir import Share, reconstruct_vector, share_vector
+from .shamir import Share, reconstruct_vector, share_vector, sss_share
 from .simnet import (
     UNIFORM_POLICY,
     SimConfig,
@@ -244,12 +244,10 @@ def cmd_sweep(args) -> int:
 
 
 def _prop_share_consistency() -> bool:
-    from itertools import combinations
     fld = FieldPrime(17)
     rng = np.random.Generator(np.random.PCG64(7))
-    from .shamir import sss_share
     shares = sss_share(5, 3, 5, rng, fld).shares
-    for pair in combinations(shares, 2):
+    for pair in itertools.combinations(shares, 2):
         hist = oracle.brute_force_share_consistency(list(pair), 3, fld)
         if set(hist.values()) != {1}:
             return False

@@ -110,9 +110,5 @@ class DivergentAggregate(ProtocolError):
 # --- simulation ------------------------------------------------------------
 
 
-class TooManyDropouts(SecAggError):
-    """Requested dropout count incompatible with the survivor floor."""
-
-
 class EmptyContributors(SecAggError):
     """Aggregation over an empty contributor set."""

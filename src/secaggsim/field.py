@@ -323,10 +323,6 @@ def elems_to_bytes(v) -> bytes:
     return _as_u64(v).astype(">u8").tobytes()
 
 
-def bytes_to_elems(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype=">u8").astype(np.uint64)
-
-
 # --- fixed-point codec ------------------------------------------------------
 
 

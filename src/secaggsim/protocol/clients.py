@@ -45,6 +45,7 @@ from ..masking import (
 )
 from ..shamir import (
     add_share_vectors,
+    chunk_bits_for,
     chunk_count,
     reconstruct_integer,
     reconstruct_vector,
@@ -146,7 +147,8 @@ class BaseClient:
     every kind in the class's ACCEPTS; this client's own broadcasts are
     held there under its own id, and the bus's contributor set under
     BUS_SENDER.  A payload stays whole, so a share bundle is held as the
-    bundle, of which this client reads only its own row."""
+    bundle, of which this client reads only its own row.  headers[kind]
+    is the header every share payload of kind must carry."""
 
     ACCEPTS: tuple[MsgKind, ...] = ()
 
@@ -161,6 +163,7 @@ class BaseClient:
         self.contributors: tuple[int, ...] | None = None
         self.got: dict[MsgKind, dict[int, object]] = {
             kind: {} for kind in self.ACCEPTS}
+        self.headers: dict[MsgKind, tuple[int, ...]] = {}
         if w is not None:
             if len(w) != cfg.m:
                 raise ValueError(f"input has {len(w)} coords, config says {cfg.m}")
@@ -206,7 +209,19 @@ class BaseClient:
         return out
 
     def _check(self, msg: ProtocolMessage):
-        """Raise if msg's payload may not be held; every payload may."""
+        """A share payload only with the header of its kind, and a share
+        bundle only with a row for this client."""
+        header = self.headers.get(msg.kind)
+        if header is None:
+            return
+        p = msg.payload
+        if p.header != header:
+            raise PointMismatch(
+                f"client {self.id}: share header {p.header} from "
+                f"{msg.sender} != {header}")
+        if isinstance(p, ShareBundlePayload) and len(p.rows) <= self.id:
+            raise PointMismatch(f"client {self.id}: share bundle from "
+                                f"{msg.sender} has no row {self.id}")
 
     def _held(self, kind: MsgKind, senders, error, missing: str) -> list:
         """The payloads of kind from senders, in order; error(missing with
@@ -247,6 +262,8 @@ class NvClient(BaseClient):
         # the header of every share this client holds: a sender's bundle
         # row for it, at point k+1+id, and a summed share, at k+1+sender
         self._header = (chunk_count(vec_len, cfg.k), vec_len, cfg.t, cfg.k)
+        self.headers = dict.fromkeys((self.SHARE_KIND, self.SUM_KIND),
+                                     self._header)
 
     def _shared_len(self) -> int:
         return self.cfg.m
@@ -257,16 +274,12 @@ class NvClient(BaseClient):
     on_message = BaseClient.on_message  # own attribute: perfbench traces it
 
     def _check(self, msg: ProtocolMessage):
-        """A share bundle only before the contributor set, and a bundle or
-        summed share only with this client's header."""
+        """A share bundle only before the contributor set, then the base
+        header and row check."""
         if msg.kind == self.SHARE_KIND and self.contributors is not None:
             raise UnexpectedMessage(
                 f"client {self.id}: {msg.kind.name} after the contributor set")
-        if (msg.kind in (self.SHARE_KIND, self.SUM_KIND)
-                and msg.payload.header != self._header):
-            raise PointMismatch(
-                f"client {self.id}: share header {msg.payload.header} from "
-                f"{msg.sender} != {self._header}")
+        super()._check(msg)
 
     def _final_out(self) -> list[Entry]:
         """Sum the contributors' share rows and broadcast the sum."""
@@ -403,6 +416,10 @@ class PwClient(BaseClient):
         self.personal_seed = rng.bytes(32) if cfg.personal_mask else None
         if not cfg.personal_mask:
             del self.got[MsgKind.PERSONAL_SEED_SHARE]
+        bits = chunk_bits_for(cfg.field)
+        self.headers = {kind: (chunk_count(width, bits),) for kind, width in (
+            (MsgKind.KEY_SHARE, self._order_bits),
+            (MsgKind.PERSONAL_SEED_SHARE, PERSONAL_SEED_BITS))}
 
     @property
     def _order_bits(self) -> int:

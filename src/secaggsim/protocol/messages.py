@@ -24,6 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -116,10 +117,11 @@ class ShareBundlePayload:
     def __post_init__(self):
         self.rows.flags.writeable = False
 
-    @property
-    def header(self) -> tuple[int, int, int, int]:
-        """The header every row's ShareVectorPayload carries."""
-        return (self.rows.shape[1], *self.share_header)
+    @cached_property  # every recipient of the bundle checks it
+    def header(self) -> tuple[int, ...]:
+        """The chunk count of every row, then share_header if any: the
+        header every row's ShareVectorPayload carries."""
+        return (self.rows.shape[1], *(self.share_header or ()))
 
     @property
     def nbytes(self) -> int:

@@ -1,21 +1,23 @@
 """t-out-of-n Shamir secret sharing, additive homomorphism, and packing.
 
-Plain sharing puts the secret at x=0 with uniformly random higher
-coefficients.  The packed variant embeds k secrets at the points 1..k of a
-degree-(t+k-2) polynomial whose randomness is anchored by t-1 uniform
-values, and evaluates at the fixed share points k+1..k+n.  Fixed
-consecutive share points (rather than random ones) cost nothing in secrecy
-and make homomorphic addition's point-matching precondition trivial.
+One routine shares every secret.  It embeds k secrets at the points
+first..first+k-1 of a degree-(t+k-2) polynomial whose randomness is
+anchored by t-1 uniform values, and holder j's share is the value at the
+fixed point first+k+j.  Packed sharing (Franklin & Yung) puts its k
+secrets at 1..k, so holder j sits at k+1+j; plain sharing is the same
+routine with its one secret at 0, so holder j sits at j+1.  Every point
+must lie below q.  Fixed consecutive share points (rather than random
+ones) cost nothing in secrecy and make homomorphic addition's
+point-matching precondition trivial.
 
 Reconstruction needs t shares (plain) or t+k-1 shares (packed: t+k-1
 points determine a degree-(t+k-2) polynomial).  Lagrange basis rows are
-cached per point set because reconstruction dominates the share-based
-aggregation protocol's cost.
+cached per point set; sharing and reconstruction both read them.
 
 Vectors and wide integers share to one form, an (n x chunks) uint64
-matrix whose row j is recipient j's share of every chunk, at a point set
-by the holder (k+1+j packed, j+1 plain).  Sharing and reconstruction are
-each one field.matmul_mod product, and the scalar APIs wrap both cores.
+matrix whose row j is recipient j's share of every chunk, at the point
+set by the holder.  Sharing and reconstruction are each one
+field.matmul_mod product, and the scalar APIs wrap both cores.
 """
 
 from __future__ import annotations
@@ -90,13 +92,6 @@ def lagrange_basis(q: int, pts: tuple[int, ...], targets: tuple[int, ...]):
     return _frozen(rows, len(pts))
 
 
-@lru_cache(maxsize=64)
-def vandermonde(q: int, n: int, t: int):
-    """Read-only (n x t) uint64 matrix of x^j mod q for x = 1..n: row x-1
-    evaluates a degree-(t-1) coefficient vector at x."""
-    return _frozen([[pow(x, j, q) for j in range(t)] for x in range(1, n + 1)], t)
-
-
 def _frozen(rows, width: int) -> np.ndarray:
     out = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
     out.flags.writeable = False
@@ -125,29 +120,41 @@ def interpolate_at(points, x: int, field: FieldPrime = DEFAULT_FIELD) -> int:
                             [[p[1]] for p in points], (x,), field)[0, 0])
 
 
-# --- plain Shamir ------------------------------------------------------------
+def _shares(blocks: np.ndarray, t: int, n: int, rng, field: FieldPrime,
+            first: int) -> np.ndarray:
+    """Share each column of the reduced (k x chunks) matrix blocks on one
+    polynomial through its k secrets at the points first..first+k-1.
 
-
-def _poly_shares(secrets, t: int, n: int, rng, field: FieldPrime) -> np.ndarray:
-    """Plain-share each secret: f(0) = secret, the t-1 higher coefficients
-    drawn from rng secret by secret.  Returns (n x len(secrets)); row x-1
-    holds the shares at point x."""
+    The t-1 anchors of every chunk are drawn from rng chunk by chunk and
+    are the shares at the next t-1 points; the other shares follow by
+    interpolation through the secrets and anchors.  Returns (n x chunks);
+    row j holds the shares at point first+k+j.
+    """
+    k, chunks = blocks.shape
     if t < 1 or t > n:
         raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
-    if n >= field.q:
-        raise ValueError("more shares than nonzero field points")
-    coeffs = np.empty((len(secrets), t), dtype=np.uint64)
-    coeffs[:, 0] = [s % field.q for s in secrets]
-    coeffs[:, 1:] = rng.integers(0, field.q, size=(len(secrets), t - 1),
-                                 dtype=np.uint64)
-    return matmul_mod(vandermonde(field.q, n, t), coeffs.T, field)
+    if n < t + k - 1:
+        raise BadPacking(f"packing k={k} needs n >= t+k-1, got n={n}, t={t}")
+    if first + k + n > field.q:
+        raise ValueError(f"share points up to {first + k + n - 1} "
+                         f"wrap mod q={field.q}")
+    anchors = rng.integers(0, field.q, size=(chunks, t - 1), dtype=np.uint64)
+    at = first + k + t - 1
+    rows = lagrange_basis(field.q, tuple(range(first, at)),
+                          tuple(range(at, first + k + n)))
+    rest = matmul_mod(rows, np.concatenate([blocks, anchors.T]), field)
+    return np.concatenate([anchors.T, rest])
+
+
+# --- plain Shamir ------------------------------------------------------------
 
 
 def sss_share(secret: int, t: int, n: int, rng,
               field: FieldPrime = DEFAULT_FIELD) -> ShareSet:
     """Split secret into n shares of a degree-(t-1) polynomial with
-    f(0) = secret; coefficients drawn uniformly from rng."""
-    ys = _poly_shares([secret], t, n, rng, field)[:, 0].tolist()
+    f(0) = secret; the shares at 1..t-1 are drawn uniformly from rng."""
+    ys = _shares(np.array([[secret % field.q]], dtype=np.uint64), t, n, rng,
+                 field, 0)[:, 0].tolist()
     return ShareSet([Share(x, y) for x, y in enumerate(ys, 1)],
                     t=t, k=1, field=field)
 
@@ -174,38 +181,13 @@ def share_add(a: ShareSet, b: ShareSet) -> ShareSet:
 # --- packed Shamir ------------------------------------------------------------
 
 
-def _packed_shares(blocks: np.ndarray, t: int, n: int, rng,
-                   field: FieldPrime) -> np.ndarray:
-    """Packed-share each column of the reduced (k x chunks) matrix blocks.
-
-    The t-1 anchors of every chunk are drawn from rng chunk by chunk and
-    are the shares at the first t-1 share points; the other shares follow
-    by interpolation through the secrets and anchors.  Returns
-    (n x chunks); row j holds the shares at point k+1+j.
-    """
-    k, chunks = blocks.shape
-    anchors = rng.integers(0, field.q, size=(chunks, t - 1), dtype=np.uint64)
-    rows = lagrange_basis(field.q, tuple(range(1, k + t)),
-                          tuple(range(k + t, k + n + 1)))
-    rest = matmul_mod(rows, np.concatenate([blocks, anchors.T]), field)
-    return np.concatenate([anchors.T, rest])
-
-
-def _check_packing(t: int, n: int, k: int):
-    if t < 1 or t > n:
-        raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
-    if n < t + k - 1:
-        raise BadPacking(f"packing k={k} needs n >= t+k-1, got n={n}, t={t}")
-
-
 def packed_share(secrets: list[int], t: int, n: int, rng,
                  field: FieldPrime = DEFAULT_FIELD) -> ShareSet:
     """Embed k secrets in one polynomial; any t+k-1 shares reconstruct,
     any t-1 reveal nothing."""
     k = len(secrets)
-    _check_packing(t, n, k)
     blocks = np.array([[s % field.q] for s in secrets], dtype=np.uint64)
-    ys = _packed_shares(blocks, t, n, rng, field)[:, 0].tolist()
+    ys = _shares(blocks, t, n, rng, field, 1)[:, 0].tolist()
     return ShareSet([Share(x, y) for x, y in enumerate(ys, k + 1)],
                     t=t, k=k, field=field)
 
@@ -229,13 +211,12 @@ def share_vector(w, t: int, n: int, k: int, rng,
     Returns an (n x chunks) uint64 matrix: row j holds recipient j's
     share of every chunk, all at the evaluation point x = k + 1 + j.
     """
-    _check_packing(t, n, k)
     w = np.asarray(w, dtype=np.uint64)
     m = len(w)
     chunks = chunk_count(m, k)
     blocks = np.zeros(chunks * k, dtype=np.uint64)
     np.remainder(w, np.uint64(field.q), out=blocks[:m])
-    return _packed_shares(blocks.reshape(chunks, k).T, t, n, rng, field)
+    return _shares(blocks.reshape(chunks, k).T, t, n, rng, field, 1)
 
 
 def add_share_vectors(rows, field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
@@ -290,7 +271,7 @@ def chunks_to_integer(chunks: list[int], total_bits: int,
 
 
 def chunk_bits_for(field: FieldPrime) -> int:
-    # each chunk must stay below q; 56 keeps chunks byte-aligned felicities
+    # each chunk must stay below q; wide fields take 7-byte (56-bit) chunks
     return min(56, field.bit_width - 1)
 
 
@@ -302,7 +283,7 @@ def share_integer(value: int, total_bits: int, t: int, n: int, rng,
     shares of every chunk, all at the evaluation point x = j + 1.
     """
     chunks = integer_chunks(value, total_bits, chunk_bits_for(field))
-    return _poly_shares(chunks, t, n, rng, field)
+    return _shares(np.array([chunks], dtype=np.uint64), t, n, rng, field, 0)
 
 
 def reconstruct_integer(xs, ys, t: int, widths,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .errors import SecAggError, TooManyDropouts
+from .errors import SecAggError
 from .field import FieldPrime, FixedPointConfig, elems_to_bytes, encode_vec
 from .masking import LweParams
 from .protocol.clients import AggregateResult, OpsTally
@@ -44,6 +44,9 @@ from .shamir import chunk_bits_for, chunk_count
 
 CONTROL_STAGE = "control"
 UNIFORM_POLICY = "uniform"
+# a report inlines an average of at most this many coordinates; a longer
+# one is summarized by its length, SHA-256 and first 8 values
+MAX_INLINE_VECTOR = 1024
 
 
 def _derive_seed(master_seed: int, *parts: bytes) -> int:
@@ -84,15 +87,11 @@ class DropoutSchedule:
 
 
 def make_dropout_schedule(seed: int, n: int, rate: float, policy: str,
-                          stage_names: tuple[str, ...],
-                          min_survivors: int | None = None) -> DropoutSchedule:
+                          stage_names: tuple[str, ...]) -> DropoutSchedule:
     """Sample floor(rate*n) distinct clients and a stop stage for each,
     deterministically in the seed."""
     check_dropout(rate, policy, stage_names)
     count = int(rate * n)
-    if min_survivors is not None and n - count < min_survivors:
-        raise TooManyDropouts(
-            f"{count} dropouts leave {n - count} < {min_survivors} survivors")
     rng = np.random.Generator(np.random.PCG64(seed))
     dropped = sorted(int(c) for c in rng.choice(n, size=count, replace=False))
     stages = {}
@@ -331,12 +330,12 @@ class SimReport:
     inputs: list | None = None        # kept only on request, for scanners
     transcript: list | None = None
 
-    def to_dict(self, max_inline_vector: int = 1024) -> dict:
+    def to_dict(self) -> dict:
         if self.result is None:
             result = None
         else:
             avg = self.result.average
-            if len(avg) <= max_inline_vector:
+            if len(avg) <= MAX_INLINE_VECTOR:
                 avg_repr = [float(v) for v in avg]
             else:
                 avg_repr = {

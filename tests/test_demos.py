@@ -19,7 +19,7 @@ DEMO_STDOUT_SHA256 = {
     "scaling_trends.py":
         "4d92d6e3a96cb9389f1065d56b71553e846dc450bb74a31f2db91b3b314852ac",
     "secret_sharing_tour.py":
-        "53aaca59930ce1e29e21db180c2b8949329f86f4d0dadb689c8a9f6a349746ab",
+        "5319f9b070129273f09770b6569225837e56ae6d2de573976a966ddff8558791",
     "three_protocols.py":
         "d49bd85805021351b7b277c1782d8632470cf5c3fa07a49df3d98c9597258ad4",
 }

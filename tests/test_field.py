@@ -15,7 +15,6 @@ from secaggsim.field import (
     FieldPrime,
     FixedPointConfig,
     add_mod,
-    bytes_to_elems,
     decode_vec,
     elems_to_bytes,
     encode_vec,
@@ -194,9 +193,8 @@ def test_vector_decode_range_guard():
 def test_wire_format_roundtrip():
     v = np.array([0, 1, M61 - 1, 12345678901234567], dtype=np.uint64)
     blob = elems_to_bytes(v)
-    assert len(blob) == 8 * len(v)
-    assert blob[:8] == b"\x00" * 8  # big-endian zero
-    assert np.array_equal(bytes_to_elems(blob), v)
+    assert blob == b"".join(int(x).to_bytes(8, "big") for x in v.tolist())
+    assert blob[8:16] == b"\x00" * 7 + b"\x01"  # big-endian one
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

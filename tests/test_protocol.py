@@ -750,6 +750,38 @@ def test_malformed_share_header_is_a_point_mismatch(monkeypatch, proto, kinds,
             report.failure
 
 
+def one_chunk_too_many(p):
+    return dataclasses.replace(p, rows=np.hstack([p.rows, p.rows[:, :1]]))
+
+
+def no_row_for_client_3(p):
+    return dataclasses.replace(p, rows=p.rows[:3])
+
+
+@pytest.mark.parametrize("proto,kind,forge", [
+    ("nv", MsgKind.INPUT_SHARE_VECTOR, no_row_for_client_3),
+    ("lwe", MsgKind.KEY_SHARE, no_row_for_client_3),
+    *[("pw", kind, forge)
+      for kind in (MsgKind.KEY_SHARE, MsgKind.PERSONAL_SEED_SHARE)
+      for forge in (one_chunk_too_few, one_chunk_too_many,
+                    no_row_for_client_3)],
+], ids=lambda v: getattr(v, "name", None))
+def test_malformed_share_bundle_is_a_point_mismatch(monkeypatch, proto, kind,
+                                                    forge):
+    # a pw bundle must hold chunk_count(width, chunk_bits_for(field)) chunks
+    # of its key or seed, and every bundle a row for its recipient
+    client_cls = {"nv": NvClient, "lwe": LweClient, "pw": PwClient}[proto]
+    extra = {"lwe": dict(k=2, lwe=SMALL_LWE), "nv": dict(k=2),
+             "pw": dict(dh=DH_GROUP_TEST)}[proto]
+    cfg = RoundConfig(protocol=proto, n=5, m=8, t=3, **extra)
+    corrupt_share_payload(monkeypatch, client_cls, kind, forge)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    assert report.result is None
+    assert report.failure.startswith("PointMismatch: client 3"), \
+        report.failure
+    assert "from 1" in report.failure
+
+
 def test_nv_opened_sum_is_read_only():
     cfg = nv_cfg(n=5, m=4, t=3)
     result = nv_round([np.ones(4)] * 5, cfg, MessageBus(cfg, master_seed=1))
@@ -898,7 +930,7 @@ GOLDEN_TRANSCRIPTS = {
            dict(m=300, k=2)),
     "lwe": ("858d4f77ac325f2956c9b54b9e52332a5fa3e5db2eb902385935aedd91f4f568",
             dict(m=40, k=2, lwe=LweParams(n_lwe=200))),
-    "pw": ("85a8656cb0471cdc66c66a6215a3ed013773f2fdf70e86587da07e993567e625",
+    "pw": ("7cacea457636a669723a3e1d79907d44a1f337ed38aad1b4b5f0417b0aa7d2e6",
            dict(m=23, dh=DH_GROUP_TEST)),
 }
 

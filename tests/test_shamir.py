@@ -183,6 +183,20 @@ def test_packed_requires_enough_shares():
         packed_reconstruct(ShareSet(ss.shares[:2], t=2, k=2, field=F127))
 
 
+def test_share_points_must_lie_below_q():
+    # over F_17, secrets at 1..3 and 15 holders at 4..18: the last point,
+    # 18, is 1 mod 17, the first secret's own point
+    with pytest.raises(ValueError, match="wrap"):
+        packed_share([5, 6, 7], t=3, n=15, rng=rng(), field=F17)
+    ss = packed_share([5, 6, 7], t=3, n=13, rng=rng(20), field=F17)
+    assert packed_reconstruct(ss) == [5, 6, 7]
+    # plain holders sit at 1..n
+    with pytest.raises(ValueError, match="wrap"):
+        sss_share(5, t=3, n=17, rng=rng(), field=F17)
+    assert sss_reconstruct(sss_share(5, t=3, n=16, rng=rng(21),
+                                     field=F17)) == 5
+
+
 def test_interpolate_at_matches_direct_eval():
     pts = [(x, (3 + 4 * x + 2 * x ** 2) % 17) for x in (2, 5, 9)]
     for x in range(17):
@@ -276,6 +290,11 @@ def test_share_vector_matches_per_chunk_loop(seed, t, extra, k, m, field):
     n = t + k - 1 + extra
     vec = [int(v) for v in rng(seed).integers(0, field.q, size=m)]
     g_fast, g_ref = rng(seed + 1), rng(seed + 1)
+    if k + n >= field.q:
+        # the last share point, k+n, would wrap onto a secret's point
+        with pytest.raises(ValueError, match="wrap"):
+            share_vector(vec, t, n, k, g_fast, field)
+        return
     ys = share_vector(vec, t, n, k, g_fast, field)
     assert ys.tolist() == share_vector_by_chunks(
         vec, t, n, k, g_ref, field)
@@ -295,28 +314,35 @@ def test_share_vector_long_input_matches_per_chunk_loop():
 
 
 def share_integer_by_chunks(value, total_bits, t, n, rng, field):
-    """Reference: Horner-evaluate one random polynomial per chunk; one
-    (x, chunk shares) pair per recipient."""
+    """Reference: one polynomial per chunk through the chunk at 0 and t-1
+    anchors at 1..t-1, drawn one element at a time, evaluated at t..n by
+    Lagrange's formula in Python ints; one (x, chunk shares) pair per
+    recipient."""
     q = field.q
     bits = min(56, field.bit_width - 1)
     polys = [[c] + [field.rand(rng) for _ in range(t - 1)]
              for c in integer_chunks(value, total_bits, bits)]
-    out = []
-    for x in range(1, n + 1):
-        ys = []
-        for coeffs in polys:
-            y = 0
-            for c in reversed(coeffs):
-                y = (y * x + c) % q
-            ys.append(y)
-        out.append((x, tuple(ys)))
-    return out
+
+    def at(vals, x):
+        if x < t:
+            return vals[x]
+        y = 0
+        for j, v in enumerate(vals):
+            num = den = 1
+            for i in range(t):
+                if i != j:
+                    num, den = num * (x - i) % q, den * (j - i) % q
+            y += v * num * pow(den, -1, q)
+        return y % q
+
+    return [(x, tuple(at(vals, x) for vals in polys))
+            for x in range(1, n + 1)]
 
 
 @given(seed=st.integers(0, 10 ** 6), t=st.integers(1, 5), extra=st.integers(0, 4),
        total_bits=st.sampled_from([1, 9, 56, 57, 256, 2048]))
 @settings(max_examples=40, deadline=None)
-def test_share_integer_matches_horner_loop(seed, t, extra, total_bits):
+def test_share_integer_matches_lagrange_loop(seed, t, extra, total_bits):
     value = int.from_bytes(rng(seed).bytes(256), "big") % (1 << total_bits)
     n = t + extra
     g_fast, g_ref = rng(seed + 1), rng(seed + 1)

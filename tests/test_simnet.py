@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from secaggsim.errors import TooManyDropouts
 from secaggsim.masking import DH_GROUP_TEST, LweParams
 from secaggsim.oracle import plaintext_aggregate
 from secaggsim.protocol import (
@@ -58,12 +57,6 @@ def test_schedule_fixed_stage_policy():
     assert set(s.stages.values()) == {"aggregate_shares"}
     with pytest.raises(ValueError):
         make_dropout_schedule(4, 10, 0.2, "no_such_stage", NV_STAGES)
-
-
-def test_schedule_survivor_floor():
-    with pytest.raises(TooManyDropouts):
-        make_dropout_schedule(5, 10, 0.5, "uniform", NV_STAGES,
-                              min_survivors=6)
 
 
 # --- simulation --------------------------------------------------------------------
