@@ -33,7 +33,8 @@ class BadThreshold(SecAggError):
 
 
 class BadPacking(SecAggError):
-    """Packing width k incompatible with (t, n): needs n >= t + k - 1."""
+    """Packing width k below 1, or incompatible with (t, n): needs
+    n >= t + k - 1."""
 
 
 class NotEnoughShares(SecAggError):

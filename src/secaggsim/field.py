@@ -13,7 +13,6 @@ Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,24 +365,13 @@ class FixedPointConfig:
 
 def fp_encode(x: float, cfg: FixedPointConfig = FixedPointConfig(),
               field: FieldPrime = DEFAULT_FIELD) -> int:
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"cannot encode {x}")
-    x = min(max(x, -cfg.clip_magnitude), cfg.clip_magnitude)
-    return round(x * cfg.scale) % field.q
+    return int(encode_vec([x], cfg, field)[0])
 
 
 def fp_decode(e: int, summand_count: int = 1,
               cfg: FixedPointConfig = FixedPointConfig(),
               field: FieldPrime = DEFAULT_FIELD) -> float:
-    pos_max = cfg.max_code(summand_count)
-    neg_min = field.q - pos_max
-    if e <= pos_max:
-        signed = e
-    elif e >= neg_min:
-        signed = e - field.q
-    else:
-        raise DecodeRange(f"element {e} outside +/-{pos_max} band")
-    return signed / cfg.scale
+    return float(decode_vec([e], summand_count, cfg, field)[0])
 
 
 def encode_vec(x, cfg: FixedPointConfig = FixedPointConfig(),

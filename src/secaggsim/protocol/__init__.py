@@ -15,7 +15,6 @@ from .messages import (
     SECRET_DH_KEY,
     SECRET_PERSONAL_SEED,
     ShareBundlePayload,
-    ShareVectorPayload,
     UnmaskEntry,
     UnmaskPayload,
     VectorPayload,
@@ -39,8 +38,7 @@ __all__ = [
     "RoundContext",
     "BUS_SENDER", "ContributorSetPayload", "MsgKind",
     "ProtocolMessage", "PubKeyPayload", "SECRET_DH_KEY",
-    "SECRET_PERSONAL_SEED", "ShareBundlePayload", "ShareVectorPayload",
-    "UnmaskEntry",
+    "SECRET_PERSONAL_SEED", "ShareBundlePayload", "UnmaskEntry",
     "UnmaskPayload", "VectorPayload",
     "LWE", "NV", "PW", "ROUND_FNS", "STAGES", "RoundConfig",
     "contributor_set", "default_threshold",

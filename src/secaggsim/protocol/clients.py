@@ -61,14 +61,12 @@ from .messages import (
     ProtocolMessage,
     PubKeyPayload,
     ShareBundlePayload,
-    ShareVectorPayload,
     UnmaskEntry,
     UnmaskPayload,
     VectorPayload,
 )
 
 PERSONAL_SEED_BITS = 256
-MASKED_MISSING = "masked vectors missing from {}"
 
 
 class OpsTally:
@@ -96,11 +94,11 @@ class RoundContext:
     when the client is built) and a memo of survivor-invariant work.  A
     memo entry is keyed on every input that determines it, never on the
     client that asked, so a survivor with a different view recomputes.
-    An opening is keyed on the payload objects it reads, which hash by
-    identity: one object serves every recipient of a message, so the
-    survivors that received the same messages share one opening.  The
-    share rows of those payloads are read-only from the moment they are
-    built, so an object always stands for the same rows.
+    An opening or a masked-vector sum is keyed on the payload objects it
+    reads, which hash by identity: one object serves every recipient of a
+    message, so the survivors that received the same messages share one
+    result.  The rows of those payloads are read-only from the moment they
+    are built, so an object always stands for the same rows.
     """
 
     def __init__(self, matrix_ops=None):
@@ -232,15 +230,29 @@ class BaseClient:
             raise error(f"client {self.id}: " + missing.format(absent))
         return [held[s] for s in senders]
 
-    def _open(self, tag: str, view: dict, first_point: int, open_rows):
-        """open_rows(xs, payloads) of the openers' payloads in the view
-        (sender -> payload), in sender order, sender s at point
-        first_point + s; memoized under the payload objects, whose rows
-        are read-only, so only a survivor that holds another payload
-        reopens."""
+    def _shared(self, tag: str, view: dict, compute):
+        """compute(senders, payloads) of the view (sender -> payload), in
+        sender order; memoized under the payload objects, whose rows are
+        read-only, so only a survivor that holds another payload
+        recomputes."""
         items = sorted(view.items())
-        return self.ctx.cached((tag, *items), lambda: open_rows(
-            tuple(first_point + s for s, _ in items), [p for _, p in items]))
+        return self.ctx.cached((tag, *items), lambda: compute(
+            tuple(s for s, _ in items), [p for _, p in items]))
+
+    def _masked_sum(self) -> np.ndarray:
+        """The sum of the contributors' masked vectors, as a read-only
+        array that survivors holding the same payloads share."""
+        view = dict(zip(self.contributors, self._held(
+            MsgKind.MASKED_VECTOR, self.contributors, InsufficientContributors,
+            "masked vectors missing from {}")))
+
+        def total(_, payloads):
+            v = sum_mod((p.vec for p in payloads), self.cfg.field)
+            v.flags.writeable = False
+            return v
+
+        self.ops.add += self.cfg.m * (len(view) - 1)
+        return self._shared("masked-sum", view, total)
 
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
@@ -288,9 +300,8 @@ class NvClient(BaseClient):
         agg = add_share_vectors((b.rows[self.id] for b in bundles),
                                 self.cfg.field)
         self.ops.add += len(agg) * (len(self.contributors) - 1)
-        _, vec_len, t, k = self._header
         return [self._broadcast(self.SUM_KIND,
-                                ShareVectorPayload(agg, vec_len, t, k))]
+                                VectorPayload(agg, self._header[1:]))]
 
     def _share_out(self, vec) -> list[Entry]:
         """Packed-share vec and send every peer the bundle of rows."""
@@ -317,13 +328,14 @@ class NvClient(BaseClient):
                 f"< t+k-1 = {need}")
         chunks, vec_len = self._header[:2]
 
-        def open_rows(xs, payloads):
-            vec = reconstruct_vector(xs, [p.row for p in payloads], cfg.t,
-                                     cfg.k, vec_len, cfg.field)
+        def open_rows(senders, payloads):
+            vec = reconstruct_vector(
+                tuple(cfg.k + 1 + s for s in senders),
+                [p.vec for p in payloads], cfg.t, cfg.k, vec_len, cfg.field)
             vec.flags.writeable = False
             return vec
 
-        vec = self._open("open", sums, cfg.k + 1, open_rows)
+        vec = self._shared("open", sums, open_rows)
         self.ops.mul += chunks * cfg.k * need
         self.ops.add += chunks * cfg.k * (need - 1)
         return vec
@@ -376,15 +388,13 @@ class LweClient(NvClient):
     def finalize(self) -> AggregateResult:
         cfg = self.cfg
         s_sum = self._open_sum()
-        h_sum = sum_mod((p.vec for p in self._held(
-            MsgKind.MASKED_VECTOR, self.contributors, InsufficientContributors,
-            MASKED_MISSING)), cfg.field)
+        h_sum = self._masked_sum()
         # every survivor that opened the same s_sum removes the same A.s_sum
         mask = self.ctx.cached(("A.s_sum", s_sum.tobytes()),
                                lambda: self.ctx.matrix_ops.matvec(s_sum))
         field_sum = sub_mod(h_sum, mask, cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
-        self.ops.add += cfg.m * (cfg.lwe.n_lwe + len(self.contributors))
+        self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
         n_contrib = len(self.contributors)
         avg = decode_vec(field_sum, n_contrib, cfg.fp, cfg.field) / n_contrib
         return AggregateResult(
@@ -511,7 +521,7 @@ class PwClient(BaseClient):
         unmask = self.got[MsgKind.UNMASK_SHARE]
         names = unmask[self.id].names
 
-        def open_rows(xs, payloads):
+        def open_rows(senders, payloads):
             for sender, payload in unmask.items():
                 if payload.names != names:
                     raise UnmaskMismatch(
@@ -519,17 +529,18 @@ class PwClient(BaseClient):
                         f"other secrets than its own")
             if not names:
                 return ()
-            if len(xs) < self.cfg.t:
+            if len(senders) < self.cfg.t:
                 raise InsufficientSurvivors(
-                    f"client {self.id}: {len(xs)} shares of each opened "
+                    f"client {self.id}: {len(senders)} shares of each opened "
                     f"secret < t = {self.cfg.t}")
             widths = [self._order_bits if kind == SECRET_DH_KEY
                       else PERSONAL_SEED_BITS for kind, _, _ in names]
             return tuple(reconstruct_integer(
-                xs, np.stack([p.row for p in payloads]), self.cfg.t, widths,
+                tuple(1 + s for s in senders),
+                np.stack([p.row for p in payloads]), self.cfg.t, widths,
                 self.cfg.field))
 
-        opened = self._open("pw-open", unmask, 1, open_rows)
+        opened = self._shared("pw-open", unmask, open_rows)
         self.ops.inv += len(unmask) * len(names)
         return opened
 
@@ -539,10 +550,7 @@ class PwClient(BaseClient):
             raise InsufficientContributors(f"client {self.id}: no contributor set")
         contributors = self.contributors
         pks, dropped = self._classify()
-        v = sum_mod((p.vec for p in self._held(
-            MsgKind.MASKED_VECTOR, contributors, InsufficientContributors,
-            MASKED_MISSING)), cfg.field)
-        self.ops.add += cfg.m * (len(contributors) - 1)
+        v = self._masked_sum()
         opened = self._open_secrets()
         # entries name the dropped clients' keys, then the personal seeds
         keys, seeds = opened[:len(dropped)], opened[len(dropped):]

@@ -7,16 +7,18 @@ payload's `nbytes`, its encoded length from its shape, so they are part of
 the contract; only transcript readers call `to_bytes`.  A message is frozen:
 one object serves every recipient of an outbox entry (recipients, message).
 
-A sender's shares of one secret travel as one entry too: a
-`ShareBundlePayload` holds the whole (n x chunks) share matrix, and client j
-reads row j.  On the wire each recipient gets only its own row, so a bundle
-is metered at the size of one row's payload per recipient, and a recorded
-transcript holds `ProtocolMessage.at(j)`, the message narrowed to that row.
-The payloads that survivors open secrets from (summed shares, unmask shares)
-compare and hash by identity, so a round can key an opening on the very
-objects its survivors hold.  That key is sound only while the rows it
-covers never change, so every share row a payload holds is made read-only
-when the payload is built.
+Every row of field elements, a masked model update, a share row or a
+summed share, travels as a `VectorPayload`.  A sender's shares of one
+secret travel as one entry: a `ShareBundlePayload` holds the whole
+(n x chunks) share matrix, and client j reads row j.  On the wire each
+recipient gets only its own row, so a bundle is metered at the size of one
+row's payload per recipient, and a recorded transcript holds
+`ProtocolMessage.at(j)`, the message narrowed to that row's VectorPayload.
+Every payload that carries field elements compares and hashes by
+identity, so a round can key a memo (an opening, a masked-vector sum) on
+the very objects its survivors hold.  That key is sound only while the
+rows it covers never change, so every row a payload holds is made
+read-only when the payload is built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from ..field import elems_to_bytes
 BUS_SENDER = 0xFFFFFFFF
 
 HEADER_BYTES = 13
-SHARE_VECTOR_HEADER_BYTES = 16
 
 
 class MsgKind(IntEnum):
@@ -63,74 +64,56 @@ class PubKeyPayload:
 
 
 @dataclass(frozen=True, eq=False)
-class ShareVectorPayload:
-    """Per-recipient share row of a vector: 16-byte header (chunk count,
-    vector length, t, k as 4-byte big-endian each) then one 8-byte word
-    per chunk.  The evaluation point is implied by the recipient."""
-
-    row: np.ndarray
-    vec_len: int
-    t: int
-    k: int
-
-    def __post_init__(self):
-        self.row.flags.writeable = False
-
-    @property
-    def header(self) -> tuple[int, int, int, int]:
-        return len(self.row), self.vec_len, self.t, self.k
-
-    @property
-    def nbytes(self) -> int:
-        return SHARE_VECTOR_HEADER_BYTES + 8 * len(self.row)
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">IIII", *self.header) + elems_to_bytes(self.row)
-
-
-@dataclass(frozen=True)
 class VectorPayload:
-    """A field vector (masked model update, or a pw key or seed share row
-    at the recipient's point): 4-byte length then 8 bytes per element."""
+    """A row of field elements: 4-byte big-endian words (element count,
+    *extra), then 8 bytes per element.  extra is (vector length, t, k) for
+    an nv or lwe share row or summed share, and empty for a masked vector
+    or a pw share row; a share's evaluation point is implied by the
+    recipient."""
 
     vec: np.ndarray
+    extra: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.vec.flags.writeable = False
+
+    @property
+    def header(self) -> tuple[int, ...]:
+        return (len(self.vec), *self.extra)
 
     @property
     def nbytes(self) -> int:
-        return 4 + 8 * len(self.vec)
+        return 4 + 4 * len(self.extra) + 8 * len(self.vec)
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">I", len(self.vec)) + elems_to_bytes(self.vec)
+        header = self.header
+        return (struct.pack(f">{len(header)}I", *header)
+                + elems_to_bytes(self.vec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShareBundlePayload:
-    """One sender's share rows of a secret, row j for client j.  Recipient
-    j receives `at(j)`: a ShareVectorPayload of its row when share_header
-    holds (vector length, t, k), as nv and lwe send, and a VectorPayload
-    of it otherwise, as pw sends.  Every row has the same length, so
-    `nbytes` is the size of each recipient's payload."""
+    """One sender's share rows of a secret, row j for client j, which
+    receives `at(j)`: the VectorPayload of its row with the bundle's extra
+    header words.  Every row has the same length, so `header` and `nbytes`
+    are those of each recipient's payload."""
 
     rows: np.ndarray
-    share_header: tuple[int, int, int] | None = None
+    extra: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.rows.flags.writeable = False
 
     @cached_property  # every recipient of the bundle checks it
     def header(self) -> tuple[int, ...]:
-        """The chunk count of every row, then share_header if any: the
-        header every row's ShareVectorPayload carries."""
-        return (self.rows.shape[1], *(self.share_header or ()))
+        return (self.rows.shape[1], *self.extra)
 
     @property
     def nbytes(self) -> int:
-        return self.at(0).nbytes
+        return 4 * len(self.header) + 8 * self.rows.shape[1]
 
-    def at(self, rcpt: int):
-        if self.share_header is None:
-            return VectorPayload(self.rows[rcpt])
-        return ShareVectorPayload(self.rows[rcpt], *self.share_header)
+    def at(self, rcpt: int) -> VectorPayload:
+        return VectorPayload(self.rows[rcpt], self.extra)
 
 
 SECRET_DH_KEY = 0

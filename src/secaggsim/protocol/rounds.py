@@ -54,7 +54,8 @@ class RoundConfig:
     t defaults to floor(n/2)+1.  The pack width defaults to 64 but is
     clamped so that reconstruction stays possible with planned_dropouts
     clients gone: k <= n - planned_dropouts - t + 1 (floor 1).  An
-    explicitly given k is honored and only validated against n >= t+k-1.
+    explicitly given k is honored and only validated against k >= 1 and
+    n >= t+k-1.  A model of fewer than one coordinate raises ValueError.
     """
 
     protocol: str
@@ -74,6 +75,8 @@ class RoundConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.n < 2:
             raise ValueError("need at least 2 clients")
+        if self.m < 1:
+            raise ValueError(f"need a model of at least 1 coordinate, got m={self.m}")
         if self.t is None:
             self.t = default_threshold(self.n)
         if not 0 < self.t <= self.n:
@@ -83,6 +86,8 @@ class RoundConfig:
         if self.k is None:
             self.k = max(1, min(DEFAULT_PACK_WIDTH,
                                 self.n - self.planned_dropouts - self.t + 1))
+        if self.k < 1:
+            raise BadPacking(f"pack width must be at least 1, got k={self.k}")
         if self.n < self.t + self.k - 1:
             raise BadPacking(
                 f"pack width k={self.k} needs n >= t+k-1 (n={self.n}, t={self.t})")

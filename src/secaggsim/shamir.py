@@ -22,6 +22,7 @@ field.matmul_mod product, and the scalar APIs wrap both cores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,29 +67,21 @@ def lagrange_basis(q: int, pts: tuple[int, ...], targets: tuple[int, ...]):
     row r satisfies f(targets[r]) = sum_j row[j] * f(pts[j]) for any poly
     of degree < len(pts).
 
-    Barycentric form: one O(len(pts)^2) weight pass, then O(len(pts)) per
-    target.  Cached per point set; safe for concurrent readers.
+    Barycentric form from exact integer numerators: one inversion per
+    point for its weight, and per target the exact product of x - p over
+    every point, which each entry divides by its own x - p.  Cached per
+    point set; safe for concurrent readers.
     """
-    ws = []
-    for j, pj in enumerate(pts):
-        d = 1
-        for i, pi in enumerate(pts):
-            if i != j:
-                d = d * (pj - pi) % q
-        ws.append(pow(d, q - 2, q))
-    pt_index = {p: i for i, p in enumerate(pts)}
+    ws = [pow(math.prod(pj - pi for pi in pts if pi != pj) % q, q - 2, q)
+          for pj in pts]
     rows = []
     for x in targets:
-        if x in pt_index:
-            rows.append([1 if i == pt_index[x] else 0 for i in range(len(pts))])
-            continue
-        diffs = [(x - p) % q for p in pts]
-        full = 1
-        for dx in diffs:
-            full = full * dx % q
-        rows.append([
-            full * w % q * pow(dx, q - 2, q) % q for w, dx in zip(ws, diffs)
-        ])
+        full = math.prod(x - p for p in pts)
+        if full == 0:  # x is one of the points
+            rows.append([int(x == p) for p in pts])
+        else:
+            rows.append([full // (x - p) % q * w % q
+                         for p, w in zip(pts, ws)])
     return _frozen(rows, len(pts))
 
 

@@ -37,7 +37,6 @@ from .protocol.messages import (
     MsgKind,
     ProtocolMessage,
     SECRET_DH_KEY,
-    SHARE_VECTOR_HEADER_BYTES,
 )
 from .protocol.rounds import LWE, NV, PW, ROUND_FNS, STAGES, RoundConfig
 from .shamir import chunk_bits_for, chunk_count
@@ -303,10 +302,11 @@ class MessageBus:
 
 @dataclass
 class SimConfig:
-    """Simulation parameters.  A dropout rate outside [0, 1] or an unknown
-    stage policy raises ValueError.  A rate that leaves fewer than t
-    survivors is allowed through: the round then fails with
-    InsufficientSurvivors in the report instead of refusing to start."""
+    """Simulation parameters.  A dropout rate outside [0, 1], an unknown
+    stage policy or fewer than one round raises ValueError.  A rate that
+    leaves fewer than t survivors is allowed through: the round then fails
+    with InsufficientSurvivors in the report instead of refusing to
+    start."""
 
     round_cfg: RoundConfig
     master_seed: int = 0
@@ -317,6 +317,8 @@ class SimConfig:
     def __post_init__(self):
         check_dropout(self.dropout_rate, self.dropout_stage_policy,
                       self.round_cfg.stages)
+        if self.rounds < 1:
+            raise ValueError(f"need at least 1 round, got rounds={self.rounds}")
 
 
 @dataclass
@@ -435,12 +437,11 @@ def meter_expectations(cfg: RoundConfig, rounds: int = 1) -> dict:
     pair_msgs = n * (n - 1)
     hdr = HEADER_BYTES
 
-    def sv_payload(length: int) -> int:
-        chunks = max(1, -(-length // cfg.k))
-        return SHARE_VECTOR_HEADER_BYTES + 8 * chunks
+    def vec_payload(length: int, extra_words: int = 0) -> int:
+        return 4 * (1 + extra_words) + 8 * length
 
-    def vec_payload(length: int) -> int:
-        return 4 + 8 * length
+    def sv_payload(length: int) -> int:  # chunks, then (length, t, k)
+        return vec_payload(chunk_count(length, cfg.k), 3)
 
     control_payload = 4 + 4 * n
     stages: dict[str, dict] = {}
@@ -464,9 +465,9 @@ def meter_expectations(cfg: RoundConfig, rounds: int = 1) -> dict:
         key_chunks = chunk_count(cfg.dh.subgroup_order.bit_length(), cb)
         seed_chunks = chunk_count(256, cb)
         put("setup", pair_msgs, cfg.dh.residue_bytes)
-        put("setup", pair_msgs, 4 + 8 * key_chunks)
+        put("setup", pair_msgs, vec_payload(key_chunks))
         if cfg.personal_mask:
-            put("setup", pair_msgs, 4 + 8 * seed_chunks)
+            put("setup", pair_msgs, vec_payload(seed_chunks))
         put("masked_vector", pair_msgs, vec_payload(m))
         put(CONTROL_STAGE, n, control_payload)
         if cfg.personal_mask:

@@ -207,6 +207,27 @@ def test_run_bad_dropout_exits_1_before_the_run(capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [
+    ("--pack-width", "0"),
+    ("--pack-width", "-2"),
+    ("--model-size", "0"),
+    ("--model-size", "-3"),
+    ("--rounds", "0"),
+])
+def test_run_empty_config_exits_1_before_the_run(capsys, flags):
+    code, out = run_cli(capsys, "run", *flags)
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+def test_sweep_skips_an_empty_model(capsys):
+    code, out = run_cli(capsys, "sweep", "--protocols", "nv", "--clients",
+                        "3", "--model-sizes", "0,4", "--dropout-rates", "0")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["outcome"] for r in rows] == ["skipped:ValueError", "ok"]
+
+
+@pytest.mark.parametrize("flags", [
     ("--clients", "3,x"),
     ("--protocols", "nv,bogus"),
 ])

@@ -18,7 +18,7 @@ from secaggsim.errors import (
     UnmaskMismatch,
 )
 from secaggsim import masking
-from secaggsim.field import FieldPrime, FixedPointConfig, encode_vec
+from secaggsim.field import M61, FieldPrime, FixedPointConfig, encode_vec
 from secaggsim.masking import (DH_GROUP_TEST, LweMatrixOps, LweParams,
                                lwe_matrix_ops)
 from secaggsim.oracle import plaintext_aggregate
@@ -34,9 +34,9 @@ from secaggsim.protocol import (
     ROUND_FNS,
     RoundContext,
     ShareBundlePayload,
-    ShareVectorPayload,
     UnmaskEntry,
     UnmaskPayload,
+    VectorPayload,
     contributor_set,
     lwe_round,
     nv_round,
@@ -262,12 +262,34 @@ def test_payload_share_rows_are_read_only():
     # hold must never change after the payload is built
     rows = np.arange(6, dtype=np.uint64).reshape(3, 2)
     bundle = ShareBundlePayload(rows.copy(), (3, 2, 1))
-    held = [bundle.rows, bundle.at(1).row,
-            ShareVectorPayload(rows[0].copy(), 3, 2, 1).row,
+    held = [bundle.rows, bundle.at(1).vec,
+            VectorPayload(rows[0].copy(), (3, 2, 1)).vec,
             UnmaskPayload((UnmaskEntry(0, 0, rows[1].copy()),)).entries[0].chunks]
     for row in held:
         with pytest.raises(ValueError):
             row[0] = 1
+
+
+def test_field_element_payloads_are_read_only_and_hash_by_identity():
+    # a round keys its memos on these objects, so each must stand for the
+    # same rows for its lifetime and equal no other object, the masked
+    # vector included
+    rows = np.arange(6, dtype=np.uint64).reshape(3, 2)
+    bundle = ShareBundlePayload(rows.copy(), (3, 2, 1))
+    cases = [
+        (VectorPayload(np.arange(4, dtype=np.uint64)), lambda p: p.vec),
+        (bundle, lambda p: p.rows),
+        (bundle.at(1), lambda p: p.vec),
+        (ShareBundlePayload(rows.copy()).at(2), lambda p: p.vec),
+        (UnmaskPayload((UnmaskEntry(0, 0, rows[1].copy()),)),
+         lambda p: p.entries[0].chunks),
+    ]
+    for payload, held in cases:
+        twin = dataclasses.replace(payload)  # the same rows, another object
+        assert payload == payload and payload != twin
+        assert {payload: "a", twin: "b"}[payload] == "a"
+        with pytest.raises(ValueError):
+            held(payload)[0] = 1
 
 
 def test_contributor_set_from_delivery_record():
@@ -497,6 +519,19 @@ def test_pack_width_validation():
     assert cfg.k == 10 - 3 - 6 + 1
 
 
+@pytest.mark.parametrize("proto", ["nv", "lwe", "pw"])
+def test_round_config_needs_a_coordinate_and_a_pack_width(proto):
+    # an empty model used to "succeed" with an empty average, and k=0 or a
+    # negative m or k to crash run_simulation with a bare numpy or
+    # ZeroDivisionError
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="at least 1 coordinate"):
+            RoundConfig(protocol=proto, n=5, m=m)
+    for k in (0, -2):
+        with pytest.raises(BadPacking, match="at least 1, got k="):
+            RoundConfig(protocol=proto, n=5, m=4, k=k)
+
+
 def test_round_determinism():
     import json
     a = run("nv", n=6, m=5, seed=13, rate=0.3)
@@ -691,7 +726,7 @@ def corrupt_sum_share(monkeypatch, client_cls, kind):
     """Client 3 receives client 1's summed share plus one."""
     q = np.uint64(WHOLE_BAND["field"].q)
     corrupt_share_payload(monkeypatch, client_cls, kind, lambda p: (
-        dataclasses.replace(p, row=(p.row + np.uint64(1)) % q)))
+        dataclasses.replace(p, vec=(p.vec + np.uint64(1)) % q)))
 
 
 def test_lwe_survivor_with_corrupted_sum_share_diverges(monkeypatch):
@@ -717,18 +752,64 @@ def test_nv_survivor_with_corrupted_sum_share_diverges(monkeypatch):
         nv_round([np.zeros(8)] * 5, cfg, MessageBus(cfg, master_seed=1))
 
 
+def round_contexts(monkeypatch) -> list:
+    """Every RoundContext a round builds from now on."""
+    made = []
+
+    class Recorded(RoundContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr("secaggsim.protocol.rounds.RoundContext", Recorded)
+    return made
+
+
+def plus_one_at_0(p):
+    """A new masked-vector payload: p's vector with its first element plus
+    one."""
+    vec = p.vec.copy()
+    vec[0] = (int(vec[0]) + 1) % M61
+    return VectorPayload(vec)
+
+
+@pytest.mark.parametrize("proto", ["lwe", "pw"])
+@pytest.mark.parametrize("forged", [False, True], ids=["honest", "forged"])
+def test_survivors_share_one_masked_sum_per_view(monkeypatch, proto, forged):
+    # the masked-vector sum is memoized under the (sender, payload) pairs a
+    # survivor holds: one sum for the survivors that hold the same payloads,
+    # and a second for client 3, which holds a forged one from client 1
+    client_cls = {"lwe": LweClient, "pw": PwClient}[proto]
+    cfg = RoundConfig(protocol=proto, n=5, m=8,
+                      lwe=SMALL_LWE if proto == "lwe" else None,
+                      dh=DH_GROUP_TEST if proto == "pw" else None)
+    contexts = round_contexts(monkeypatch)
+    if forged:
+        corrupt_share_payload(monkeypatch, client_cls, MsgKind.MASKED_VECTOR,
+                              plus_one_at_0)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    (ctx,) = contexts
+    sums = [v for key, v in ctx.memo.items() if key[0] == "masked-sum"]
+    assert len(sums) == 1 + forged
+    assert not any(v.flags.writeable for v in sums)
+    if forged:
+        assert report.result is None
+        assert report.failure.startswith(
+            "DivergentAggregate: survivors 0 and 3"), report.failure
+    else:
+        assert report.failure is None
+
+
 # a share bundle (the share stage) or a summed share's payload
 def one_chunk_too_few(p):
     if isinstance(p, ShareBundlePayload):
         return dataclasses.replace(p, rows=p.rows[:, :-1])
-    return dataclasses.replace(p, row=p.row[:-1])
+    return dataclasses.replace(p, vec=p.vec[:-1])
 
 
 def other_threshold(p):
-    if isinstance(p, ShareBundlePayload):
-        vec_len, t, k = p.share_header
-        return dataclasses.replace(p, share_header=(vec_len, t - 1, k))
-    return dataclasses.replace(p, t=p.t - 1)
+    vec_len, t, k = p.extra
+    return dataclasses.replace(p, extra=(vec_len, t - 1, k))
 
 
 @pytest.mark.parametrize("proto,kinds", [

@@ -260,6 +260,45 @@ def test_share_vector_roundtrip_property(seed, t, extra, k, m):
     assert reconstruct_vector(points(n, k), ys, t, k, m, M61F).tolist() == vec
 
 
+def lagrange_rows_by_loop(q, pts, targets):
+    """Reference: every basis entry as a product of Python-int factors,
+    one inversion per factor, for targets that may be points."""
+    rows = []
+    for x in targets:
+        row = []
+        for j, pj in enumerate(pts):
+            v = 1
+            for i, pi in enumerate(pts):
+                if i != j:
+                    v = v * (x - pi) * pow(pj - pi, -1, q) % q
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def basis_case(draw):
+    field = draw(st.sampled_from([F7, F17, F127, M61F]))
+    span = min(field.q, 10 ** 4)  # M61 points spread over a wide range
+    pts = draw(st.lists(st.integers(0, span - 1), min_size=1,
+                        max_size=min(field.q, 9), unique=True))
+    targets = draw(st.lists(st.one_of(st.integers(0, span - 1),
+                                      st.sampled_from(pts)),
+                            min_size=1, max_size=6))
+    return field.q, tuple(pts), tuple(targets)
+
+
+@given(basis_case())
+@settings(max_examples=300, deadline=None)
+def test_lagrange_basis_matches_python_int_loop(case):
+    # distinct points below q in any order and with gaps; a target that is
+    # a point takes that point's unit row
+    q, pts, targets = case
+    rows = lagrange_basis(q, pts, targets)
+    assert not rows.flags.writeable
+    assert rows.tolist() == lagrange_rows_by_loop(q, pts, targets)
+
+
 def share_vector_by_chunks(w, t, n, k, rng, field):
     """Reference: pack and share one k-wide chunk at a time in Python ints,
     drawing each chunk's t-1 anchors one element at a time."""

@@ -91,6 +91,14 @@ def test_infeasible_threshold_fails_in_report():
     assert report.failure.startswith("InsufficientSurvivors")
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_simulation_needs_a_round(rounds):
+    # used to return a report with neither a result nor a failure
+    rc = RoundConfig(protocol="nv", n=4, m=3)
+    with pytest.raises(ValueError, match="at least 1 round"):
+        SimConfig(round_cfg=rc, rounds=rounds)
+
+
 def test_multi_round_simulation():
     rc = RoundConfig(protocol="nv", n=4, m=3)
     report = run_simulation(SimConfig(round_cfg=rc, master_seed=14, rounds=3))
