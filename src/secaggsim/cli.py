@@ -287,6 +287,22 @@ def _prop_mask_stream(fault_inject: bool) -> bool:
     return full == [w for w in words if w < fld.q][:200]
 
 
+def _prop_stream_batch(fault_inject: bool) -> bool:
+    """stream_expand over a batch of seeds against each seed's own stream,
+    on M61 and on F17, where most rows hold a rejected word and are read
+    again one seed at a time."""
+    seeds = [bytes([i]) * 32 for i in range(70)]
+    for q in (M61, 17):
+        fld = FieldPrime(q)
+        got = stream_expand(seeds, TAG_PAIRWISE, 33, fld).tolist()
+        if fault_inject:
+            got[-1][-1] = (got[-1][-1] + 1) % q
+        if got != [stream_expand(s, TAG_PAIRWISE, 33, fld).tolist()
+                   for s in seeds]:
+            return False
+    return True
+
+
 def _prop_matmul_dual_route(fault_inject: bool) -> bool:
     """field.matmul_mod against a Python-int loop on F17, M61 and the
     largest prime below 2^63, for a tiny product and for products that
@@ -399,6 +415,7 @@ def cmd_verify(args) -> int:
         ("share_consistency_histograms", lambda: _prop_share_consistency()),
         ("share_vector_roundtrip", lambda: _prop_share_roundtrip(args.fault_inject)),
         ("mask_stream_prefix_and_kat", lambda: _prop_mask_stream(args.fault_inject)),
+        ("stream_batch_identity", lambda: _prop_stream_batch(args.fault_inject)),
         ("matmul_mod_dual_route", lambda: _prop_matmul_dual_route(args.fault_inject)),
         ("lwe_matvec_dual_route", lambda: _prop_lwe_matvec_dual_route(args.fault_inject)),
         ("sum_mod_dual_route", lambda: _prop_sum_dual_route(args.fault_inject)),

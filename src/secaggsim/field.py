@@ -186,14 +186,14 @@ def sum_mod(vectors, field: FieldPrime) -> np.ndarray:
         block[rows] = v
         rows += 1
         if rows == SUM_BLOCK:
-            acc = _add_block_mod(acc, block, field)
+            acc = add_block_mod(acc, block, field)
             rows = 0
     if block is None:
         raise ValueError("sum_mod needs at least one vector")
-    return _add_block_mod(acc, block[:rows], field) if rows else acc
+    return add_block_mod(acc, block[:rows], field) if rows else acc
 
 
-def _add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
+def add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
     """acc (or zero, if None) plus the column sums of block, mod q.  The
     low and high 32-bit halves of the rows are summed apart, which is
     exact in uint64 for any q < 2^63 (each sum of SUM_BLOCK halves stays
@@ -387,8 +387,21 @@ def encode_vec(x, cfg: FixedPointConfig = FixedPointConfig(),
 def decode_vec(e, summand_count: int = 1,
                cfg: FixedPointConfig = FixedPointConfig(),
                field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
-    e = _as_u64(e)
+    """The reals that the reduced elements e encode, for a sum of
+    summand_count encodings.  Raises DecodeRange if the config's positive
+    and negative bands overlap mod q, if an input other than a uint64
+    array holds an integer outside [0, q), or if an element falls in the
+    middle band.  A uint64 array is taken as reduced and read once."""
     pos_max = cfg.max_code(summand_count)
+    if 2 * pos_max >= field.q:
+        raise DecodeRange(
+            f"{summand_count} summands at clip {cfg.clip_magnitude} and "
+            f"{cfg.frac_bits} fractional bits overflow q={field.q}")
+    if not (isinstance(e, np.ndarray) and e.dtype == np.uint64):
+        e = np.asarray(e)
+        if e.size and (e.min() < 0 or e.max() >= field.q):
+            raise DecodeRange(f"element outside [0, q={field.q})")
+        e = e.astype(np.uint64)
     neg_min = field.q - pos_max
     if np.any((e > np.uint64(pos_max)) & (e < np.uint64(neg_min))):
         raise DecodeRange("vector has elements in the ambiguous middle band")

@@ -93,9 +93,10 @@ TAG_PERSONAL = b"personal"
 TAG_MATRIX = b"A-matrix"
 
 
-def stream_expand(seed: bytes, domain_tag: bytes, count: int,
+def stream_expand(seed, domain_tag: bytes, count: int,
                   field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
-    """Expand a seed into `count` uniform field elements.
+    """Expand a seed into `count` uniform field elements, or a sequence of
+    seeds into the rows of one (len(seeds) x count) uint64 block.
 
     The stream is the SHAKE-128 output of len(tag) as one byte || tag ||
     seed, read as little-endian 64-bit words.  Each word is masked to
@@ -103,20 +104,43 @@ def stream_expand(seed: bytes, domain_tag: bytes, count: int,
     rest are rejected (as in the ExpandA step of FIPS 203).  SHAKE output
     is prefix-consistent, so element i never depends on `count`.
 
-    One digest covers the expected rejections plus three standard
-    deviations; a shortfall reads a longer digest and keeps only its new
-    words.  At most two count-sized buffers are live at once: the digest
-    and its masked words, then those words and the result.
+    A sequence of seeds reads each digest at exactly `count` words into
+    its row of one block, which is masked and checked against q once; a
+    row that holds a rejected word is read again through the one-seed
+    path, so every row equals that seed's own stream.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if len(domain_tag) > 255:
         raise ValueError("domain tag must be at most 255 bytes")
+    prefix = bytes([len(domain_tag)]) + domain_tag
+    if isinstance(seed, (bytes, bytearray)):
+        return _expand_one(hashlib.shake_128(prefix + seed), count, field)
+    seeds = list(seed)
+    q = field.q
+    mask = np.uint64((1 << q.bit_length()) - 1)
+    block = np.frombuffer(b"".join(
+        hashlib.shake_128(prefix + s).digest(8 * count) for s in seeds),
+        "<u8").reshape(len(seeds), count) & mask
+    if block.size and block.max() >= np.uint64(q):
+        for i in np.flatnonzero((block >= np.uint64(q)).any(axis=1)):
+            block[i] = _expand_one(hashlib.shake_128(prefix + seeds[i]),
+                                   count, field)
+    return block
+
+
+def _expand_one(xof, count: int, field: FieldPrime) -> np.ndarray:
+    """The first `count` elements of one stream's XOF.
+
+    One digest covers the expected rejections plus three standard
+    deviations; a shortfall reads a longer digest and keeps only its new
+    words.  At most two count-sized buffers are live at once: the digest
+    and its masked words, then those words and the result.
+    """
     q = field.q
     bits = q.bit_length()
     accept = q / (1 << bits)  # probability that a masked word is kept
     mask, bound = np.uint64((1 << bits) - 1), np.uint64(q)
-    xof = hashlib.shake_128(bytes([len(domain_tag)]) + domain_tag + seed)
     out = np.empty(0, dtype=np.uint64)
     read = 0  # words consumed so far
     while len(out) < count:

@@ -34,7 +34,8 @@ from ..errors import (
     UnexpectedMessage,
     UnmaskMismatch,
 )
-from ..field import add_mod, decode_vec, encode_vec, sub_mod, sum_mod
+from ..field import (SUM_BLOCK, add_block_mod, add_mod, decode_vec,
+                     encode_vec, sub_mod, sum_mod)
 from ..masking import (
     TAG_PAIRWISE,
     TAG_PERSONAL,
@@ -435,37 +436,41 @@ class PwClient(BaseClient):
     def _order_bits(self) -> int:
         return self.cfg.dh.subgroup_order.bit_length()
 
-    def _share_secret(self, value: int, total_bits: int,
-                      kind: MsgKind) -> Entry:
-        """Chunk-share value and send every peer the bundle of rows."""
-        cfg = self.cfg
-        rows = share_integer(value, total_bits, cfg.t, cfg.n, self.rng,
-                             cfg.field)
-        return self._broadcast(kind, ShareBundlePayload(rows))
-
     def start(self) -> list[Entry]:
+        """Broadcast the public key, then share the DH key and the personal
+        seed side by side in one product and send each its column block."""
         cfg = self.cfg
         out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
             self.keypair.pk, cfg.dh.residue_bytes))]
-        out.append(self._share_secret(self.keypair.sk, self._order_bits,
-                                      MsgKind.KEY_SHARE))
+        values, widths = [self.keypair.sk], [self._order_bits]
         if cfg.personal_mask:
-            out.append(self._share_secret(
-                int.from_bytes(self.personal_seed, "big"), PERSONAL_SEED_BITS,
-                MsgKind.PERSONAL_SEED_SHARE))
+            values.append(int.from_bytes(self.personal_seed, "big"))
+            widths.append(PERSONAL_SEED_BITS)
+        rows = share_integer(values, widths, cfg.t, cfg.n, self.rng, cfg.field)
+        split = self.headers[MsgKind.KEY_SHARE][0]  # the key's chunk count
+        out.append(self._broadcast(MsgKind.KEY_SHARE,
+                                   ShareBundlePayload(rows[:, :split])))
+        if cfg.personal_mask:
+            out.append(self._broadcast(MsgKind.PERSONAL_SEED_SHARE,
+                                       ShareBundlePayload(rows[:, split:])))
         return out
 
     def _apply_masks(self, v: np.ndarray, terms) -> np.ndarray:
         """v plus sign * stream_expand(seed, tag) for each (sign, seed,
-        tag) term: the streams of each sign are expanded lazily into one
-        stacked sum_mod, so at most a block of them is held at once."""
+        tag) term.  The seeds of one (sign, tag) are expanded SUM_BLOCK at
+        a time into one block of rows, which field's block adder sums, so
+        at most one block of streams is held at once."""
         cfg = self.cfg
-        for sign, combine in ((1, add_mod), (-1, sub_mod)):
-            seeds = [(seed, tag) for s, seed, tag in terms if s == sign]
-            if seeds:
-                v = combine(v, sum_mod(
-                    (stream_expand(seed, tag, cfg.m, cfg.field)
-                     for seed, tag in seeds), cfg.field), cfg.field)
+        groups: dict[tuple[int, bytes], list[bytes]] = {}
+        for sign, seed, tag in terms:
+            groups.setdefault((sign, tag), []).append(seed)
+        for (sign, tag), seeds in groups.items():
+            combine = add_mod if sign > 0 else sub_mod
+            for i in range(0, len(seeds), SUM_BLOCK):
+                block = stream_expand(seeds[i:i + SUM_BLOCK], tag, cfg.m,
+                                      cfg.field)
+                v = combine(v, add_block_mod(None, block, cfg.field),
+                            cfg.field)
         return v
 
     def emit_masked(self) -> list[Entry]:

@@ -268,14 +268,22 @@ def chunk_bits_for(field: FieldPrime) -> int:
     return min(56, field.bit_width - 1)
 
 
-def share_integer(value: int, total_bits: int, t: int, n: int, rng,
+def share_integer(values, widths, t: int, n: int, rng,
                   field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
-    """Shamir-share a wide integer chunk by chunk.
+    """Shamir-share a wide integer chunk by chunk, or several side by side.
 
-    Returns an (n x chunks) uint64 matrix: row j holds recipient j's
-    shares of every chunk, all at the evaluation point x = j + 1.
+    values and widths are one integer and its total bits, or sequences of
+    them, as reconstruct_integer takes.  Every chunk of every secret is
+    shared in one product, with the anchors drawn secret by secret in
+    order, as separate calls would draw them.  Returns an (n x chunks)
+    uint64 matrix: row j holds recipient j's shares of every chunk, the
+    secrets' chunks side by side, all at the evaluation point x = j + 1.
     """
-    chunks = integer_chunks(value, total_bits, chunk_bits_for(field))
+    if isinstance(widths, int):
+        values, widths = [values], [widths]
+    bits = chunk_bits_for(field)
+    chunks = [c for v, w in zip(values, widths, strict=True)
+              for c in integer_chunks(v, w, bits)]
     return _shares(np.array([chunks], dtype=np.uint64), t, n, rng, field, 0)
 
 

@@ -190,6 +190,26 @@ def test_vector_decode_range_guard():
         decode_vec(np.array([M61 // 2], dtype=np.uint64), 1)
 
 
+def test_decode_band_wider_than_the_field_is_typed():
+    # one default encoding spans 2^36 codes a side, far beyond q = 41: the
+    # config's bands overlap, which is checked before any element is read
+    with pytest.raises(DecodeRange, match="overflow q=41"):
+        fp_decode(5, 1, FixedPointConfig(), FieldPrime(41))
+    with pytest.raises(DecodeRange, match="overflow q=41"):
+        decode_vec(np.zeros(3, dtype=np.uint64), 1, FixedPointConfig(),
+                   FieldPrime(41))
+
+
+@pytest.mark.parametrize("bad", [-1, M61, 1 << 64])
+def test_decode_int_outside_the_field_is_typed(bad):
+    with pytest.raises(DecodeRange, match="outside"):
+        fp_decode(bad)
+    with pytest.raises(DecodeRange, match="outside"):
+        decode_vec([0, bad])
+    with pytest.raises(DecodeRange, match="outside"):
+        decode_vec(np.array([bad], dtype=object))
+
+
 def test_wire_format_roundtrip():
     v = np.array([0, 1, M61 - 1, 12345678901234567], dtype=np.uint64)
     blob = elems_to_bytes(v)

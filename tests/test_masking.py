@@ -204,6 +204,39 @@ def test_stream_refill_matches_reference(monkeypatch):
     assert refilled > 0
 
 
+def per_seed_rows(seeds, tag, count, field):
+    return [stream_expand(seed, tag, count, field).tolist() for seed in seeds]
+
+
+@pytest.mark.parametrize("field", [F17, M61F])
+@pytest.mark.parametrize("count", [0, 1, 9, 100])
+def test_stream_batch_equals_per_seed_streams(field, count):
+    # over F17 nearly every row holds a rejected word and is read again
+    # one seed at a time; over M61 none does
+    seeds = [i.to_bytes(32, "big") for i in range(70)]
+    block = stream_expand(seeds, TAG_PAIRWISE, count, field)
+    assert block.dtype == np.uint64 and block.shape == (70, count)
+    assert block.tolist() == per_seed_rows(seeds, TAG_PAIRWISE, count, field)
+
+
+def test_stream_batch_mixes_rejecting_and_clean_rows():
+    # F7 masks words to 3 bits and rejects 7: a 3-word row is clean with
+    # probability (7/8)^3, so these seeds give rows of both kinds
+    seeds = [bytes([i]) for i in range(30)]
+    prefix = bytes([len(TAG_PERSONAL)]) + TAG_PERSONAL
+    clean = [all(w & 7 < 7 for w in np.frombuffer(
+        hashlib.shake_128(prefix + s).digest(24), "<u8").tolist())
+        for s in seeds]
+    assert any(clean) and not all(clean)
+    block = stream_expand(tuple(seeds), TAG_PERSONAL, 3, F7)
+    assert block.tolist() == per_seed_rows(seeds, TAG_PERSONAL, 3, F7)
+
+
+def test_stream_batch_of_no_seeds():
+    assert stream_expand([], TAG_PAIRWISE, 5, F17).shape == (0, 5)
+    assert stream_expand(iter([]), TAG_PAIRWISE, 0, M61F).shape == (0, 0)
+
+
 def test_stream_tag_is_framed():
     a = stream_expand(b"ab", b"c", 16, M61F)
     b = stream_expand(b"a", b"bc", 16, M61F)

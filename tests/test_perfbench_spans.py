@@ -41,16 +41,26 @@ def test_tracer_install_then_uninstall_restores_every_target():
     assert all(spans._get(owner, attr) is b
                for (owner, attr), b in zip(targets, before))
     calls = Counter(s[0] for s in tracer.spans)
-    # a key and a personal seed shared per client; the survivors, holding
-    # the same unmask rows, share one reconstruction of all the seeds
-    assert calls["shamir.share_integer"] == 2 * cfg.n
+    # a key and a personal seed shared in one product per client; the
+    # survivors, holding the same unmask rows, share one reconstruction of
+    # all the seeds
+    assert calls["shamir.share_integer"] == cfg.n
     assert calls["shamir.reconstruct_integer"] == 1
-    # every client masks with its personal stream and n-1 pairwise ones;
-    # the survivors share one set of personal streams to remove
-    assert calls["masking.stream_expand"] == cfg.n * cfg.n + cfg.n
+    # every client expands its personal stream and each sign of its n-1
+    # pairwise ones as one batch; the survivors share one batch of
+    # personal streams to remove
+    assert calls["masking.stream_expand"] == \
+        emit_batches(range(cfg.n), cfg.n) + 1
     # the bus meters each message from its shape; bytes are made only for
     # a recorded transcript, and this round records none
     assert calls["messages.serialize"] == 0
+
+
+def emit_batches(contributors, n):
+    """stream_expand calls of the masking step: one batch for a client's
+    personal stream, and one per sign of its pairwise streams, + to the
+    peers above it and - to those below (at most 64 seeds per batch)."""
+    return sum(1 + (c < n - 1) + (c > 0) for c in contributors)
 
 
 def traced_calls(cfg, **sim):
@@ -103,9 +113,13 @@ def test_pw_survivors_share_one_set_of_finalize_streams():
                       planned_dropouts=2)
     report, calls = traced_calls(cfg, dropout_rate=0.34,
                                  dropout_stage_policy="masked_vector")
-    contributors = len(report.result.contributors)
-    dropped = cfg.n - contributors
-    assert dropped == 2
-    emit = contributors * cfg.n  # one personal and n-1 pairwise each
-    finalize = contributors + dropped * contributors
-    assert calls["masking.stream_expand"] == emit + finalize
+    ids = report.result.contributors
+    gone = set(range(cfg.n)) - set(ids)
+    assert len(gone) == 2
+    # one batch of every contributor's personal stream, and one per sign of
+    # the (dropped, contributor) pairwise streams: counted once, not once
+    # per survivor, because the survivors share one correction
+    signs = {j < k for k in gone for j in ids}
+    assert len(signs) == 2
+    finalize = 1 + len(signs)
+    assert calls["masking.stream_expand"] == emit_batches(ids, cfg.n) + finalize

@@ -420,6 +420,24 @@ def test_reconstruct_integer_rejects_a_secret_wider_than_shared():
     assert issubclass(SecretOutOfRange, ProtocolError)
 
 
+@pytest.mark.parametrize("field", [M61F, FieldPrime(1019)])
+@pytest.mark.parametrize("t", [2, 4])
+def test_share_integer_side_by_side_equals_separate_calls(field, t):
+    # 1019 draws anchors from 32-bit words, so an odd anchor count per
+    # secret checks that one draw splits into the separate calls' draws
+    n, widths = 7, [9, 256, 2048]
+    g = rng(36)
+    secrets = [int.from_bytes(g.bytes(256), "big") % (1 << w) for w in widths]
+    g_one, g_each = rng(37), rng(37)
+    rows = share_integer(secrets, widths, t, n, g_one, field)
+    each = [share_integer(s, w, t, n, g_each, field)
+            for s, w in zip(secrets, widths)]
+    assert rows.tolist() == np.concatenate(each, axis=1).tolist()
+    assert g_one.bit_generator.state == g_each.bit_generator.state
+    assert reconstruct_integer(range(3, 3 + t), rows[2:2 + t], t, widths,
+                               field) == secrets
+
+
 def test_share_integer_too_few():
     rows = share_integer(99, 8, t=3, n=4, rng=rng(33), field=M61F)
     with pytest.raises(NotEnoughShares):
