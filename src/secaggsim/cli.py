@@ -26,7 +26,8 @@ from .field import M61, FieldPrime, encode_vec, matmul_mod, sum_mod
 from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SPLIT_BLOCK, TAG_PAIRWISE,
                       LweMatrixOps, LweParams, mat_vec_mod, stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
-from .shamir import Share, reconstruct_vector, share_vector, sss_share
+from .shamir import (Share, reconstruct_vector, share_integer, share_vector,
+                     sss_share)
 from .simnet import (
     UNIFORM_POLICY,
     SimConfig,
@@ -303,6 +304,33 @@ def _prop_stream_batch(fault_inject: bool) -> bool:
     return True
 
 
+def _prop_share_block(fault_inject: bool) -> bool:
+    """share_vector and share_integer over a block of (input, rng) pairs
+    against each pair's own call with a twin rng, on F17 and M61: equal
+    rows, and every rng left in the same state."""
+    for q in (17, M61):
+        fld = FieldPrime(q)
+        g = np.random.Generator(np.random.PCG64(23))
+        vecs = [g.integers(0, q, size=9, dtype=np.uint64) for _ in range(4)]
+        keys = [[int(g.integers(0, 1 << 9)), int(g.integers(0, 1 << 30))]
+                for _ in range(4)]
+        for share, inputs, args in (
+                (share_vector, vecs, (3, 7, 4)),
+                (share_integer, keys, ([9, 30], 3, 7))):
+            rngs = [np.random.Generator(np.random.PCG64(i)) for i in range(4)]
+            twins = [np.random.Generator(np.random.PCG64(i)) for i in range(4)]
+            got = [b.tolist() for b in share(list(zip(inputs, rngs)), *args,
+                                             field=fld)]
+            if fault_inject:
+                got[-1][-1][-1] = (got[-1][-1][-1] + 1) % q
+            want = [share(x, *args, r, fld).tolist()
+                    for x, r in zip(inputs, twins)]
+            if got != want or [r.bit_generator.state for r in rngs] != \
+                    [r.bit_generator.state for r in twins]:
+                return False
+    return True
+
+
 def _prop_matmul_dual_route(fault_inject: bool) -> bool:
     """field.matmul_mod against a Python-int loop on F17, M61 and the
     largest prime below 2^63, for a tiny product and for products that
@@ -416,6 +444,7 @@ def cmd_verify(args) -> int:
         ("share_vector_roundtrip", lambda: _prop_share_roundtrip(args.fault_inject)),
         ("mask_stream_prefix_and_kat", lambda: _prop_mask_stream(args.fault_inject)),
         ("stream_batch_identity", lambda: _prop_stream_batch(args.fault_inject)),
+        ("share_block_identity", lambda: _prop_share_block(args.fault_inject)),
         ("matmul_mod_dual_route", lambda: _prop_matmul_dual_route(args.fault_inject)),
         ("lwe_matvec_dual_route", lambda: _prop_lwe_matvec_dual_route(args.fault_inject)),
         ("sum_mod_dual_route", lambda: _prop_sum_dual_route(args.fault_inject)),

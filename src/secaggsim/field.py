@@ -158,6 +158,17 @@ def mul_mod_m61(a, b) -> np.ndarray:
     return t
 
 
+def rotate_m61(x: np.ndarray, s: int) -> np.ndarray:
+    """x * 2^s mod 2^61 - 1, in place, for uint64 x below 2^61 and
+    0 <= s < 61: since 2^61 = 1 (mod q), it is the 61-bit rotation of x
+    left by s (an element of q itself stays q)."""
+    high = x >> np.uint64(61 - s)
+    x <<= np.uint64(s)
+    x &= np.uint64(M61)
+    x |= high
+    return x
+
+
 def mul_mod(a, b, field: FieldPrime) -> np.ndarray:
     """Elementwise (a*b) mod q with a fast path per modulus size."""
     if field.q == M61:
@@ -194,15 +205,24 @@ def sum_mod(vectors, field: FieldPrime) -> np.ndarray:
 
 
 def add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
-    """acc (or zero, if None) plus the column sums of block, mod q.  The
-    low and high 32-bit halves of the rows are summed apart, which is
-    exact in uint64 for any q < 2^63 (each sum of SUM_BLOCK halves stays
-    below 2^38), and joined as high * 2^32 + low mod q."""
+    """acc (or zero, if None) plus the column sums of block, mod q.
+
+    block has at most SUM_BLOCK rows of words below 2^63, which need not
+    be reduced: a row may hold q itself.  The low and high 32-bit halves
+    of the rows are summed apart, which is exact in uint64 (each sum of
+    SUM_BLOCK halves stays below 2^38), and joined as high * 2^32 + low
+    mod q.  For M61 both sums are already below q, and the join is one
+    61-bit rotation of high."""
     q = np.uint64(field.q)
-    low = (block & np.uint64(0xFFFFFFFF)).sum(axis=0, dtype=np.uint64) % q
-    high = (block >> np.uint64(32)).sum(axis=0, dtype=np.uint64) % q
-    part = add_mod(mul_mod(high, np.uint64((1 << 32) % field.q), field),
-                   low, field)
+    low = (block & np.uint64(0xFFFFFFFF)).sum(axis=0, dtype=np.uint64)
+    high = (block >> np.uint64(32)).sum(axis=0, dtype=np.uint64)
+    if field.q == M61:
+        part = add_mod(rotate_m61(high, 32), low, field)
+    else:
+        low %= q
+        high %= q
+        part = add_mod(mul_mod(high, np.uint64((1 << 32) % field.q), field),
+                       low, field)
     return part if acc is None else add_mod(acc, part, field)
 
 
@@ -275,14 +295,7 @@ def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits: int,
         fold_each = 2 * count - 1 > 7  # eight classes near 2^61 would wrap
         acc = next(classes)  # weight 0 needs no rotation
         for w, part in enumerate(classes, 1):
-            # part < 2^61, so its 61-bit rotation by s is part * 2^s mod q
-            # (or q itself, for a part of q)
-            s = bits * w % 61
-            high = part >> np.uint64(61 - s)
-            part <<= np.uint64(s)
-            part &= q
-            part |= high
-            acc += part
+            acc += rotate_m61(part, bits * w % 61)  # part < 2^61
             if fold_each:
                 high = acc >> top
                 acc &= q

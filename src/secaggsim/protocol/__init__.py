@@ -15,7 +15,6 @@ from .messages import (
     SECRET_DH_KEY,
     SECRET_PERSONAL_SEED,
     ShareBundlePayload,
-    UnmaskEntry,
     UnmaskPayload,
     VectorPayload,
 )
@@ -38,8 +37,8 @@ __all__ = [
     "RoundContext",
     "BUS_SENDER", "ContributorSetPayload", "MsgKind",
     "ProtocolMessage", "PubKeyPayload", "SECRET_DH_KEY",
-    "SECRET_PERSONAL_SEED", "ShareBundlePayload", "UnmaskEntry",
-    "UnmaskPayload", "VectorPayload",
+    "SECRET_PERSONAL_SEED", "ShareBundlePayload", "UnmaskPayload",
+    "VectorPayload",
     "LWE", "NV", "PW", "ROUND_FNS", "STAGES", "RoundConfig",
     "contributor_set", "default_threshold",
     "lwe_round", "nv_round", "pw_round",

@@ -62,7 +62,6 @@ from .messages import (
     ProtocolMessage,
     PubKeyPayload,
     ShareBundlePayload,
-    UnmaskEntry,
     UnmaskPayload,
     VectorPayload,
 )
@@ -86,25 +85,34 @@ class OpsTally:
 
 
 LWE_MASK_BLOCK = 64  # secrets per batched A.S product; bounds it at O(64 m)
+# Coefficient columns per block sharing product, so at most 64 clients.
+# Wider products save no time and cost memory: at 128 columns or more
+# pw rounds reached a higher peak RSS, and a block of nv's 2,000-column
+# sharings took longer than its clients' own products.
+SHARE_BLOCK_COLUMNS = 64
 
 
 class RoundContext:
     """What the clients of one round share, dropped with the round.
 
-    It holds the LWE matrix handle, each lwe client's secret (registered
-    when the client is built) and a memo of survivor-invariant work.  A
-    memo entry is keyed on every input that determines it, never on the
-    client that asked, so a survivor with a different view recomputes.
-    An opening or a masked-vector sum is keyed on the payload objects it
-    reads, which hash by identity: one object serves every recipient of a
-    message, so the survivors that received the same messages share one
-    result.  The rows of those payloads are read-only from the moment they
-    are built, so an object always stands for the same rows.
+    It holds the LWE matrix handle, each lwe client's secret and each
+    client's input to share with its rng (registered when the client is
+    built, never the client itself, so no reference cycle keeps a round
+    alive) and a memo of survivor-invariant work.  A memo entry is keyed
+    on every input that determines it, never on the client that asked,
+    so a survivor with a different view recomputes.  An opening or a
+    masked-vector sum is keyed on the payload objects it reads, which
+    hash by identity: one object serves every recipient of a message, so
+    the survivors that received the same messages share one result.  The
+    rows of those payloads are read-only from the moment they are built,
+    so an object always stands for the same rows.
     """
 
     def __init__(self, matrix_ops=None):
         self.matrix_ops = matrix_ops
         self.secrets: list[np.ndarray] = []
+        # blocks of sharings: [(share, cfg), [(input, rng), ...], columns]
+        self.share_blocks: list[list] = []
         self.memo: dict = {}
 
     def register_secret(self, s: np.ndarray) -> int:
@@ -120,6 +128,45 @@ class RoundContext:
             self.memo["A.S"] = (start, self.matrix_ops.matvec(
                 np.stack(self.secrets[start:start + LWE_MASK_BLOCK])))
         return self.memo["A.S"][1][:, index - start]
+
+    def register_share(self, share, cfg, value, rng,
+                       columns: int) -> tuple[int, int]:
+        """Queue a client's sharing of value, columns coefficient columns
+        wide, with anchors from rng; returns its (block, place) ticket for
+        share_rows.  share(pairs, cfg) shares a list of (value, rng) pairs
+        in one product.  Consecutive sharings with the same share and cfg
+        form blocks of at most SHARE_BLOCK_COLUMNS columns, or of one
+        client wider than that."""
+        blocks = self.share_blocks
+        if (not blocks or blocks[-1][0] != (share, cfg)
+                or blocks[-1][2] + columns > SHARE_BLOCK_COLUMNS):
+            blocks.append([(share, cfg), [], 0])
+        block = blocks[-1]
+        block[1].append((value, rng))
+        block[2] += columns
+        return len(blocks) - 1, len(block[1]) - 1
+
+    def share_rows(self, ticket: tuple[int, int]) -> np.ndarray:
+        """The share matrix of the sharing registered under ticket.  The
+        first request in a block shares the whole block in one product,
+        which replaces the previous block's rows.  Every other member's
+        rng is then set back to where it was, and moves past its anchors
+        only when that member asks for its rows, so each rng draws as the
+        member's own sharing would, and a member that never shares draws
+        nothing."""
+        index, place = ticket
+        (share, cfg), pairs, _ = self.share_blocks[index]
+        held = self.memo.get("shares")
+        if held is None or held[0] != index:
+            gens = [rng.bit_generator for _, rng in pairs]
+            before = [g.state for g in gens]
+            rows = share(pairs, cfg)
+            after = [g.state for g in gens]
+            for g, state in zip(gens, before):
+                g.state = state
+            held = self.memo["shares"] = (index, rows, after)
+        pairs[place][1].bit_generator.state = held[2][place]
+        return held[1][place]
 
     def cached(self, key: tuple, compute):
         """The memoized compute() under key."""
@@ -271,18 +318,33 @@ class NvClient(BaseClient):
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
         super().__init__(cid, cfg, w, rng, ctx, round_index)
-        vec_len = self._shared_len()
+        value = self._shared_value()
         # the header of every share this client holds: a sender's bundle
         # row for it, at point k+1+id, and a summed share, at k+1+sender
-        self._header = (chunk_count(vec_len, cfg.k), vec_len, cfg.t, cfg.k)
+        chunks = chunk_count(len(value), cfg.k)
+        self._header = (chunks, len(value), cfg.t, cfg.k)
         self.headers = dict.fromkeys((self.SHARE_KIND, self.SUM_KIND),
                                      self._header)
+        self._share_ticket = ctx.register_share(
+            self._share_block, cfg, value, rng, chunks)
 
-    def _shared_len(self) -> int:
-        return self.cfg.m
+    def _shared_value(self) -> np.ndarray:
+        return self.enc_w
+
+    @staticmethod
+    def _share_block(pairs, cfg) -> list[np.ndarray]:
+        return share_vector(pairs, cfg.t, cfg.n, cfg.k, field=cfg.field)
 
     def start(self) -> list[Entry]:
-        return self._share_out(self.enc_w)
+        """Packed-share the input and send every peer the bundle of rows."""
+        cfg = self.cfg
+        rows = self.ctx.share_rows(self._share_ticket)
+        chunks = rows.shape[1]
+        d = cfg.t + cfg.k - 1
+        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
+        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
+        return [self._broadcast(self.SHARE_KIND,
+                                ShareBundlePayload(rows, self._header[1:]))]
 
     on_message = BaseClient.on_message  # own attribute: perfbench traces it
 
@@ -303,17 +365,6 @@ class NvClient(BaseClient):
         self.ops.add += len(agg) * (len(self.contributors) - 1)
         return [self._broadcast(self.SUM_KIND,
                                 VectorPayload(agg, self._header[1:]))]
-
-    def _share_out(self, vec) -> list[Entry]:
-        """Packed-share vec and send every peer the bundle of rows."""
-        cfg = self.cfg
-        rows = share_vector(vec, cfg.t, cfg.n, cfg.k, self.rng, cfg.field)
-        chunks = rows.shape[1]
-        d = cfg.t + cfg.k - 1
-        self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
-        self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
-        return [self._broadcast(self.SHARE_KIND,
-                                ShareBundlePayload(rows, self._header[1:]))]
 
     def _open_sum(self) -> np.ndarray:
         """Reconstruct the summed vector from the summed shares in hand,
@@ -365,16 +416,14 @@ class LweClient(NvClient):
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
-        super().__init__(cid, cfg, w, rng, ctx, round_index)
+        # s is the rng's first draw, and nv's set-up registers it to share
         self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
                               dtype=np.uint64)
+        super().__init__(cid, cfg, w, rng, ctx, round_index)
         self._secret_index = ctx.register_secret(self.s)
 
-    def _shared_len(self) -> int:
-        return self.cfg.lwe.n_lwe
-
-    def start(self) -> list[Entry]:
-        return self._share_out(self.s)
+    def _shared_value(self) -> np.ndarray:
+        return self.s
 
     def emit_masked(self) -> list[Entry]:
         cfg = self.cfg
@@ -428,25 +477,40 @@ class PwClient(BaseClient):
         if not cfg.personal_mask:
             del self.got[MsgKind.PERSONAL_SEED_SHARE]
         bits = chunk_bits_for(cfg.field)
-        self.headers = {kind: (chunk_count(width, bits),) for kind, width in (
-            (MsgKind.KEY_SHARE, self._order_bits),
-            (MsgKind.PERSONAL_SEED_SHARE, PERSONAL_SEED_BITS))}
+        kinds = (MsgKind.KEY_SHARE, MsgKind.PERSONAL_SEED_SHARE)
+        self.headers = {kind: (chunk_count(width, bits),) for kind, width
+                        in zip(kinds, self._secret_widths(cfg))}
+        values = [self.keypair.sk]
+        if cfg.personal_mask:
+            values.append(int.from_bytes(self.personal_seed, "big"))
+        self._share_ticket = ctx.register_share(
+            self._share_block, cfg, values, rng,
+            sum(chunks for chunks, in self.headers.values()))
 
     @property
     def _order_bits(self) -> int:
         return self.cfg.dh.subgroup_order.bit_length()
 
+    @staticmethod
+    def _secret_widths(cfg) -> list[int]:
+        """Total bits of the DH key and, with personal masking, the
+        personal seed: the secrets a client shares, side by side."""
+        return [cfg.dh.subgroup_order.bit_length()] + (
+            [PERSONAL_SEED_BITS] if cfg.personal_mask else [])
+
+    @staticmethod
+    def _share_block(pairs, cfg) -> list[np.ndarray]:
+        return share_integer(pairs, PwClient._secret_widths(cfg), cfg.t,
+                             cfg.n, field=cfg.field)
+
     def start(self) -> list[Entry]:
-        """Broadcast the public key, then share the DH key and the personal
-        seed side by side in one product and send each its column block."""
+        """Broadcast the public key, then send the DH key's and the
+        personal seed's shares, shared side by side in one product, each
+        as its column block."""
         cfg = self.cfg
         out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
             self.keypair.pk, cfg.dh.residue_bytes))]
-        values, widths = [self.keypair.sk], [self._order_bits]
-        if cfg.personal_mask:
-            values.append(int.from_bytes(self.personal_seed, "big"))
-            widths.append(PERSONAL_SEED_BITS)
-        rows = share_integer(values, widths, cfg.t, cfg.n, self.rng, cfg.field)
+        rows = self.ctx.share_rows(self._share_ticket)
         split = self.headers[MsgKind.KEY_SHARE][0]  # the key's chunk count
         out.append(self._broadcast(MsgKind.KEY_SHARE,
                                    ShareBundlePayload(rows[:, :split])))
@@ -457,21 +521,26 @@ class PwClient(BaseClient):
 
     def _apply_masks(self, v: np.ndarray, terms) -> np.ndarray:
         """v plus sign * stream_expand(seed, tag) for each (sign, seed,
-        tag) term.  The seeds of one (sign, tag) are expanded SUM_BLOCK at
-        a time into one block of rows, which field's block adder sums, so
+        tag) term.  The seeds of one tag are expanded SUM_BLOCK at a time
+        into one block of rows, each row of sign -1 replaced by q - row (a
+        zero row by q itself, which field's block adder takes), and the
+        blocks are summed into one accumulator that is added to v once, so
         at most one block of streams is held at once."""
         cfg = self.cfg
-        groups: dict[tuple[int, bytes], list[bytes]] = {}
+        groups: dict[bytes, list[tuple[int, bytes]]] = {}
         for sign, seed, tag in terms:
-            groups.setdefault((sign, tag), []).append(seed)
-        for (sign, tag), seeds in groups.items():
-            combine = add_mod if sign > 0 else sub_mod
-            for i in range(0, len(seeds), SUM_BLOCK):
-                block = stream_expand(seeds[i:i + SUM_BLOCK], tag, cfg.m,
+            groups.setdefault(tag, []).append((sign, seed))
+        acc = None
+        for tag, signed in groups.items():
+            for i in range(0, len(signed), SUM_BLOCK):
+                part = signed[i:i + SUM_BLOCK]
+                block = stream_expand([seed for _, seed in part], tag, cfg.m,
                                       cfg.field)
-                v = combine(v, add_block_mod(None, block, cfg.field),
-                            cfg.field)
-        return v
+                negative = np.array([sign < 0 for sign, _ in part])
+                np.subtract(np.uint64(cfg.field.q), block, out=block,
+                            where=negative[:, None])
+                acc = add_block_mod(acc, block, cfg.field)
+        return v if acc is None else add_mod(v, acc, cfg.field)
 
     def emit_masked(self) -> list[Entry]:
         cfg = self.cfg
@@ -504,19 +573,21 @@ class PwClient(BaseClient):
         if overlap:
             raise SafetyViolation(
                 f"client {self.id}: both secrets of {sorted(overlap)} requested")
-        entries = [UnmaskEntry(k, SECRET_DH_KEY, b.rows[self.id])
-                   for k, b in zip(dropped, self._held(
-                       MsgKind.KEY_SHARE, dropped, MissingKeyShares,
-                       "no key shares from dropped peers {}"))]
+        names = [(SECRET_DH_KEY, k) for k in dropped]
+        bundles = self._held(MsgKind.KEY_SHARE, dropped, MissingKeyShares,
+                             "no key shares from dropped peers {}")
         if self.cfg.personal_mask:
-            entries += [UnmaskEntry(i, SECRET_PERSONAL_SEED, b.rows[self.id])
-                        for i, b in zip(self.contributors, self._held(
-                            MsgKind.PERSONAL_SEED_SHARE, self.contributors,
-                            MissingKeyShares,
-                            "no seed shares from contributors {}"))]
-        entry = self._broadcast(MsgKind.UNMASK_SHARE,
-                                UnmaskPayload(tuple(entries)))
-        return [entry] if entries else []
+            names += [(SECRET_PERSONAL_SEED, i) for i in self.contributors]
+            bundles += self._held(MsgKind.PERSONAL_SEED_SHARE,
+                                  self.contributors, MissingKeyShares,
+                                  "no seed shares from contributors {}")
+        rows = [b.rows[self.id] for b in bundles]
+        payload = UnmaskPayload(
+            tuple((kind, target, len(row))
+                  for (kind, target), row in zip(names, rows)),
+            np.concatenate(rows) if rows else np.empty(0, dtype=np.uint64))
+        entry = self._broadcast(MsgKind.UNMASK_SHARE, payload)
+        return [entry] if rows else []
 
     def _open_secrets(self) -> tuple[int, ...]:
         """Every secret named by this client's own unmask entries, opened

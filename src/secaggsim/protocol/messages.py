@@ -120,46 +120,36 @@ SECRET_DH_KEY = 0
 SECRET_PERSONAL_SEED = 1
 
 
-@dataclass(frozen=True)
-class UnmaskEntry:
-    target: int
-    secret_type: int  # SECRET_DH_KEY or SECRET_PERSONAL_SEED
-    chunks: np.ndarray  # the opener's share row, one uint64 per chunk
-
-    def __post_init__(self):
-        self.chunks.flags.writeable = False
-
-
 @dataclass(frozen=True, eq=False)
 class UnmaskPayload:
-    """The sender's stored shares for every secret being opened: 4-byte
-    entry count, then per entry 4-byte target id, 1-byte secret type,
-    4-byte chunk count and 8 bytes per chunk."""
+    """The opener's stored shares of every secret being opened: names
+    holds each entry's (secret type, target id, chunk count), where the
+    type is SECRET_DH_KEY or SECRET_PERSONAL_SEED, and row holds every
+    entry's chunks end to end, one uint64 share per chunk.  On the wire:
+    4-byte entry count, then per entry 4-byte target id, 1-byte secret
+    type, 4-byte chunk count and 8 bytes per chunk."""
 
-    entries: tuple[UnmaskEntry, ...]
+    names: tuple[tuple[int, int, int], ...]
+    row: np.ndarray
+
+    def __post_init__(self):
+        if sum(count for *_, count in self.names) != len(self.row):
+            raise ValueError(f"{len(self.row)} chunks for entries "
+                             f"{self.names}")
+        self.row.flags.writeable = False
 
     @property
     def nbytes(self) -> int:
-        return 4 + sum(9 + 8 * len(e.chunks) for e in self.entries)
+        return 4 + 9 * len(self.names) + 8 * len(self.row)
 
     def to_bytes(self) -> bytes:
-        parts = [struct.pack(">I", len(self.entries))]
-        for e in self.entries:
-            parts.append(struct.pack(">IBI", e.target, e.secret_type,
-                                     len(e.chunks)))
-            parts.append(elems_to_bytes(e.chunks))
+        parts = [struct.pack(">I", len(self.names))]
+        at = 0
+        for secret_type, target, count in self.names:
+            parts.append(struct.pack(">IBI", target, secret_type, count))
+            parts.append(elems_to_bytes(self.row[at:at + count]))
+            at += count
         return b"".join(parts)
-
-    @property
-    def names(self) -> tuple[tuple[int, int, int], ...]:
-        """(secret type, target, chunk count) of every entry, in order."""
-        return tuple((e.secret_type, e.target, len(e.chunks))
-                     for e in self.entries)
-
-    @property
-    def row(self) -> np.ndarray:
-        """Every entry's share row, end to end."""
-        return np.concatenate([e.chunks for e in self.entries])
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ cached per point set; sharing and reconstruction both read them.
 
 Vectors and wide integers share to one form, an (n x chunks) uint64
 matrix whose row j is recipient j's share of every chunk, at the point
-set by the holder.  Sharing and reconstruction are each one
-field.matmul_mod product, and the scalar APIs wrap both cores.
+set by the holder.  Sharing and reconstruction are each one product by
+field's matmul_mod kernel (sharing on basis limbs cached with the
+basis), and the scalar APIs wrap both cores.  share_vector and
+share_integer also share a block of clients' inputs in one product.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .errors import (
     PointMismatch,
     SecretOutOfRange,
 )
-from .field import DEFAULT_FIELD, FieldPrime, add_mod, matmul_mod, sum_mod
+from .field import (DEFAULT_FIELD, FieldPrime, add_mod, limb_bits,
+                    limb_product, matmul_mod, split_limbs, sum_mod)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,19 @@ def _frozen(rows, width: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=512)
+def _basis_limbs(field: FieldPrime, pts: tuple[int, ...],
+                 targets: tuple[int, ...]) -> np.ndarray:
+    """The left-operand limbs of lagrange_basis(field.q, pts, targets),
+    split once and cached beside it, read-only.  Only sharing bases take
+    them: every sharing of a round reuses its basis, while survivors share
+    one opening per view, whose points change with the dropouts."""
+    limbs = split_limbs(lagrange_basis(field.q, pts, targets),
+                        limb_bits(len(pts), field), field)
+    limbs.flags.writeable = False
+    return limbs
+
+
 def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
                  field: FieldPrime, need: int = 0) -> np.ndarray:
     """Values at `targets` of the polynomials through the points xs: ys
@@ -113,17 +129,20 @@ def interpolate_at(points, x: int, field: FieldPrime = DEFAULT_FIELD) -> int:
                             [[p[1]] for p in points], (x,), field)[0, 0])
 
 
-def _shares(blocks: np.ndarray, t: int, n: int, rng, field: FieldPrime,
-            first: int) -> np.ndarray:
-    """Share each column of the reduced (k x chunks) matrix blocks on one
-    polynomial through its k secrets at the points first..first+k-1.
+def _shares(blocks: list[np.ndarray], t: int, n: int, rngs,
+            field: FieldPrime, first: int) -> list[np.ndarray]:
+    """Share each column of every reduced (k x chunks) matrix of blocks on
+    one polynomial through its k secrets at the points first..first+k-1.
 
-    The t-1 anchors of every chunk are drawn from rng chunk by chunk and
-    are the shares at the next t-1 points; the other shares follow by
-    interpolation through the secrets and anchors.  Returns (n x chunks);
-    row j holds the shares at point first+k+j.
+    The t-1 anchors of every chunk of blocks[i] are drawn from rngs[i]
+    chunk by chunk and are the shares at the next t-1 points; the other
+    shares follow by interpolation through the secrets and anchors, for
+    every block's columns side by side in one product.  Returns one
+    (n x chunks) matrix per block, each its own array, so a matrix that
+    is never sent does not outlive the block; row j holds the shares at
+    point first+k+j.
     """
-    k, chunks = blocks.shape
+    k = blocks[0].shape[0]
     if t < 1 or t > n:
         raise BadThreshold(f"need 0 < t <= n, got t={t}, n={n}")
     if n < t + k - 1:
@@ -131,12 +150,23 @@ def _shares(blocks: np.ndarray, t: int, n: int, rng, field: FieldPrime,
     if first + k + n > field.q:
         raise ValueError(f"share points up to {first + k + n - 1} "
                          f"wrap mod q={field.q}")
-    anchors = rng.integers(0, field.q, size=(chunks, t - 1), dtype=np.uint64)
+    ends = np.cumsum([b.shape[1] for b in blocks]).tolist()
+    spans = [slice(end - b.shape[1], end) for b, end in zip(blocks, ends)]
+    coeffs = np.empty((k + t - 1, ends[-1]), dtype=np.uint64)
+    for b, rng, cols in zip(blocks, rngs, spans, strict=True):
+        coeffs[:k, cols] = b
+        coeffs[k:, cols] = rng.integers(0, field.q, size=(b.shape[1], t - 1),
+                                        dtype=np.uint64).T
     at = first + k + t - 1
-    rows = lagrange_basis(field.q, tuple(range(first, at)),
-                          tuple(range(at, first + k + n)))
-    rest = matmul_mod(rows, np.concatenate([blocks, anchors.T]), field)
-    return np.concatenate([anchors.T, rest])
+    bits = limb_bits(k + t - 1, field)
+    outs = [np.empty((n, b.shape[1]), dtype=np.uint64) for b in blocks]
+    rest = limb_product(_basis_limbs(field, tuple(range(first, at)),
+                                     tuple(range(at, first + k + n))),
+                        split_limbs(coeffs, bits, field, axis=1), bits, field)
+    for out, cols in zip(outs, spans):
+        out[:t - 1] = coeffs[k:, cols]
+        out[t - 1:] = rest[:, cols]
+    return outs
 
 
 # --- plain Shamir ------------------------------------------------------------
@@ -146,8 +176,8 @@ def sss_share(secret: int, t: int, n: int, rng,
               field: FieldPrime = DEFAULT_FIELD) -> ShareSet:
     """Split secret into n shares of a degree-(t-1) polynomial with
     f(0) = secret; the shares at 1..t-1 are drawn uniformly from rng."""
-    ys = _shares(np.array([[secret % field.q]], dtype=np.uint64), t, n, rng,
-                 field, 0)[:, 0].tolist()
+    ys = _shares([np.array([[secret % field.q]], dtype=np.uint64)], t, n,
+                 [rng], field, 0)[0][:, 0].tolist()
     return ShareSet([Share(x, y) for x, y in enumerate(ys, 1)],
                     t=t, k=1, field=field)
 
@@ -180,7 +210,7 @@ def packed_share(secrets: list[int], t: int, n: int, rng,
     any t-1 reveal nothing."""
     k = len(secrets)
     blocks = np.array([[s % field.q] for s in secrets], dtype=np.uint64)
-    ys = _shares(blocks, t, n, rng, field, 1)[:, 0].tolist()
+    ys = _shares([blocks], t, n, [rng], field, 1)[0][:, 0].tolist()
     return ShareSet([Share(x, y) for x, y in enumerate(ys, k + 1)],
                     t=t, k=k, field=field)
 
@@ -196,20 +226,29 @@ def packed_reconstruct(share_set: ShareSet) -> list[int]:
 # --- packed sharing of whole vectors -----------------------------------------
 
 
-def share_vector(w, t: int, n: int, k: int, rng,
-                 field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+def share_vector(w, t: int, n: int, k: int, rng=None,
+                 field: FieldPrime = DEFAULT_FIELD):
     """Chunk w into chunk_count(len(w), k) packed blocks and share each;
     the last is zero-padded.
 
     Returns an (n x chunks) uint64 matrix: row j holds recipient j's
     share of every chunk, all at the evaluation point x = k + 1 + j.
+    With rng None, w is a sequence of (vector, rng) pairs instead, all
+    shared in one product with each pair's anchors drawn from its own
+    rng in turn; returns one matrix per pair, each equal to what that
+    pair's own call would return.
     """
-    w = np.asarray(w, dtype=np.uint64)
-    m = len(w)
-    chunks = chunk_count(m, k)
-    blocks = np.zeros(chunks * k, dtype=np.uint64)
-    np.remainder(w, np.uint64(field.q), out=blocks[:m])
-    return _shares(blocks.reshape(chunks, k).T, t, n, rng, field, 1)
+    pairs = [(w, rng)] if rng is not None else w
+    blocks = []
+    for vec, _ in pairs:
+        vec = np.asarray(vec, dtype=np.uint64)
+        m = len(vec)
+        chunks = chunk_count(m, k)
+        padded = np.zeros(chunks * k, dtype=np.uint64)
+        np.remainder(vec, np.uint64(field.q), out=padded[:m])
+        blocks.append(padded.reshape(chunks, k).T)
+    rows = _shares(blocks, t, n, [r for _, r in pairs], field, 1)
+    return rows[0] if rng is not None else rows
 
 
 def add_share_vectors(rows, field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
@@ -268,8 +307,8 @@ def chunk_bits_for(field: FieldPrime) -> int:
     return min(56, field.bit_width - 1)
 
 
-def share_integer(values, widths, t: int, n: int, rng,
-                  field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+def share_integer(values, widths, t: int, n: int, rng=None,
+                  field: FieldPrime = DEFAULT_FIELD):
     """Shamir-share a wide integer chunk by chunk, or several side by side.
 
     values and widths are one integer and its total bits, or sequences of
@@ -278,13 +317,21 @@ def share_integer(values, widths, t: int, n: int, rng,
     order, as separate calls would draw them.  Returns an (n x chunks)
     uint64 matrix: row j holds recipient j's shares of every chunk, the
     secrets' chunks side by side, all at the evaluation point x = j + 1.
+    With rng None, values is a sequence of (values, rng) pairs instead,
+    each of the given widths, all shared in one product; returns one
+    matrix per pair, each equal to what that pair's own call would
+    return.
     """
+    pairs = [(values, rng)] if rng is not None else values
     if isinstance(widths, int):
-        values, widths = [values], [widths]
+        pairs = [([v], r) for v, r in pairs]
+        widths = [widths]
     bits = chunk_bits_for(field)
-    chunks = [c for v, w in zip(values, widths, strict=True)
-              for c in integer_chunks(v, w, bits)]
-    return _shares(np.array([chunks], dtype=np.uint64), t, n, rng, field, 0)
+    blocks = [np.array([[c for v, w in zip(vs, widths, strict=True)
+                         for c in integer_chunks(v, w, bits)]],
+                       dtype=np.uint64) for vs, _ in pairs]
+    rows = _shares(blocks, t, n, [r for _, r in pairs], field, 0)
+    return rows[0] if rng is not None else rows
 
 
 def reconstruct_integer(xs, ys, t: int, widths,

@@ -551,9 +551,9 @@ def coalition_view(report: SimReport, coalition: set[int]) -> dict:
         elif msg.kind == MsgKind.PERSONAL_SEED_SHARE:
             saw("seed", msg.sender, rcpt + 1)
         elif msg.kind == MsgKind.UNMASK_SHARE:
-            for e in msg.payload.entries:
-                kind = "dh_key" if e.secret_type == SECRET_DH_KEY else "seed"
-                saw(kind, e.target, msg.sender + 1)
+            for secret_type, target, _ in msg.payload.names:
+                kind = "dh_key" if secret_type == SECRET_DH_KEY else "seed"
+                saw(kind, target, msg.sender + 1)
         elif msg.kind in (MsgKind.MASKED_VECTOR, MsgKind.AGGREGATED_SHARE_VECTOR):
             body = msg.to_bytes()
             for owner, blob in encoded.items():

@@ -14,6 +14,8 @@ from secaggsim.field import (
     M61,
     FieldPrime,
     FixedPointConfig,
+    SUM_BLOCK,
+    add_block_mod,
     add_mod,
     decode_vec,
     elems_to_bytes,
@@ -256,6 +258,29 @@ def test_sum_mod_all_top_elements(field, rows):
     q = field.q
     vs = (np.full(3, q - 1, dtype=np.uint64) for _ in range(rows))
     assert sum_mod(vs, field).tolist() == [rows * (q - 1) % q] * 3
+
+
+@pytest.mark.parametrize("rows", [1, 63, SUM_BLOCK])
+@pytest.mark.parametrize("fill", ["random", "top", "q"])
+def test_m61_block_join_equals_the_generic_join(rows, fill):
+    # M61 joins the two 32-bit half sums by a 61-bit rotation; the generic
+    # join multiplies the high sum by 2^32 mod q.  A row may hold q itself
+    # (a negated zero stream) as well as q - 1.
+    q = M61
+    block = {"random": np.random.default_rng(rows).integers(
+                 0, q, size=(rows, 5), dtype=np.uint64),
+             "top": np.full((rows, 5), q - 1, dtype=np.uint64),
+             "q": np.full((rows, 5), q, dtype=np.uint64)}[fill]
+    acc = np.arange(5, dtype=np.uint64) * np.uint64(q // 5)
+    low = (block & np.uint64(0xFFFFFFFF)).sum(axis=0, dtype=np.uint64)
+    high = (block >> np.uint64(32)).sum(axis=0, dtype=np.uint64)
+    generic = add_mod(mul_mod(high % np.uint64(q), np.uint64((1 << 32) % q),
+                              DEFAULT_FIELD), low % np.uint64(q),
+                      DEFAULT_FIELD)
+    got = add_block_mod(acc, block, DEFAULT_FIELD).tolist()
+    assert got == add_mod(acc, generic, DEFAULT_FIELD).tolist()
+    assert got == [(a + sum(col)) % q for a, col in
+                   zip(acc.tolist(), zip(*block.tolist()))]
 
 
 def test_sum_mod_of_nothing_is_a_value_error():

@@ -41,14 +41,14 @@ def test_tracer_install_then_uninstall_restores_every_target():
     assert all(spans._get(owner, attr) is b
                for (owner, attr), b in zip(targets, before))
     calls = Counter(s[0] for s in tracer.spans)
-    # a key and a personal seed shared in one product per client; the
-    # survivors, holding the same unmask rows, share one reconstruction of
-    # all the seeds
-    assert calls["shamir.share_integer"] == cfg.n
+    # every client's key and personal seed, 6 columns each, are shared in
+    # one block product; the survivors, holding the same unmask rows,
+    # share one reconstruction of all the seeds
+    assert calls["shamir.share_integer"] == 1
     assert calls["shamir.reconstruct_integer"] == 1
-    # every client expands its personal stream and each sign of its n-1
-    # pairwise ones as one batch; the survivors share one batch of
-    # personal streams to remove
+    # every client expands its personal stream as one batch and its n-1
+    # pairwise ones, of both signs, as another; the survivors share one
+    # batch of personal streams to remove
     assert calls["masking.stream_expand"] == \
         emit_batches(range(cfg.n), cfg.n) + 1
     # the bus meters each message from its shape; bytes are made only for
@@ -58,9 +58,9 @@ def test_tracer_install_then_uninstall_restores_every_target():
 
 def emit_batches(contributors, n):
     """stream_expand calls of the masking step: one batch for a client's
-    personal stream, and one per sign of its pairwise streams, + to the
-    peers above it and - to those below (at most 64 seeds per batch)."""
-    return sum(1 + (c < n - 1) + (c > 0) for c in contributors)
+    personal stream, and one per 64 of its n-1 pairwise streams, + to the
+    peers above it and - to those below."""
+    return len(contributors) * (1 + -(-(n - 1) // 64))
 
 
 def traced_calls(cfg, **sim):
@@ -83,9 +83,10 @@ def test_survivors_share_one_opening_of_the_summed_shares(proto):
                       lwe=lwe if proto == "lwe" else None)
     _, calls = traced_calls(cfg)
     assert calls["shamir.reconstruct_vector"] == 1
-    # each client shares once and sums its contributors' rows in one call;
-    # a traced name kept only as an import would read zero here
-    assert calls["shamir.share_vector"] == cfg.n
+    # the five clients' sharings, 2 (nv) or 3 (lwe) columns each, are one
+    # block product, and each client sums its contributors' rows in one
+    # call; a traced name kept only as an import would read zero here
+    assert calls["shamir.share_vector"] == 1
     assert calls["shamir.add_share_vectors"] == cfg.n
 
 
@@ -116,10 +117,9 @@ def test_pw_survivors_share_one_set_of_finalize_streams():
     ids = report.result.contributors
     gone = set(range(cfg.n)) - set(ids)
     assert len(gone) == 2
-    # one batch of every contributor's personal stream, and one per sign of
-    # the (dropped, contributor) pairwise streams: counted once, not once
-    # per survivor, because the survivors share one correction
-    signs = {j < k for k in gone for j in ids}
-    assert len(signs) == 2
-    finalize = 1 + len(signs)
+    # one batch of every contributor's personal stream, and one of the
+    # (dropped, contributor) pairwise streams of both signs: counted once,
+    # not once per survivor, because the survivors share one correction
+    assert {j < k for k in gone for j in ids} == {True, False}
+    finalize = 2
     assert calls["masking.stream_expand"] == emit_batches(ids, cfg.n) + finalize

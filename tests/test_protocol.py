@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from secaggsim.errors import (
     UnmaskMismatch,
 )
 from secaggsim import masking
-from secaggsim.field import M61, FieldPrime, FixedPointConfig, encode_vec
+from secaggsim.field import (M61, FieldPrime, FixedPointConfig, add_mod,
+                             encode_vec, sub_mod)
 from secaggsim.masking import (DH_GROUP_TEST, LweMatrixOps, LweParams,
                                lwe_matrix_ops)
 from secaggsim.oracle import plaintext_aggregate
@@ -34,15 +36,16 @@ from secaggsim.protocol import (
     ROUND_FNS,
     RoundContext,
     ShareBundlePayload,
-    UnmaskEntry,
     UnmaskPayload,
     VectorPayload,
     contributor_set,
     lwe_round,
     nv_round,
 )
+from secaggsim.protocol.clients import SHARE_BLOCK_COLUMNS
+from secaggsim.shamir import share_integer, share_vector
 from secaggsim.simnet import (DropoutSchedule, MessageBus, SimConfig,
-                              run_simulation)
+                              client_seed, run_simulation)
 
 SMALL_LWE = LweParams(n_lwe=16, sigma=1e-6, matrix_seed=b"\x01" * 32)
 
@@ -264,7 +267,7 @@ def test_payload_share_rows_are_read_only():
     bundle = ShareBundlePayload(rows.copy(), (3, 2, 1))
     held = [bundle.rows, bundle.at(1).vec,
             VectorPayload(rows[0].copy(), (3, 2, 1)).vec,
-            UnmaskPayload((UnmaskEntry(0, 0, rows[1].copy()),)).entries[0].chunks]
+            UnmaskPayload(((0, 0, 2),), rows[1].copy()).row]
     for row in held:
         with pytest.raises(ValueError):
             row[0] = 1
@@ -281,8 +284,7 @@ def test_field_element_payloads_are_read_only_and_hash_by_identity():
         (bundle, lambda p: p.rows),
         (bundle.at(1), lambda p: p.vec),
         (ShareBundlePayload(rows.copy()).at(2), lambda p: p.vec),
-        (UnmaskPayload((UnmaskEntry(0, 0, rows[1].copy()),)),
-         lambda p: p.entries[0].chunks),
+        (UnmaskPayload(((0, 0, 2),), rows[1].copy()), lambda p: p.row),
     ]
     for payload, held in cases:
         twin = dataclasses.replace(payload)  # the same rows, another object
@@ -290,6 +292,26 @@ def test_field_element_payloads_are_read_only_and_hash_by_identity():
         assert {payload: "a", twin: "b"}[payload] == "a"
         with pytest.raises(ValueError):
             held(payload)[0] = 1
+
+
+def test_unmask_payload_bytes_are_the_entry_layout():
+    # 4-byte entry count, then per entry 4-byte target, 1-byte secret
+    # type, 4-byte chunk count and 8 bytes per chunk
+    names = ((0, 3, 1), (1, 0, 5), (1, 2, 5))
+    row = np.arange(11, dtype=np.uint64) * np.uint64(M61 // 11)
+    payload = UnmaskPayload(names, row.copy())
+    want = struct.pack(">I", 3)
+    at = 0
+    for kind, target, count in names:
+        want += struct.pack(">IBI", target, kind, count)
+        want += b"".join(int(c).to_bytes(8, "big") for c in row[at:at + count])
+        at += count
+    assert payload.to_bytes() == want
+    assert payload.nbytes == len(want)
+    assert UnmaskPayload((), np.empty(0, dtype=np.uint64)).to_bytes() == \
+        struct.pack(">I", 0)
+    with pytest.raises(ValueError):  # names and row must agree
+        UnmaskPayload(names, row[:10].copy())
 
 
 def test_contributor_set_from_delivery_record():
@@ -604,11 +626,11 @@ def test_pw_contributor_set_with_dropout_emits_key_unmask_share():
     out = clients[0].on_message([cs])
     # one unmask broadcast, to the three peers
     assert [rcpts for rcpts, _ in out] == [(1, 2, 3)]
-    entries = out[0][1].payload.entries
-    key_targets = [e.target for e in entries
-                   if e.secret_type == SECRET_DH_KEY]
-    seed_targets = [e.target for e in entries
-                    if e.secret_type == SECRET_PERSONAL_SEED]
+    names = out[0][1].payload.names
+    key_targets = [target for kind, target, _ in names
+                   if kind == SECRET_DH_KEY]
+    seed_targets = [target for kind, target, _ in names
+                    if kind == SECRET_PERSONAL_SEED]
     # the stored share of the dropped peer's DH key is opened, and the
     # personal seeds of the three contributors
     assert key_targets == [3]
@@ -626,10 +648,22 @@ def test_pw_safety_guard_never_opens_both_secrets():
         target.on_message([contributor_set_msg((0, 1, 2, 3))])
 
 
+def unmask_entries(payload):
+    """(name, chunks) of every entry of an unmask payload, in order."""
+    ends = np.cumsum([count for *_, count in payload.names])
+    return list(zip(payload.names, np.split(payload.row, ends[:-1])))
+
+
+def unmask_payload(entries):
+    """The unmask payload of (name, chunks) entries, in order."""
+    return UnmaskPayload(tuple(name for name, _ in entries),
+                         np.concatenate([chunks for _, chunks in entries]))
+
+
 def drive_pw_to_unmask(forge=None):
     """Client 3 drops after setup; clients 0-2 mask, get the contributor
-    set and exchange unmask shares.  forge(payload) may rewrite what
-    client 1 sends to client 0."""
+    set and exchange unmask shares.  forge(entries) may rewrite the
+    (name, chunks) entries of what client 1 sends to client 0."""
     cfg, clients = drive_pw_setup()
     for c in clients[:3]:
         deliver(clients, c.emit_masked(), live=3)
@@ -641,7 +675,8 @@ def drive_pw_to_unmask(forge=None):
         if rcpt < 3:
             if forge is not None and (msg.sender, rcpt) == (1, 0):
                 msg = ProtocolMessage(msg.kind, msg.sender, msg.round,
-                                      UnmaskPayload(forge(msg.payload.entries)))
+                                      unmask_payload(forge(
+                                          unmask_entries(msg.payload))))
             clients[rcpt].on_message([msg])
     return cfg, clients
 
@@ -657,8 +692,8 @@ def test_pw_unmask_opens_every_secret_in_one_call():
 def test_pw_unmask_naming_other_secrets_raises():
 
     def retarget(entries):  # client 1 claims to open client 2's key instead
-        return tuple(UnmaskEntry(2 if e.target == 3 else e.target,
-                                 e.secret_type, e.chunks) for e in entries)
+        return [((kind, 2 if target == 3 else target, count), chunks)
+                for (kind, target, count), chunks in entries]
 
     def reorder(entries):
         return entries[::-1]
@@ -900,9 +935,8 @@ def corrupt_first_unmask_entry(monkeypatch, forge):
     first entry (contributor 0's seed share) replaced by forge(chunks)."""
 
     def forge_payload(p):
-        first, *rest = p.entries
-        first = dataclasses.replace(first, chunks=forge(first.chunks))
-        payload = UnmaskPayload((first, *rest))
+        (name, chunks), *rest = unmask_entries(p)
+        payload = unmask_payload([(name, forge(chunks)), *rest])
         assert payload.names == p.names
         return payload
 
@@ -1028,3 +1062,98 @@ def test_transcript_matches_golden_digest(proto):
         h.update(rcpt.to_bytes(4, "big"))
         h.update(msg.to_bytes())
     assert h.hexdigest() == digest
+
+
+# --- block sharing in the round context --------------------------------------------
+
+
+def vector_block(pairs, cfg):
+    return share_vector(pairs, cfg.t, cfg.n, cfg.k, field=cfg.field)
+
+
+@pytest.mark.parametrize("columns,sizes", [
+    (1, [64, 64, 2]),                           # cut at 64 clients
+    (6, [SHARE_BLOCK_COLUMNS // 6] * 6 + [4]),  # cut at the column budget
+    (SHARE_BLOCK_COLUMNS + 1, [1] * 130),       # one client too wide
+])
+def test_context_blocks_equal_per_client_sharings(columns, sizes):
+    # every client asks for its rows, except the last of each block, which
+    # never shares: its rng must be left as it was
+    cfg = RoundConfig(protocol="nv", n=7, m=4 * columns, t=3, k=4)
+    clients = sum(sizes)
+    g = np.random.default_rng(50)
+    vecs = [g.integers(0, cfg.field.q, size=cfg.m, dtype=np.uint64)
+            for _ in range(clients)]
+    rngs = [np.random.default_rng(60 + i) for i in range(clients)]
+    own_rngs = [np.random.default_rng(60 + i) for i in range(clients)]
+    ctx = RoundContext()
+    tickets = [ctx.register_share(vector_block, cfg, v, r, columns)
+               for v, r in zip(vecs, rngs)]
+    assert [len(pairs) for _, pairs, _ in ctx.share_blocks] == sizes
+    last = set(np.cumsum(sizes) - 1)
+    for i in range(clients):
+        if i in last:
+            continue
+        own = share_vector(vecs[i], cfg.t, cfg.n, cfg.k, own_rngs[i],
+                           cfg.field)
+        assert ctx.share_rows(tickets[i]).tolist() == own.tolist()
+    assert [r.bit_generator.state for r in rngs] == \
+        [r.bit_generator.state for r in own_rngs]
+
+
+def test_context_starts_a_block_for_another_sharing():
+    cfg = RoundConfig(protocol="nv", n=4, m=3)
+    other = dataclasses.replace(cfg, t=2)
+    ctx = RoundContext()
+    for c in (cfg, cfg, other, cfg):
+        ctx.register_share(vector_block, c, np.zeros(3, dtype=np.uint64),
+                           np.random.default_rng(0), 1)
+    assert [len(pairs) for _, pairs, _ in ctx.share_blocks] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("proto,stage", [("nv", "input_shares"),
+                                         ("pw", "setup")])
+def test_client_dropped_before_sharing_draws_no_anchors(proto, stage):
+    # client 2 drops before it shares, in the block of every client; its
+    # generator holds what its set-up drew and nothing more, and every
+    # other client's drew its own anchors
+    cfg = RoundConfig(protocol=proto, n=5, m=3, planned_dropouts=1,
+                      dh=DH_GROUP_TEST if proto == "pw" else None)
+    bus = MessageBus(cfg, master_seed=7,
+                     schedule=DropoutSchedule(stages={2: stage}))
+    ROUND_FNS[proto]([np.zeros(cfg.m)] * cfg.n, cfg, bus)
+    for cid in range(cfg.n):
+        own = np.random.Generator(np.random.PCG64(client_seed(7, cid)))
+        if proto == "pw":
+            client = PwClient(cid, cfg, np.zeros(cfg.m), own, RoundContext())
+            if cid != 2:
+                share_integer([client.keypair.sk, int.from_bytes(
+                    client.personal_seed, "big")], [9, 256], cfg.t, cfg.n,
+                    own, cfg.field)
+        elif cid != 2:
+            share_vector(np.zeros(cfg.m), cfg.t, cfg.n, cfg.k, own, cfg.field)
+        assert bus.client_rng(cid).bit_generator.state == \
+            own.bit_generator.state
+
+
+@pytest.mark.parametrize("field", [FieldPrime(M61), FieldPrime(7),
+                                   FieldPrime((1 << 63) - 25)])
+@pytest.mark.parametrize("terms", [63, 64, 65])
+def test_signed_mask_blocks_equal_a_per_term_loop(field, terms):
+    # one signed block per tag, summed into one accumulator, against v
+    # plus or minus each stream in turn; F7 streams hold many zeros, which
+    # a negated row holds as q
+    g = np.random.default_rng(terms)
+    m = 9
+    v = g.integers(0, field.q, size=m, dtype=np.uint64)
+    signed = [(int(g.choice([-1, 1])), g.bytes(32),
+               masking.TAG_PERSONAL if i % 5 == 0 else masking.TAG_PAIRWISE)
+              for i in range(terms)]
+    want = v
+    for sign, seed, tag in signed:
+        stream = masking.stream_expand(seed, tag, m, field)
+        want = (add_mod if sign > 0 else sub_mod)(want, stream, field)
+    holder = SimpleNamespace(cfg=SimpleNamespace(m=m, field=field))
+    got = PwClient._apply_masks(holder, v, signed)
+    assert got.tolist() == want.tolist()
+    assert PwClient._apply_masks(holder, v, []).tolist() == v.tolist()

@@ -461,3 +461,74 @@ def test_reconstruct_integer_opens_mixed_widths_in_one_call():
         reconstruct_integer(xs[:t - 1], ys[order][:t - 1], t, widths, M61F)
     with pytest.raises(ValueError):
         reconstruct_integer(xs, ys[order], t, widths[:2], M61F)
+
+
+# --- block sharing --------------------------------------------------------------
+
+
+def generators(seed, count):
+    return [rng(seed + i) for i in range(count)]
+
+
+@pytest.mark.parametrize("field,t,n,k,m,clients", [
+    (M61F, 3, 7, 4, 50, 5),      # nv at k > 1, last chunk padded
+    (M61F, 6, 10, 5, 710, 2),    # lwe's sharing shape
+    (F127, 2, 5, 2, 3, 1),       # one-client block
+    (F17, 3, 7, 4, 9, 4),        # small field, points up to 12
+])
+def test_block_share_vector_equals_per_client_calls(field, t, n, k, m,
+                                                    clients):
+    g = rng(40)
+    vecs = [g.integers(0, field.q, size=m, dtype=np.uint64)
+            for _ in range(clients)]
+    block_rngs, own_rngs = generators(41, clients), generators(41, clients)
+    block = share_vector(list(zip(vecs, block_rngs)), t, n, k, field=field)
+    own = [share_vector(v, t, n, k, r, field)
+           for v, r in zip(vecs, own_rngs)]
+    assert [b.tolist() for b in block] == [o.tolist() for o in own]
+    assert [r.bit_generator.state for r in block_rngs] == \
+        [r.bit_generator.state for r in own_rngs]
+
+
+@pytest.mark.parametrize("field", [M61F, F17, FieldPrime(1019)])
+@pytest.mark.parametrize("widths", [[9, 256], [9], 9])
+def test_block_share_integer_equals_per_client_calls(field, widths):
+    # pw's shape: a DH key and a personal seed per client, side by side
+    t, n, clients = 26, 50, 21
+    if field.q == 17:
+        t, n, clients = 3, 7, 3
+    g = rng(42)
+    bits = [widths] if isinstance(widths, int) else widths
+    values = [[int.from_bytes(g.bytes(32), "big") % (1 << w) for w in bits]
+              for _ in range(clients)]
+    if isinstance(widths, int):
+        values = [v[0] for v in values]
+    block_rngs, own_rngs = generators(43, clients), generators(43, clients)
+    block = share_integer(list(zip(values, block_rngs)), widths, t, n,
+                          field=field)
+    own = [share_integer(v, widths, t, n, r, field)
+           for v, r in zip(values, own_rngs)]
+    assert [b.tolist() for b in block] == [o.tolist() for o in own]
+    assert [r.bit_generator.state for r in block_rngs] == \
+        [r.bit_generator.state for r in own_rngs]
+
+
+def test_second_product_on_a_basis_does_not_split_it_again(monkeypatch):
+    # the sharing basis's limbs are cached with the basis, so a second
+    # sharing on the same points splits only its coefficient columns
+    import secaggsim.field as field_mod
+    from secaggsim.shamir import _basis_limbs
+
+    t, n, k = 4, 9, 3
+    basis = lagrange_basis(M61F.q, tuple(range(1, k + t)),
+                           tuple(range(k + t, k + 1 + n)))
+    _basis_limbs.cache_clear()
+    split = []
+    write_limbs = field_mod.write_limbs
+    monkeypatch.setattr(field_mod, "write_limbs", lambda X, bits, limbs: (
+        split.append(X is basis), write_limbs(X, bits, limbs)))
+    first = share_vector(np.arange(6), t, n, k, rng(44), M61F)
+    again = share_vector(np.arange(6), t, n, k, rng(44), M61F)
+    assert first.tolist() == again.tolist()
+    # the basis and the first coefficients, then the second coefficients
+    assert split == [True, False, False]
