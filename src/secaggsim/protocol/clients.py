@@ -95,13 +95,13 @@ SHARE_BLOCK_COLUMNS = 64
 class RoundContext:
     """What the clients of one round share, dropped with the round.
 
-    It holds the LWE matrix handle, each lwe client's secret and each
-    client's input to share with its rng (registered when the client is
-    built, never the client itself, so no reference cycle keeps a round
-    alive) and a memo of survivor-invariant work.  A memo entry is keyed
-    on every input that determines it, never on the client that asked,
-    so a survivor with a different view recomputes.  An opening or a
-    masked-vector sum is keyed on the payload objects it reads, which
+    It holds the LWE matrix handle, one (value, rng) input per client, in
+    registration order (what the client shares or, for lwe, its secret,
+    with its rng; never the client itself, so no reference cycle keeps a
+    round alive), and a memo of survivor-invariant work.  A memo entry is
+    keyed on every input that determines it, never on the client that
+    asked, so a survivor with a different view recomputes.  An opening or
+    a masked-vector sum is keyed on the payload objects it reads, which
     hash by identity: one object serves every recipient of a message, so
     the survivors that received the same messages share one result.  The
     rows of those payloads are read-only from the moment they are built,
@@ -110,63 +110,57 @@ class RoundContext:
 
     def __init__(self, matrix_ops=None):
         self.matrix_ops = matrix_ops
-        self.secrets: list[np.ndarray] = []
-        # blocks of sharings: [(share, cfg), [(input, rng), ...], columns]
-        self.share_blocks: list[list] = []
+        self.inputs: list[tuple] = []
         self.memo: dict = {}
 
-    def register_secret(self, s: np.ndarray) -> int:
-        self.secrets.append(s)
-        return len(self.secrets) - 1
+    def register(self, value, rng) -> int:
+        """Hold a client's input and rng; returns its index."""
+        self.inputs.append((value, rng))
+        return len(self.inputs) - 1
+
+    def _block(self, key, index: int, size: int, compute):
+        """(compute(pairs), index's place in them) for the block of size
+        consecutive inputs that holds index.  The first request in a block
+        computes it, which replaces the previous block's under key."""
+        start = index - index % size
+        held = self.memo.get(key)
+        if held is None or held[0] != start:
+            held = self.memo[key] = (
+                start, compute(self.inputs[start:start + size]))
+        return held[1], index - start
 
     def mask_product(self, index: int) -> np.ndarray:
-        """A.s of the secret registered at index.  The first request in a
-        block of LWE_MASK_BLOCK secrets computes A.S for all of them in one
-        product, which replaces the previous block's."""
-        start = index - index % LWE_MASK_BLOCK
-        if self.memo.get("A.S", (None,))[0] != start:
-            self.memo["A.S"] = (start, self.matrix_ops.matvec(
-                np.stack(self.secrets[start:start + LWE_MASK_BLOCK])))
-        return self.memo["A.S"][1][:, index - start]
+        """A.s of the secret registered at index, from one A.S product for
+        its block of LWE_MASK_BLOCK secrets."""
+        def product(pairs):
+            return self.matrix_ops.matvec(np.stack([s for s, _ in pairs]))
 
-    def register_share(self, share, cfg, value, rng,
-                       columns: int) -> tuple[int, int]:
-        """Queue a client's sharing of value, columns coefficient columns
-        wide, with anchors from rng; returns its (block, place) ticket for
-        share_rows.  share(pairs, cfg) shares a list of (value, rng) pairs
-        in one product.  Consecutive sharings with the same share and cfg
-        form blocks of at most SHARE_BLOCK_COLUMNS columns, or of one
-        client wider than that."""
-        blocks = self.share_blocks
-        if (not blocks or blocks[-1][0] != (share, cfg)
-                or blocks[-1][2] + columns > SHARE_BLOCK_COLUMNS):
-            blocks.append([(share, cfg), [], 0])
-        block = blocks[-1]
-        block[1].append((value, rng))
-        block[2] += columns
-        return len(blocks) - 1, len(block[1]) - 1
+        block, place = self._block("A.S", index, LWE_MASK_BLOCK, product)
+        return block[:, place]
 
-    def share_rows(self, ticket: tuple[int, int]) -> np.ndarray:
-        """The share matrix of the sharing registered under ticket.  The
-        first request in a block shares the whole block in one product,
-        which replaces the previous block's rows.  Every other member's
-        rng is then set back to where it was, and moves past its anchors
-        only when that member asks for its rows, so each rng draws as the
-        member's own sharing would, and a member that never shares draws
-        nothing."""
-        index, place = ticket
-        (share, cfg), pairs, _ = self.share_blocks[index]
-        held = self.memo.get("shares")
-        if held is None or held[0] != index:
+    def share_rows(self, index: int, share, columns: int) -> np.ndarray:
+        """The share matrix of the input registered at index, columns
+        coefficient columns wide, as every input of a round is.
+        share(pairs) shares a block's (value, rng) pairs in one product,
+        SHARE_BLOCK_COLUMNS columns or one input wider than that.  Every
+        member's rng is then set back to where it was, and moves past its
+        anchors only when that member asks for its rows, so each rng draws
+        as the member's own sharing would, and a member that never shares
+        draws nothing."""
+
+        def shared(pairs):
             gens = [rng.bit_generator for _, rng in pairs]
             before = [g.state for g in gens]
-            rows = share(pairs, cfg)
+            rows = share(pairs)
             after = [g.state for g in gens]
             for g, state in zip(gens, before):
                 g.state = state
-            held = self.memo["shares"] = (index, rows, after)
-        pairs[place][1].bit_generator.state = held[2][place]
-        return held[1][place]
+            return rows, after
+
+        (rows, after), place = self._block(
+            "shares", index, max(1, SHARE_BLOCK_COLUMNS // columns), shared)
+        self.inputs[index][1].bit_generator.state = after[place]
+        return rows[place]
 
     def cached(self, key: tuple, compute):
         """The memoized compute() under key."""
@@ -210,10 +204,9 @@ class BaseClient:
         self.got: dict[MsgKind, dict[int, object]] = {
             kind: {} for kind in self.ACCEPTS}
         self.headers: dict[MsgKind, tuple[int, ...]] = {}
-        if w is not None:
-            if len(w) != cfg.m:
-                raise ValueError(f"input has {len(w)} coords, config says {cfg.m}")
-            self.enc_w = encode_vec(w, cfg.fp, cfg.field)
+        if len(w) != cfg.m:
+            raise ValueError(f"input has {len(w)} coords, config says {cfg.m}")
+        self.enc_w = encode_vec(w, cfg.fp, cfg.field)
 
     def _broadcast(self, kind: MsgKind, payload) -> Entry:
         """Hold payload as this client's own of kind, and return one entry
@@ -302,6 +295,16 @@ class BaseClient:
         self.ops.add += self.cfg.m * (len(view) - 1)
         return self._shared("masked-sum", view, total)
 
+    def _result(self, field_sum: np.ndarray, exact: bool = True,
+                sigma: float | None = None) -> AggregateResult:
+        """The round's outcome from the contributors' field sum: decoded
+        and divided by the contributor count."""
+        n = len(self.contributors)
+        avg = decode_vec(field_sum, n, self.cfg.fp, self.cfg.field) / n
+        return AggregateResult(average=avg, contributors=self.contributors,
+                               exact=exact, field_sum=field_sum,
+                               noise_sigma_effective=sigma)
+
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
 
@@ -325,21 +328,20 @@ class NvClient(BaseClient):
         self._header = (chunks, len(value), cfg.t, cfg.k)
         self.headers = dict.fromkeys((self.SHARE_KIND, self.SUM_KIND),
                                      self._header)
-        self._share_ticket = ctx.register_share(
-            self._share_block, cfg, value, rng, chunks)
+        self._index = ctx.register(value, rng)
 
     def _shared_value(self) -> np.ndarray:
         return self.enc_w
 
-    @staticmethod
-    def _share_block(pairs, cfg) -> list[np.ndarray]:
+    def _share_block(self, pairs) -> list[np.ndarray]:
+        cfg = self.cfg
         return share_vector(pairs, cfg.t, cfg.n, cfg.k, field=cfg.field)
 
     def start(self) -> list[Entry]:
         """Packed-share the input and send every peer the bundle of rows."""
         cfg = self.cfg
-        rows = self.ctx.share_rows(self._share_ticket)
-        chunks = rows.shape[1]
+        chunks = self._header[0]
+        rows = self.ctx.share_rows(self._index, self._share_block, chunks)
         d = cfg.t + cfg.k - 1
         self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
         self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
@@ -393,12 +395,7 @@ class NvClient(BaseClient):
         return vec
 
     def finalize(self) -> AggregateResult:
-        cfg = self.cfg
-        field_sum = self._open_sum()
-        avg = decode_vec(field_sum, len(self.contributors), cfg.fp,
-                         cfg.field) / len(self.contributors)
-        return AggregateResult(average=avg, contributors=self.contributors,
-                               exact=True, field_sum=field_sum)
+        return self._result(self._open_sum())
 
 
 # --- LWE-masking protocol ------------------------------------------------------
@@ -416,11 +413,11 @@ class LweClient(NvClient):
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
-        # s is the rng's first draw, and nv's set-up registers it to share
+        # s is the rng's first draw, and nv's set-up registers it, to share
+        # and to mask with
         self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
                               dtype=np.uint64)
         super().__init__(cid, cfg, w, rng, ctx, round_index)
-        self._secret_index = ctx.register_secret(self.s)
 
     def _shared_value(self) -> np.ndarray:
         return self.s
@@ -428,7 +425,7 @@ class LweClient(NvClient):
     def emit_masked(self) -> list[Entry]:
         cfg = self.cfg
         e = gaussian_error(cfg.lwe.sigma, cfg.m, self.rng, cfg.field)
-        h = add_mod(self.enc_w, self.ctx.mask_product(self._secret_index),
+        h = add_mod(self.enc_w, self.ctx.mask_product(self._index),
                     cfg.field)
         h = add_mod(h, e, cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
@@ -445,12 +442,8 @@ class LweClient(NvClient):
         field_sum = sub_mod(h_sum, mask, cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
-        n_contrib = len(self.contributors)
-        avg = decode_vec(field_sum, n_contrib, cfg.fp, cfg.field) / n_contrib
-        return AggregateResult(
-            average=avg, contributors=self.contributors, exact=False,
-            field_sum=field_sum,
-            noise_sigma_effective=cfg.lwe.sigma * float(np.sqrt(n_contrib)))
+        return self._result(field_sum, exact=False, sigma=cfg.lwe.sigma
+                            * float(np.sqrt(len(self.contributors))))
 
 
 # --- pairwise-masking protocol --------------------------------------------------
@@ -474,34 +467,26 @@ class PwClient(BaseClient):
         super().__init__(cid, cfg, w, rng, ctx, round_index)
         self.keypair = dh_keygen(cfg.dh, rng)
         self.personal_seed = rng.bytes(32) if cfg.personal_mask else None
-        if not cfg.personal_mask:
+        # the total bits of each secret this client shares, side by side:
+        # the DH key and, with personal masking, the personal seed
+        self._secret_widths = {
+            SECRET_DH_KEY: cfg.dh.subgroup_order.bit_length()}
+        values = [self.keypair.sk]
+        if cfg.personal_mask:
+            self._secret_widths[SECRET_PERSONAL_SEED] = PERSONAL_SEED_BITS
+            values.append(int.from_bytes(self.personal_seed, "big"))
+        else:
             del self.got[MsgKind.PERSONAL_SEED_SHARE]
         bits = chunk_bits_for(cfg.field)
         kinds = (MsgKind.KEY_SHARE, MsgKind.PERSONAL_SEED_SHARE)
         self.headers = {kind: (chunk_count(width, bits),) for kind, width
-                        in zip(kinds, self._secret_widths(cfg))}
-        values = [self.keypair.sk]
-        if cfg.personal_mask:
-            values.append(int.from_bytes(self.personal_seed, "big"))
-        self._share_ticket = ctx.register_share(
-            self._share_block, cfg, values, rng,
-            sum(chunks for chunks, in self.headers.values()))
+                        in zip(kinds, self._secret_widths.values())}
+        self._index = ctx.register(values, rng)
 
-    @property
-    def _order_bits(self) -> int:
-        return self.cfg.dh.subgroup_order.bit_length()
-
-    @staticmethod
-    def _secret_widths(cfg) -> list[int]:
-        """Total bits of the DH key and, with personal masking, the
-        personal seed: the secrets a client shares, side by side."""
-        return [cfg.dh.subgroup_order.bit_length()] + (
-            [PERSONAL_SEED_BITS] if cfg.personal_mask else [])
-
-    @staticmethod
-    def _share_block(pairs, cfg) -> list[np.ndarray]:
-        return share_integer(pairs, PwClient._secret_widths(cfg), cfg.t,
-                             cfg.n, field=cfg.field)
+    def _share_block(self, pairs) -> list[np.ndarray]:
+        cfg = self.cfg
+        return share_integer(pairs, list(self._secret_widths.values()),
+                             cfg.t, cfg.n, field=cfg.field)
 
     def start(self) -> list[Entry]:
         """Broadcast the public key, then send the DH key's and the
@@ -510,7 +495,9 @@ class PwClient(BaseClient):
         cfg = self.cfg
         out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
             self.keypair.pk, cfg.dh.residue_bytes))]
-        rows = self.ctx.share_rows(self._share_ticket)
+        rows = self.ctx.share_rows(
+            self._index, self._share_block,
+            sum(chunks for chunks, in self.headers.values()))
         split = self.headers[MsgKind.KEY_SHARE][0]  # the key's chunk count
         out.append(self._broadcast(MsgKind.KEY_SHARE,
                                    ShareBundlePayload(rows[:, :split])))
@@ -609,8 +596,7 @@ class PwClient(BaseClient):
                 raise InsufficientSurvivors(
                     f"client {self.id}: {len(senders)} shares of each opened "
                     f"secret < t = {self.cfg.t}")
-            widths = [self._order_bits if kind == SECRET_DH_KEY
-                      else PERSONAL_SEED_BITS for kind, _, _ in names]
+            widths = [self._secret_widths[kind] for kind, _, _ in names]
             return tuple(reconstruct_integer(
                 tuple(1 + s for s in senders),
                 np.stack([p.row for p in payloads]), self.cfg.t, widths,
@@ -645,7 +631,4 @@ class PwClient(BaseClient):
             ("pw-correction", contributors, dropped, opened, pks),
             correction), cfg.field)
         self.ops.add += cfg.m * (len(seeds) + len(dropped) * len(contributors))
-        n_contrib = len(contributors)
-        avg = decode_vec(v, n_contrib, cfg.fp, cfg.field) / n_contrib
-        return AggregateResult(average=avg, contributors=contributors,
-                               exact=True, field_sum=v)
+        return self._result(v)

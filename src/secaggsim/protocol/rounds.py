@@ -55,7 +55,8 @@ class RoundConfig:
     clamped so that reconstruction stays possible with planned_dropouts
     clients gone: k <= n - planned_dropouts - t + 1 (floor 1).  An
     explicitly given k is honored and only validated against k >= 1 and
-    n >= t+k-1.  A model of fewer than one coordinate raises ValueError.
+    n >= t+k-1.  A model of fewer than one coordinate, or a share point
+    that reaches q, raises ValueError.
     """
 
     protocol: str
@@ -91,6 +92,11 @@ class RoundConfig:
         if self.n < self.t + self.k - 1:
             raise BadPacking(
                 f"pack width k={self.k} needs n >= t+k-1 (n={self.n}, t={self.t})")
+        # shares sit at points k+1..k+n (pw: plain sharing, at 1..n)
+        top = self.n if self.protocol == PW else self.k + self.n
+        if top >= self.field.q:
+            raise ValueError(
+                f"share points up to {top} wrap mod q={self.field.q}")
         if self.protocol == LWE and self.lwe is None:
             self.lwe = LweParams()
         if self.protocol == PW and self.dh is None:
@@ -119,7 +125,7 @@ def _deliver(clients, inboxes) -> list:
     return out
 
 
-def _finalize(clients, bus, cfg) -> AggregateResult:
+def _finalize(clients, bus) -> AggregateResult:
     live = bus.live_at_end()
     for c in clients:
         bus.record_field_ops(c.id, c.ops)
@@ -163,7 +169,7 @@ def _drive(inputs, cfg: RoundConfig, bus, client_cls, openers,
                                ContributorSetPayload(contributors))
     final = _deliver(clients, bus.control(st_final, announce))
     _deliver(clients, bus.exchange(st_final, final))
-    return _finalize(clients, bus, cfg)
+    return _finalize(clients, bus)
 
 
 def nv_round(inputs, cfg: RoundConfig, bus) -> AggregateResult:

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secaggsim.errors import (
     BadPacking,
@@ -15,6 +17,7 @@ from secaggsim.errors import (
     MissingKeyShares,
     NonFiniteInput,
     ProtocolError,
+    SecAggError,
     UnexpectedMessage,
     UnmaskMismatch,
 )
@@ -554,6 +557,49 @@ def test_round_config_needs_a_coordinate_and_a_pack_width(proto):
             RoundConfig(protocol=proto, n=5, m=4, k=k)
 
 
+@pytest.mark.parametrize("proto,n", [("nv", 5), ("lwe", 5), ("pw", 7)])
+def test_round_config_rejects_share_points_that_wrap(proto, n):
+    # over F7 a clip below 0.25 encodes to 0, so the capacity check passes,
+    # but the last share point (k+n, or n for pw's plain sharing) reaches
+    # q: run_simulation used to meet it as an untyped ValueError
+    fp = FixedPointConfig(frac_bits=1, clip_magnitude=0.2)
+    kw = dict(protocol=proto, m=3, field=FieldPrime(7), fp=fp,
+              dh=DH_GROUP_TEST if proto == "pw" else None)
+    with pytest.raises(ValueError, match="wrap mod q=7"):
+        RoundConfig(n=n, **kw)
+    # one client fewer puts the last point at q - 1, and the round runs;
+    # lwe's noise may leave F7's decode band, a typed failure
+    report = run_simulation(SimConfig(round_cfg=RoundConfig(n=n - 1, **kw),
+                                      master_seed=3))
+    assert report.failure is None or proto == "lwe"
+
+
+@given(proto=st.sampled_from(["nv", "lwe", "pw"]), n=st.integers(2, 12),
+       m=st.integers(1, 4), q=st.sampled_from([7, 17, 127, 1019, M61]),
+       frac_bits=st.integers(1, 3), clip=st.floats(0.1, 3.0),
+       rate=st.floats(0.0, 0.9), seed=st.integers(0, 99))
+@settings(max_examples=150, deadline=None)
+def test_small_configs_end_in_a_result_or_a_typed_failure(
+        proto, n, m, q, frac_bits, clip, rate, seed):
+    try:
+        cfg = RoundConfig(
+            protocol=proto, n=n, m=m, field=FieldPrime(q),
+            fp=FixedPointConfig(frac_bits=frac_bits, clip_magnitude=clip),
+            dh=DH_GROUP_TEST if proto == "pw" else None)
+    except (ValueError, SecAggError):
+        return  # rejected at construction
+    # any other exception escapes run_simulation and fails the test
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=seed,
+                                      dropout_rate=rate), keep_transcript=True)
+    if report.failure is not None:
+        return
+    if report.result.exact:
+        inputs = [np.clip(v, -clip, clip) for v in report.inputs]
+        expected = plaintext_aggregate(inputs, report.result.contributors)
+        assert np.max(np.abs(report.result.average - expected)) \
+            <= 2.0 ** -frac_bits
+
+
 def test_round_determinism():
     import json
     a = run("nv", n=6, m=5, seed=13, rate=0.3)
@@ -1067,18 +1113,14 @@ def test_transcript_matches_golden_digest(proto):
 # --- block sharing in the round context --------------------------------------------
 
 
-def vector_block(pairs, cfg):
-    return share_vector(pairs, cfg.t, cfg.n, cfg.k, field=cfg.field)
-
-
 @pytest.mark.parametrize("columns,sizes", [
     (1, [64, 64, 2]),                           # cut at 64 clients
     (6, [SHARE_BLOCK_COLUMNS // 6] * 6 + [4]),  # cut at the column budget
     (SHARE_BLOCK_COLUMNS + 1, [1] * 130),       # one client too wide
 ])
 def test_context_blocks_equal_per_client_sharings(columns, sizes):
-    # every client asks for its rows, except the last of each block, which
-    # never shares: its rng must be left as it was
+    # every client asks for its rows, except the last of each block of two
+    # or more, which never shares: its rng must be left as it was
     cfg = RoundConfig(protocol="nv", n=7, m=4 * columns, t=3, k=4)
     clients = sum(sizes)
     g = np.random.default_rng(50)
@@ -1086,29 +1128,25 @@ def test_context_blocks_equal_per_client_sharings(columns, sizes):
             for _ in range(clients)]
     rngs = [np.random.default_rng(60 + i) for i in range(clients)]
     own_rngs = [np.random.default_rng(60 + i) for i in range(clients)]
+    blocks = []
+
+    def share(pairs):
+        blocks.append(len(pairs))
+        return share_vector(pairs, cfg.t, cfg.n, cfg.k, field=cfg.field)
+
     ctx = RoundContext()
-    tickets = [ctx.register_share(vector_block, cfg, v, r, columns)
-               for v, r in zip(vecs, rngs)]
-    assert [len(pairs) for _, pairs, _ in ctx.share_blocks] == sizes
-    last = set(np.cumsum(sizes) - 1)
+    assert [ctx.register(v, r) for v, r in zip(vecs, rngs)] == \
+        list(range(clients))
+    last = {end - 1 for end, size in zip(np.cumsum(sizes), sizes) if size > 1}
     for i in range(clients):
         if i in last:
             continue
         own = share_vector(vecs[i], cfg.t, cfg.n, cfg.k, own_rngs[i],
                            cfg.field)
-        assert ctx.share_rows(tickets[i]).tolist() == own.tolist()
+        assert ctx.share_rows(i, share, columns).tolist() == own.tolist()
+    assert blocks == sizes
     assert [r.bit_generator.state for r in rngs] == \
         [r.bit_generator.state for r in own_rngs]
-
-
-def test_context_starts_a_block_for_another_sharing():
-    cfg = RoundConfig(protocol="nv", n=4, m=3)
-    other = dataclasses.replace(cfg, t=2)
-    ctx = RoundContext()
-    for c in (cfg, cfg, other, cfg):
-        ctx.register_share(vector_block, c, np.zeros(3, dtype=np.uint64),
-                           np.random.default_rng(0), 1)
-    assert [len(pairs) for _, pairs, _ in ctx.share_blocks] == [2, 1, 1]
 
 
 @pytest.mark.parametrize("proto,stage", [("nv", "input_shares"),
