@@ -23,8 +23,9 @@ import numpy as np
 from . import oracle
 from .errors import SecAggError
 from .field import M61, FieldPrime, encode_vec, matmul_mod, sum_mod
-from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SPLIT_BLOCK, TAG_PAIRWISE,
-                      LweMatrixOps, LweParams, mat_vec_mod, stream_expand)
+from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SECRET_ETA, SPLIT_BLOCK,
+                      TAG_PAIRWISE, LweMatrixOps, LweParams, mat_vec_mod,
+                      stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
 from .shamir import (Share, reconstruct_vector, share_integer, share_vector,
                      sss_share)
@@ -354,19 +355,27 @@ def _prop_matmul_dual_route(fault_inject: bool) -> bool:
 def _prop_lwe_matvec_dual_route(fault_inject: bool) -> bool:
     """masking.LweMatrixOps.matvec, for one secret and a stack of five,
     against mat_vec_mod on F17, M61 and the largest prime below 2^63, with
-    a row count that ends mid-way through a block of the limb build."""
+    a row count that ends mid-way through a block of the limb build.  The
+    secrets are small and signed (|s| <= SECRET_ETA), a sum that needs two
+    signed limbs, and uniform (a corrupted opening)."""
     rng = np.random.Generator(np.random.PCG64(19))
     m, d = 2 * SPLIT_BLOCK + 3, 9
     for q in (17, M61, (1 << 63) - 25):
         fld = FieldPrime(q)
         A = rng.integers(0, q, size=(m, d), dtype=np.uint64)
-        S = rng.integers(0, q, size=(5, d), dtype=np.uint64)
         ops = LweMatrixOps(A, fld)
-        got = [ops.matvec(S[0]).tolist()] + ops.matvec(S).T.tolist()
+        two_limbs = 1 << ops.bits[0]  # the smallest magnitude past one
+        signed = np.vstack([
+            rng.integers(-SECRET_ETA, SECRET_ETA + 1, size=(4, d)),
+            rng.integers(two_limbs, 2 * two_limbs, size=(1, d))
+            * rng.choice([-1, 1], size=(1, d))]) % q
+        S = np.vstack([signed.astype(np.uint64),
+                       rng.integers(0, q, size=(1, d), dtype=np.uint64)])
+        got = [ops.matvec(s).tolist() for s in S] + ops.matvec(S).T.tolist()
         if fault_inject:
             got[0][m - 1] = (got[0][m - 1] + 1) % q
-        want = [mat_vec_mod(A, s, fld).tolist() for s in (S[0], *S)]
-        if got != want:
+        want = [mat_vec_mod(A, s, fld).tolist() for s in S]
+        if got != want * 2:
             return False
     return True
 

@@ -13,6 +13,7 @@ Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,10 +229,13 @@ def add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
 
 # --- exact modular matrix product ---------------------------------------------
 
-def limb_bits(inner: int, field: FieldPrime) -> int:
+def limb_bits(inner: int, field: FieldPrime, other: int | None = None) -> int:
     """Widest limb for which a float64 dot product of `inner` pairs of
-    limbs stays exact: inner * (2^bits - 1)^2 < 2^53."""
-    return min((53 - max(inner, 1).bit_length()) // 2, field.bit_width)
+    limbs stays exact: inner * (2^bits - 1) * (2^other - 1) < 2^53, with
+    other = bits when it is not given."""
+    budget = 53 - max(inner, 1).bit_length()
+    return min(budget // 2 if other is None else budget - other,
+               field.bit_width)
 
 
 def limb_count(bits: int, field: FieldPrime) -> int:
@@ -241,15 +245,31 @@ def limb_count(bits: int, field: FieldPrime) -> int:
 
 def split_limbs(X, bits: int, field: FieldPrime, axis: int = 0) -> np.ndarray:
     """The bits-wide limbs of a reduced (r x c) matrix, lowest first, as
-    one float64 matrix: stacked down the rows (limbs*r x c) for axis 0,
-    the left operand of limb_product, or across the columns (r x limbs*c,
-    limb i in columns i*c to (i+1)*c) for axis 1, the right operand."""
+    float64: one (limbs x r x c) array for axis 0, the left operand of
+    limb_product, or one (r x limbs*c) matrix, limb i in columns i*c to
+    (i+1)*c, for axis 1, the right operand."""
     X = _as_u64(X)
     r, c = X.shape
     count = limb_count(bits, field)
     out = np.empty((count, r, c) if axis == 0 else (r, count, c))
     write_limbs(X, bits, out if axis == 0 else out.swapaxes(0, 1))
-    return out.reshape(count * r, c) if axis == 0 else out.reshape(r, count * c)
+    return out if axis == 0 else out.reshape(r, count * c)
+
+
+def split_signed(X, bits: int, field: FieldPrime) -> np.ndarray:
+    """The signed bits-wide limbs of a reduced (r x c) matrix read
+    centered, in (-q/2, q/2): each element's sign times the limbs of its
+    magnitude, as a left operand of limb_product with as few limbs as the
+    largest magnitude needs (at least one).  Small values take one limb
+    however wide q is."""
+    X = _as_u64(X)
+    neg = X > np.uint64(field.q // 2)
+    mag = np.where(neg, np.uint64(field.q) - X, X)
+    count = max(1, -(-int(mag.max(initial=0)).bit_length() // bits))
+    limbs = np.empty((count, *X.shape))
+    write_limbs(mag, bits, limbs)
+    np.negative(limbs, out=limbs, where=neg)
+    return limbs
 
 
 def write_limbs(X: np.ndarray, bits: int, limbs: np.ndarray) -> None:
@@ -262,40 +282,60 @@ def write_limbs(X: np.ndarray, bits: int, limbs: np.ndarray) -> None:
         limbs[i] = (X >> np.uint64(bits * i)) & mask
 
 
-def _weight_class(P: np.ndarray, w: int, count: int) -> np.ndarray:
-    """Sum of the limb-pair products of weight w, as uint64.  Each float64
-    block is converted as the sum reads it, so no uint64 copy of P is
-    ever made."""
-    lo, hi = max(0, w - count + 1), min(w, count - 1)
-    part = P[lo, :, w - lo].astype(np.uint64)
-    for i in range(lo + 1, hi + 1):
-        np.add(part, P[i, :, w - i], out=part, dtype=np.uint64,
-               casting="unsafe")
-    return part
+def _weight_class(P: np.ndarray, pairs, field: FieldPrime, reduced: bool,
+                  signed: bool) -> np.ndarray:
+    """The sum of one weight's limb-pair products P[i, :, j], in [0, q) as
+    uint64: reduced mod q unless every class sum is below q in magnitude,
+    else lifted by q where negative, if the left limbs are signed.  Each
+    float64 block is converted as the sum reads it, so no integer copy of
+    P is ever made."""
+    (i, j), *rest = pairs
+    part = P[i, :, j].astype(np.int64)
+    for i, j in rest:
+        np.add(part, P[i, :, j], out=part, dtype=np.int64, casting="unsafe")
+    q = np.int64(field.q)
+    if not reduced:
+        np.remainder(part, q, out=part)
+    elif signed:
+        part += (part >> np.int64(63)) & q  # q plus each negative sum
+    return part.view(np.uint64)
 
 
-def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits: int,
+def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits,
                  field: FieldPrime) -> np.ndarray:
-    """(M @ V) mod q from split_limbs(M, axis=0) and split_limbs(V, axis=1).
+    """(M @ V) mod q from M's limbs, a (count x r x d) array as split_limbs
+    or split_signed gives it, and split_limbs(V, axis=1).
 
-    One BLAS matmul forms every limb-pair product M_i @ V_j exactly; the
-    products of equal weight w = i + j are summed (fewer than 2^59) and
-    scaled by 2^(bits*w).  For M61, 2^61 = 1 (mod q) makes that scaling a
-    61-bit rotation, and up to seven rotated classes share one uint64
-    accumulator that is folded once at the end (more classes fold as they
-    go).  Other moduli multiply each class by 2^(bits*w) mod q.
+    bits is the limb width of both operands, or a pair (M's, V's).  M's
+    limbs may be negative, each of magnitude below 2^bits; V's count is
+    the one that holds a reduced element.  One BLAS matmul forms every
+    limb-pair product M_i @ V_j exactly; the products of equal weight
+    w = bits_M * i + bits_V * j are summed as int64 (below 2^59 in
+    magnitude) and scaled by 2^w.  For M61, 2^61 = 1 (mod q) makes that
+    scaling a 61-bit rotation, and up to seven rotated classes share one
+    uint64 accumulator that is folded once at the end (more classes fold
+    as they go).  Other moduli multiply each class by 2^w mod q.
     """
-    count = limb_count(bits, field)
-    r = M_limbs.shape[0] // count
-    c = V_limbs.shape[1] // count
-    P = (M_limbs @ V_limbs).reshape(count, r, count, c)
-    classes = (_weight_class(P, w, count) for w in range(2 * count - 1))
+    m_bits, v_bits = (bits, bits) if isinstance(bits, int) else bits
+    d = V_limbs.shape[0]
+    count_m, count_v = len(M_limbs), limb_count(v_bits, field)
+    P = (M_limbs.reshape(-1, d) @ V_limbs).reshape(
+        count_m, -1, count_v, V_limbs.shape[1] // count_v)
+    weights: dict[int, list] = {}
+    for i in range(count_m):
+        for j in range(count_v):
+            weights.setdefault(m_bits * i + v_bits * j, []).append((i, j))
+    # every class sum is below q in magnitude
+    reduced = (max(map(len, weights.values())) << 53) <= field.q
+    signed = bool(M_limbs.min(initial=0) < 0)
+    classes = ((w, _weight_class(P, weights[w], field, reduced, signed))
+               for w in sorted(weights))
     if field.q == M61:
         q, top = np.uint64(M61), np.uint64(61)
-        fold_each = 2 * count - 1 > 7  # eight classes near 2^61 would wrap
-        acc = next(classes)  # weight 0 needs no rotation
-        for w, part in enumerate(classes, 1):
-            acc += rotate_m61(part, bits * w % 61)  # part < 2^61
+        fold_each = len(weights) > 7  # eight classes near 2^61 would wrap
+        _, acc = next(classes)  # weight 0 needs no rotation
+        for w, part in classes:
+            acc += rotate_m61(part, w % 61)  # part < 2^61
             if fold_each:
                 high = acc >> top
                 acc &= q
@@ -305,13 +345,10 @@ def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits: int,
         acc += high
         np.subtract(acc, q, out=acc, where=acc >= q)
         return acc
-    reduced = (count << 53) <= field.q  # every weight-class sum is below q
     acc = None
-    for w, part in enumerate(classes):
-        if not reduced:
-            part %= np.uint64(field.q)
+    for w, part in classes:
         if w:
-            part = mul_mod(part, np.uint64(pow(2, bits * w, field.q)), field)
+            part = mul_mod(part, np.uint64(pow(2, w, field.q)), field)
         acc = part if acc is None else add_mod(acc, part, field)
     return acc
 
@@ -354,8 +391,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if self.frac_bits < 1:
             raise ValueError("frac_bits must be >= 1")
-        if self.clip_magnitude <= 0:
-            raise ValueError("clip_magnitude must be positive")
+        if not 0 < self.clip_magnitude < math.inf:
+            raise ValueError("clip_magnitude must be positive and finite")
 
     @property
     def scale(self) -> int:

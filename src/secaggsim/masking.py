@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidPublicKey
 from .field import (DEFAULT_FIELD, FieldPrime, add_mod, limb_bits,
-                    limb_count, limb_product, split_limbs, write_limbs)
+                    limb_count, limb_product, split_signed, write_limbs)
 from .field import mul_mod  # noqa: F401 -- perfbench's tracer wraps it here
 
 # RFC 3526 group 14 (2048-bit MODP).  p = 7 mod 8, so g=2 generates the
@@ -164,8 +164,13 @@ class LweParams:
     n_lwe is the secret length; 710 is the floor the security analysis
     assumes, but smaller values are accepted for desk-scale tests.  sigma
     is the Gaussian parameter of the error, in integer units of the
-    encoded (field) domain.  The public matrix is never transmitted: all
-    parties regenerate it from matrix_seed.
+    encoded (field) domain.  The secret's entries are small: centered
+    binomial with eta = SECRET_ETA (18), whose variance, 9, is the
+    default sigma^2.  LWE with a secret drawn from the error distribution
+    is as hard as with a uniform one (Applebaum, Cash, Peikert & Sahai,
+    CRYPTO 2009); no security level is claimed for any parameter set
+    here.  The public matrix is never transmitted: all parties regenerate
+    it from matrix_seed.
     """
 
     n_lwe: int = 710
@@ -175,8 +180,8 @@ class LweParams:
     def __post_init__(self):
         if self.n_lwe < 1:
             raise ValueError("n_lwe must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 def lwe_matrix(params: LweParams, m: int,
@@ -198,9 +203,23 @@ def gaussian_error(sigma: float, m: int, rng,
     differential-privacy fidelity gap is documented, sigma stays
     configurable.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     draws = np.rint(rng.normal(0.0, sigma, size=m)).astype(np.int64)
+    return (draws % np.int64(field.q)).astype(np.uint64)
+
+
+# The secret's entries are centered binomial with this eta, in [-eta, eta]:
+# a module constant, not derived from sigma, which tests set near 0.
+SECRET_ETA = 18
+
+
+def small_secret(n_lwe: int, rng,
+                 field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+    """An LWE secret of n_lwe centered-binomial entries with eta =
+    SECRET_ETA (Binomial(2 eta, 1/2) - eta, variance eta / 2), mapped into
+    F_q as gaussian_error's draws are, from one draw of rng."""
+    draws = rng.binomial(2 * SECRET_ETA, 0.5, size=n_lwe) - SECRET_ETA
     return (draws % np.int64(field.q)).astype(np.uint64)
 
 
@@ -243,15 +262,18 @@ SPLIT_BLOCK = 128
 class LweMatrixOps:
     """Exact modular products of a fixed public m x n_lwe matrix A.
 
-    A is split once, SPLIT_BLOCK rows at a time, into the limbs of its
-    transpose: one (n_lwe x limbs*m) float64 matrix, laid out as
-    split_limbs(A.T, axis=1) would give it.  A stack of k secrets, the
-    rows of a k x n_lwe matrix S, is split into (limbs*k x n_lwe) on each
-    call (axis 0), and field.limb_product, the kernel of field.matmul_mod,
-    forms S.A^T = (A.S^T)^T in one BLAS matmul however many secrets it
-    covers.  A^T's limbs are the right-hand operand because BLAS runs
-    this wide, short product about twice as fast as the same FLOPs in
-    the (limbs*m x n_lwe) @ (n_lwe x limbs*k) orientation.
+    A is split once, SPLIT_BLOCK rows at a time, into the two limbs of its
+    transpose (31 and 30 bits for M61): one (n_lwe x 2m) float64 matrix,
+    laid out as split_limbs(A.T, axis=1) would give it.  A stack of k
+    secrets, the rows of a k x n_lwe matrix S, is split on each call into
+    signed limbs as wide as that leaves exact (12 bits at n_lwe = 710 for
+    M61), as many as its centered values need: one for small secrets and
+    their sums, more for a uniform one (five for M61).
+    field.limb_product, the kernel of field.matmul_mod, then forms
+    S.A^T = (A.S^T)^T in one BLAS matmul however many secrets it covers.
+    A^T's limbs are the right-hand operand because BLAS runs this wide,
+    short product about twice as fast as the same FLOPs in the
+    (limbs*m x n_lwe) @ (n_lwe x limbs*k) orientation.
     `matvec(s)` takes one secret (shape n_lwe, returns A.s, length m) or
     a stack of k secrets (shape k x n_lwe, returns an m x k transposed
     view whose column j, A.s_j, is contiguous).  Bit-identical to
@@ -262,11 +284,14 @@ class LweMatrixOps:
         A = np.asarray(A, dtype=np.uint64)
         self.field = field
         self.shape = m, d = A.shape
-        self._bits = bits = limb_bits(d, field)
-        count = limb_count(bits, field)
+        # A^T in limbs of half q's width, narrower only where n_lwe leaves
+        # no room beside them for a secret limb of one bit
+        a_bits = min(-(-field.bit_width // 2), limb_bits(d, field, 1))
+        self.bits = (limb_bits(d, field, a_bits), a_bits)  # secret's, A^T's
+        count = limb_count(a_bits, field)
         limbs = np.empty((d, count, m))
         for r in range(0, m, SPLIT_BLOCK):
-            write_limbs(A[r:r + SPLIT_BLOCK].T, bits,
+            write_limbs(A[r:r + SPLIT_BLOCK].T, a_bits,
                         limbs[:, :, r:r + SPLIT_BLOCK].swapaxes(0, 1))
         self._limbs_T = limbs.reshape(d, count * m)
 
@@ -276,8 +301,8 @@ class LweMatrixOps:
         if S.ndim not in (1, 2) or S.shape[-1] != d:
             raise DimensionMismatch(
                 f"matrix is {m}x{d}, secrets have shape {S.shape}")
-        s_limbs = split_limbs(S.reshape(-1, d), self._bits, self.field)
-        out = limb_product(s_limbs, self._limbs_T, self._bits, self.field)
+        s_limbs = split_signed(S.reshape(-1, d), self.bits[0], self.field)
+        out = limb_product(s_limbs, self._limbs_T, self.bits, self.field)
         return out[0] if S.ndim == 1 else out.T
 
 

@@ -42,6 +42,7 @@ from ..masking import (
     dh_agree,
     dh_keygen,
     gaussian_error,
+    small_secret,
     stream_expand,
 )
 from ..shamir import (
@@ -413,10 +414,9 @@ class LweClient(NvClient):
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
-        # s is the rng's first draw, and nv's set-up registers it, to share
-        # and to mask with
-        self.s = rng.integers(0, cfg.field.q, size=cfg.lwe.n_lwe,
-                              dtype=np.uint64)
+        # s, small and stored mod q, is the rng's first draw, and nv's
+        # set-up registers it, to share and to mask with
+        self.s = small_secret(cfg.lwe.n_lwe, rng, cfg.field)
         super().__init__(cid, cfg, w, rng, ctx, round_index)
 
     def _shared_value(self) -> np.ndarray:

@@ -221,6 +221,14 @@ def test_run_empty_config_exits_1_before_the_run(capsys, flags):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_run_non_finite_sigma_exits_1(capsys, sigma):
+    code, out = run_cli(capsys, "run", "--protocol", "lwe", "--clients", "5",
+                        "--model-size", "8", "--sigma", sigma)
+    assert code == 1
+    assert "finite" in json.loads(out)["error"]
+
+
 def test_sweep_skips_an_empty_model(capsys):
     code, out = run_cli(capsys, "sweep", "--protocols", "nv", "--clients",
                         "3", "--model-sizes", "0,4", "--dropout-rates", "0")

@@ -24,6 +24,7 @@ from secaggsim.field import (
     fp_decode,
     fp_encode,
     limb_bits,
+    limb_count,
     limb_product,
     matmul_mod,
     mod_inverse,
@@ -168,6 +169,14 @@ def test_fp_config_validation():
         FixedPointConfig(frac_bits=0)
     with pytest.raises(ValueError):
         FixedPointConfig().check_capacity(1 << 30, DEFAULT_FIELD)
+
+
+@pytest.mark.parametrize("clip", [float("nan"), float("inf"), -float("inf")])
+def test_fp_config_rejects_a_non_finite_clip(clip):
+    # before, nan and inf were accepted here and RoundConfig then died in
+    # round() with an untyped ValueError or OverflowError
+    with pytest.raises(ValueError, match="finite"):
+        FixedPointConfig(clip_magnitude=clip)
 
 
 def test_sub_unit_clip_decodes():
@@ -376,6 +385,39 @@ def test_m61_limb_product_folds_wide_weight_classes():
                        np.array(lb, dtype=np.float64).reshape(1, 6),
                        12, DEFAULT_FIELD)
     assert got.tolist() == [[a * b % M61]]
+
+
+@given(data=st.data(), q=st.sampled_from([17, M61, P63]),
+       edge=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_limb_product_with_per_operand_widths_matches_python_ints(
+        data, q, edge, seed):
+    # Limbs of any width pair that keeps the product exact, a free number of
+    # signed left limbs and the field's count of right limbs, at the edge of
+    # their widths or anywhere in them, against a Python-int loop over the
+    # integers that the limbs stand for.
+    field = FieldPrime(q)
+    r, d, c = (data.draw(st.integers(1, n)) for n in (4, 40, 4))
+    budget = 53 - d.bit_length()  # d * 2^m_bits * 2^v_bits <= 2^53
+    v_bits = data.draw(st.integers(1, min(budget - 1, field.bit_width)))
+    m_bits = data.draw(st.integers(1, budget - v_bits))
+    count_m, count_v = data.draw(st.integers(1, 6)), limb_count(v_bits, field)
+    m_top, v_top = (1 << m_bits) - 1, (1 << v_bits) - 1
+    g = np.random.default_rng(seed)
+    if edge:
+        M = g.choice([-m_top, m_top], size=(count_m, r, d))
+        V = np.full((d, count_v, c), v_top)
+    else:
+        M = g.integers(-m_top, m_top + 1, size=(count_m, r, d))
+        V = g.integers(0, v_top + 1, size=(d, count_v, c))
+    got = limb_product(M.astype(np.float64),
+                       V.astype(np.float64).reshape(d, count_v * c),
+                       (m_bits, v_bits), field)
+    Mi = [[sum(int(M[i, a, b]) << (m_bits * i) for i in range(count_m))
+           for b in range(d)] for a in range(r)]
+    Vi = [[sum(int(V[a, j, b]) << (v_bits * j) for j in range(count_v))
+           for b in range(c)] for a in range(d)]
+    assert got.tolist() == matmul_reference(Mi, Vi, q)
 
 
 def test_matmul_mod_accepts_int_sequences():

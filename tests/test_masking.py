@@ -9,7 +9,7 @@ from scipy import stats
 
 from secaggsim import masking
 from secaggsim.errors import DimensionMismatch, InvalidPublicKey
-from secaggsim.field import FieldPrime, add_mod, limb_bits, split_limbs
+from secaggsim.field import FieldPrime, add_mod, split_limbs
 from secaggsim.masking import (
     DH_GROUP_2048,
     DH_GROUP_TEST,
@@ -17,6 +17,7 @@ from secaggsim.masking import (
     DhParams,
     LweMatrixOps,
     LweParams,
+    SECRET_ETA,
     TAG_MATRIX,
     TAG_PAIRWISE,
     TAG_PERSONAL,
@@ -411,9 +412,44 @@ def test_matvec_at_the_split_block_edges(field, m):
 def test_blocked_limb_build_equals_one_split_of_the_transpose(field):
     m, d = 2 * SPLIT_BLOCK + 3, 11
     A = rng(d).integers(0, field.q, size=(m, d)).astype(np.uint64)
-    bits = limb_bits(d, field)
-    assert np.array_equal(LweMatrixOps(A, field)._limbs_T,
-                          split_limbs(A.T, bits, field, axis=1))
+    ops = LweMatrixOps(A, field)
+    a_bits = ops.bits[1]  # A^T's limb width, not the symmetric one
+    assert np.array_equal(ops._limbs_T,
+                          split_limbs(A.T, a_bits, field, axis=1))
+
+
+def centered_rows(field, values) -> np.ndarray:
+    """The signed integers of values as reduced uint64 rows."""
+    return (np.array(values, dtype=object) % field.q).astype(np.uint64)
+
+
+@given(field=st.sampled_from([F17, M61F, FieldPrime((1 << 63) - 25)]),
+       m=st.integers(1, 20), d=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_matvec_of_small_summed_and_uniform_secrets(field, m, d, seed):
+    # fresh secrets (0, +-eta), sums past one signed limb (n * eta with n
+    # just past 2^bits / eta) and a uniform, corrupted opening, against
+    # mat_vec_mod, with some all-(q-1) rows of A
+    g = rng(seed)
+    A = g.integers(0, field.q, size=(m, d), dtype=np.uint64)
+    A[g.random(m) < 0.3] = field.q - 1
+    ops = LweMatrixOps(A, field)
+    n_eta = ((1 << ops.bits[0]) // SECRET_ETA + 1) * SECRET_ETA
+    signs = g.choice([-1, 1], size=d)
+    S = np.vstack([
+        centered_rows(field, [[0] * d]),
+        centered_rows(field, [signs * SECRET_ETA]),
+        centered_rows(field, [g.integers(-SECRET_ETA, SECRET_ETA + 1, d)]),
+        centered_rows(field, [signs * n_eta]),
+        centered_rows(field, [g.integers(-n_eta, n_eta + 1, d)]),
+        g.integers(0, field.q, size=(1, d), dtype=np.uint64),
+    ])
+    out = ops.matvec(S)
+    for j, s in enumerate(S):
+        want = mat_vec_mod(A, s, field)
+        assert np.array_equal(out[:, j], want)
+        assert np.array_equal(ops.matvec(s), want)
 
 
 def test_matvec_rejects_a_wrong_width():
@@ -421,6 +457,16 @@ def test_matvec_rejects_a_wrong_width():
     for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((1, 2, 3))):
         with pytest.raises(DimensionMismatch):
             ops.matvec(bad.astype(np.uint64))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_lwe_params_rejects_a_non_finite_sigma(sigma):
+    # a nan or inf sigma casts every error entry to one constant, and the
+    # round reported a nan or inf noise_sigma_effective
+    with pytest.raises(ValueError, match="finite"):
+        LweParams(sigma=sigma)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_error(sigma, 4, rng(0), M61F)
 
 
 def test_lwe_params_validation():

@@ -24,8 +24,8 @@ from secaggsim.errors import (
 from secaggsim import masking
 from secaggsim.field import (M61, FieldPrime, FixedPointConfig, add_mod,
                              encode_vec, sub_mod)
-from secaggsim.masking import (DH_GROUP_TEST, LweMatrixOps, LweParams,
-                               lwe_matrix_ops)
+from secaggsim.masking import (DH_GROUP_TEST, SECRET_ETA, LweMatrixOps,
+                               LweParams, lwe_matrix_ops)
 from secaggsim.oracle import plaintext_aggregate
 from secaggsim.protocol import (
     BUS_SENDER,
@@ -149,6 +149,22 @@ def test_lwe_missing_key_share_detected():
                          round=0, payload=ContributorSetPayload((0, 2)))
     with pytest.raises(MissingKeyShares):
         client.on_message([cs])
+
+
+def test_lwe_secret_is_small_and_the_rngs_first_draw():
+    cfg = RoundConfig(protocol="lwe", n=3, m=2,
+                      lwe=LweParams(n_lwe=20_000, sigma=1e-6))
+    ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field))
+    client = LweClient(0, cfg, np.zeros(2), np.random.default_rng(5), ctx)
+    q = cfg.field.q
+    centered = np.where(client.s > q // 2, client.s.astype(np.int64) - q,
+                        client.s.astype(np.int64))
+    assert client.s.dtype == np.uint64 and (client.s < q).all()
+    assert -SECRET_ETA <= centered.min() and centered.max() <= SECRET_ETA
+    assert abs(centered.var() - SECRET_ETA / 2) < 0.5
+    # centered binomial: Binomial(2 eta, 1/2) - eta, from a fresh rng
+    first = np.random.default_rng(5).binomial(2 * SECRET_ETA, 0.5, 20_000)
+    assert centered.tolist() == (first - SECRET_ETA).tolist()
 
 
 def test_inbox_check_raises_for_its_first_offender():
@@ -1089,7 +1105,7 @@ def test_decode_range_in_lwe_round_lands_in_report():
 GOLDEN_TRANSCRIPTS = {
     "nv": ("622b0b2c7b63996b7fb65ae4bc00e988bf52b7904acc8dd1052cef563fc1d0a1",
            dict(m=300, k=2)),
-    "lwe": ("858d4f77ac325f2956c9b54b9e52332a5fa3e5db2eb902385935aedd91f4f568",
+    "lwe": ("3ffa850d0f586d09fa31e82e0a3dc575da8dd98a9037296ed36b0c3486f05e88",
             dict(m=40, k=2, lwe=LweParams(n_lwe=200))),
     "pw": ("7cacea457636a669723a3e1d79907d44a1f337ed38aad1b4b5f0417b0aa7d2e6",
            dict(m=23, dh=DH_GROUP_TEST)),
