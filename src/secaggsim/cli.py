@@ -22,10 +22,11 @@ import numpy as np
 
 from . import oracle
 from .errors import SecAggError
-from .field import M61, FieldPrime, encode_vec, matmul_mod, sum_mod
+from .field import (M61, FieldPrime, add_signed_mod, encode_vec, matmul_mod,
+                    sum_mod)
 from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SECRET_ETA, SPLIT_BLOCK,
-                      TAG_PAIRWISE, LweMatrixOps, LweParams, mat_vec_mod,
-                      stream_expand)
+                      TAG_PAIRWISE, LweMatrixOps, LweParams, lwe_mask,
+                      mat_vec_mod, small_secret, stream_expand)
 from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
 from .shamir import (Share, reconstruct_vector, share_integer, share_vector,
                      sss_share)
@@ -380,6 +381,38 @@ def _prop_lwe_matvec_dual_route(fault_inject: bool) -> bool:
     return True
 
 
+def _prop_lwe_mask_dual_route(fault_inject: bool) -> bool:
+    """The lwe masking pass, add_signed_mod of enc_w, LweMatrixOps.matvec
+    of a small secret and int64 errors, against lwe_mask (mat_vec_mod, and
+    the errors reduced mod q) on F17, F127, M61 and the largest prime
+    below 2^63.  Rows 0-2 hold enc_w = q - 1 and A.s = q - 1, row 3
+    enc_w = A.s = 0, and the first rows the int64 extremes, among random
+    errors of up to 62 bits either way."""
+    rng = np.random.Generator(np.random.PCG64(29))
+    m, d = 12, 7
+    edges = [-1, (1 << 63) - 1, -M61, -(1 << 63), 0, M61]
+    for q in (17, 127, M61, (1 << 63) - 25):
+        fld = FieldPrime(q)
+        s = small_secret(d, rng, fld)
+        j = int(np.flatnonzero(s)[0])
+        A = rng.integers(0, q, size=(m, d), dtype=np.uint64)
+        A[:4] = 0
+        A[:3, j] = (q - 1) * pow(int(s[j]), q - 2, q) % q  # A.s = q - 1
+        enc = rng.integers(0, q, size=m, dtype=np.uint64)
+        enc[:3] = q - 1
+        enc[3] = 0
+        e = rng.integers(-(1 << 62), 1 << 62, size=m, dtype=np.int64)
+        e[:len(edges)] = edges
+        got = add_signed_mod(enc, LweMatrixOps(A, fld).matvec(s), e,
+                             fld).tolist()
+        if fault_inject:
+            got[0] = (got[0] + 1) % q
+        want = lwe_mask(enc, s, (e % np.int64(q)).astype(np.uint64), A, fld)
+        if got != want.tolist():
+            return False
+    return True
+
+
 def _prop_sum_dual_route(fault_inject: bool) -> bool:
     """field.sum_mod against a Python-int loop on F17, M61 and the largest
     prime below 2^63, for row counts on both sides of a 64-row block, with
@@ -456,6 +489,7 @@ def cmd_verify(args) -> int:
         ("share_block_identity", lambda: _prop_share_block(args.fault_inject)),
         ("matmul_mod_dual_route", lambda: _prop_matmul_dual_route(args.fault_inject)),
         ("lwe_matvec_dual_route", lambda: _prop_lwe_matvec_dual_route(args.fault_inject)),
+        ("lwe_mask_dual_route", lambda: _prop_lwe_mask_dual_route(args.fault_inject)),
         ("sum_mod_dual_route", lambda: _prop_sum_dual_route(args.fault_inject)),
         ("protocol_vs_plaintext", lambda: _prop_protocol_equivalence()),
         ("trajectory_parity", lambda: _prop_trajectory_parity()),

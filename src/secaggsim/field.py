@@ -119,17 +119,47 @@ def _as_u64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.uint64)
 
 
+def _subtract_q_once(s: np.ndarray, q: np.uint64) -> np.ndarray:
+    """s, less q where s >= q, in place: the smaller of s and s - q, as
+    s - q wraps past s exactly where s < q.  Branch-free, so it costs the
+    same whatever share of s is reduced (a masked subtract is several
+    times slower on a random mix)."""
+    return np.minimum(s, s - q, out=s)
+
+
 def add_mod(a, b, field: FieldPrime) -> np.ndarray:
     """(a + b) mod q elementwise; operands must already be reduced."""
     s = _as_u64(a) + _as_u64(b)  # < 2^64 since q < 2^63
-    np.subtract(s, np.uint64(field.q), out=s, where=s >= np.uint64(field.q))
-    return s
+    return _subtract_q_once(s, np.uint64(field.q))
 
 
 def sub_mod(a, b, field: FieldPrime) -> np.ndarray:
-    a = _as_u64(a)
-    b = _as_u64(b)
-    return np.where(a >= b, a - b, a + np.uint64(field.q) - b)
+    """(a - b) mod q elementwise; operands must already be reduced.  a - b
+    wraps where a < b, and adding q then brings it below a - b."""
+    d = _as_u64(a) - _as_u64(b)
+    return np.minimum(d, d + np.uint64(field.q), out=d)
+
+
+def add_signed_mod(a, b, e: np.ndarray, field: FieldPrime) -> np.ndarray:
+    """(a + b + e) mod q elementwise, for reduced uint64 a and b and any
+    int64 e.  For M61 this is one pass with one fold: e equals
+    (e >> 61) * 2^61 + (e & q), with an arithmetic shift in [-4, 3], and
+    2^61 = 1 (mod q), so a + b + (e & q) + (e >> 61) + q is congruent to
+    the sum, lies in [0, 4q] and is reduced by one 61-bit fold and one
+    conditional subtract.  Other moduli reduce e mod q first."""
+    if field.q != M61:
+        e = (e % np.int64(field.q)).astype(np.uint64)
+        return add_mod(add_mod(a, b, field), e, field)
+    q = np.uint64(M61)
+    s = _as_u64(a) + _as_u64(b)
+    s += (e & np.int64(M61)).view(np.uint64)
+    top = e >> np.int64(61)
+    top += np.int64(M61)
+    s += top.view(np.uint64)
+    high = s >> np.uint64(61)
+    s &= q
+    s += high
+    return _subtract_q_once(s, q)
 
 
 def mul_mod_m61(a, b) -> np.ndarray:
@@ -155,8 +185,7 @@ def mul_mod_m61(a, b) -> np.ndarray:
     m = np.uint64(M61)
     t = (t >> np.uint64(61)) + (t & m)
     t = (t >> np.uint64(61)) + (t & m)
-    np.subtract(t, m, out=t, where=t >= m)
-    return t
+    return _subtract_q_once(t, m)
 
 
 def rotate_m61(x: np.ndarray, s: int) -> np.ndarray:
@@ -343,8 +372,7 @@ def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits,
         high = acc >> top
         acc &= q
         acc += high
-        np.subtract(acc, q, out=acc, where=acc >= q)
-        return acc
+        return _subtract_q_once(acc, q)
     acc = None
     for w, part in classes:
         if w:
@@ -431,6 +459,10 @@ def encode_vec(x, cfg: FixedPointConfig = FixedPointConfig(),
         raise NonFiniteInput("vector holds NaN or infinite entries")
     x = np.clip(x, -cfg.clip_magnitude, cfg.clip_magnitude)
     scaled = np.rint(x * cfg.scale).astype(np.int64)
+    if cfg.max_code(1) < field.q:
+        # every code lies in (-q, q): q plus each negative one reduces it
+        scaled += (scaled >> np.int64(63)) & np.int64(field.q)
+        return scaled.view(np.uint64)
     return (scaled % np.int64(field.q)).astype(np.uint64)
 
 

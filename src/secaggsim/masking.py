@@ -194,19 +194,25 @@ def lwe_matrix(params: LweParams, m: int,
     return flat.reshape(m, params.n_lwe)
 
 
-def gaussian_error(sigma: float, m: int, rng,
-                   field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
-    """Rounded-continuous-Gaussian error vector mapped into F_q.
+def gaussian_draws(sigma: float, m: int, rng) -> np.ndarray:
+    """The m int64 draws of the error: N(0, sigma^2), rounded to the
+    nearest integer (half to even), from one draw of rng.
 
-    Negative draws land in the upper half of the field.  This is a
-    rounded N(0, sigma^2), not an exact discrete Gaussian; the
+    This is a rounded N(0, sigma^2), not an exact discrete Gaussian; the
     differential-privacy fidelity gap is documented, sigma stays
     configurable.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    draws = np.rint(rng.normal(0.0, sigma, size=m)).astype(np.int64)
-    return (draws % np.int64(field.q)).astype(np.uint64)
+    return np.rint(rng.normal(0.0, sigma, size=m)).astype(np.int64)
+
+
+def gaussian_error(sigma: float, m: int, rng,
+                   field: FieldPrime = DEFAULT_FIELD) -> np.ndarray:
+    """gaussian_draws mapped into F_q: negative draws land in the upper
+    half of the field."""
+    return (gaussian_draws(sigma, m, rng) % np.int64(field.q)).astype(
+        np.uint64)
 
 
 # The secret's entries are centered binomial with this eta, in [-eta, eta]:

@@ -34,17 +34,18 @@ from ..errors import (
     UnexpectedMessage,
     UnmaskMismatch,
 )
-from ..field import (SUM_BLOCK, add_block_mod, add_mod, decode_vec,
-                     encode_vec, sub_mod, sum_mod)
+from ..field import (SUM_BLOCK, add_block_mod, add_mod, add_signed_mod,
+                     decode_vec, encode_vec, sub_mod, sum_mod)
 from ..masking import (
     TAG_PAIRWISE,
     TAG_PERSONAL,
     dh_agree,
     dh_keygen,
-    gaussian_error,
+    gaussian_draws,
     small_secret,
     stream_expand,
 )
+from ..masking import gaussian_error  # noqa: F401 -- perfbench's tracer wraps it here
 from ..shamir import (
     add_share_vectors,
     chunk_bits_for,
@@ -93,6 +94,17 @@ LWE_MASK_BLOCK = 64  # secrets per batched A.S product; bounds it at O(64 m)
 SHARE_BLOCK_COLUMNS = 64
 
 
+def block_size(columns: int) -> int:
+    """Inputs per block sharing product for inputs columns coefficient
+    columns wide: SHARE_BLOCK_COLUMNS columns, or one input wider."""
+    return max(1, SHARE_BLOCK_COLUMNS // columns)
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.flags.writeable = False
+    return v
+
+
 class RoundContext:
     """What the clients of one round share, dropped with the round.
 
@@ -106,7 +118,9 @@ class RoundContext:
     hash by identity: one object serves every recipient of a message, so
     the survivors that received the same messages share one result.  The
     rows of those payloads are read-only from the moment they are built,
-    so an object always stands for the same rows.
+    so an object always stands for the same rows.  What follows from
+    such shared arrays (an unmasked sum, a decoded result) is keyed on
+    their identities in turn, so those survivors finish on one object.
     """
 
     def __init__(self, matrix_ops=None):
@@ -139,11 +153,10 @@ class RoundContext:
         block, place = self._block("A.S", index, LWE_MASK_BLOCK, product)
         return block[:, place]
 
-    def share_rows(self, index: int, share, columns: int) -> np.ndarray:
-        """The share matrix of the input registered at index, columns
-        coefficient columns wide, as every input of a round is.
-        share(pairs) shares a block's (value, rng) pairs in one product,
-        SHARE_BLOCK_COLUMNS columns or one input wider than that.  Every
+    def share_rows(self, index: int, share, size: int) -> np.ndarray:
+        """The share matrix of the input registered at index.  share(pairs)
+        shares a block of size consecutive (value, rng) pairs in one
+        product, every input of a round asking with the same size.  Every
         member's rng is then set back to where it was, and moves past its
         anchors only when that member asks for its rows, so each rng draws
         as the member's own sharing would, and a member that never shares
@@ -158,8 +171,7 @@ class RoundContext:
                 g.state = state
             return rows, after
 
-        (rows, after), place = self._block(
-            "shares", index, max(1, SHARE_BLOCK_COLUMNS // columns), shared)
+        (rows, after), place = self._block("shares", index, size, shared)
         self.inputs[index][1].bit_generator.state = after[place]
         return rows[place]
 
@@ -169,10 +181,19 @@ class RoundContext:
             self.memo[key] = compute()
         return self.memo[key]
 
+    def derived(self, key: tuple, inputs: tuple, compute):
+        """The memoized compute() under key and the identities of the
+        objects of inputs, which the entry holds, so that no identity it
+        is keyed on is reused while it lives."""
+        return self.cached((*key, *map(id, inputs)),
+                           lambda: (inputs, compute()))[1]
 
-@dataclass
+
+@dataclass(frozen=True)
 class AggregateResult:
-    """Outcome of one aggregation round, identical at every survivor."""
+    """Outcome of one aggregation round, identical at every survivor.
+    Survivors with the same view return one object, so it is frozen and
+    its arrays are read-only."""
 
     average: np.ndarray
     contributors: tuple[int, ...]
@@ -189,7 +210,8 @@ class BaseClient:
     held there under its own id, and the bus's contributor set under
     BUS_SENDER.  A payload stays whole, so a share bundle is held as the
     bundle, of which this client reads only its own row.  headers[kind]
-    is the header every share payload of kind must carry."""
+    is the header every share payload or masked vector of kind must
+    carry."""
 
     ACCEPTS: tuple[MsgKind, ...] = ()
 
@@ -204,7 +226,10 @@ class BaseClient:
         self.contributors: tuple[int, ...] | None = None
         self.got: dict[MsgKind, dict[int, object]] = {
             kind: {} for kind in self.ACCEPTS}
-        self.headers: dict[MsgKind, tuple[int, ...]] = {}
+        # a masked vector holds m elements (checked where the kind is
+        # accepted)
+        self.headers: dict[MsgKind, tuple[int, ...]] = {
+            MsgKind.MASKED_VECTOR: (cfg.m,)}
         if len(w) != cfg.m:
             raise ValueError(f"input has {len(w)} coords, config says {cfg.m}")
         self.enc_w = encode_vec(w, cfg.fp, cfg.field)
@@ -249,15 +274,15 @@ class BaseClient:
         return out
 
     def _check(self, msg: ProtocolMessage):
-        """A share payload only with the header of its kind, and a share
-        bundle only with a row for this client."""
+        """A share payload or masked vector only with the header of its
+        kind, and a share bundle only with a row for this client."""
         header = self.headers.get(msg.kind)
         if header is None:
             return
         p = msg.payload
         if p.header != header:
             raise PointMismatch(
-                f"client {self.id}: share header {p.header} from "
+                f"client {self.id}: {msg.kind.name} header {p.header} from "
                 f"{msg.sender} != {header}")
         if isinstance(p, ShareBundlePayload) and len(p.rows) <= self.id:
             raise PointMismatch(f"client {self.id}: share bundle from "
@@ -289,9 +314,8 @@ class BaseClient:
             "masked vectors missing from {}")))
 
         def total(_, payloads):
-            v = sum_mod((p.vec for p in payloads), self.cfg.field)
-            v.flags.writeable = False
-            return v
+            return _read_only(sum_mod((p.vec for p in payloads),
+                                      self.cfg.field))
 
         self.ops.add += self.cfg.m * (len(view) - 1)
         return self._shared("masked-sum", view, total)
@@ -299,12 +323,19 @@ class BaseClient:
     def _result(self, field_sum: np.ndarray, exact: bool = True,
                 sigma: float | None = None) -> AggregateResult:
         """The round's outcome from the contributors' field sum: decoded
-        and divided by the contributor count."""
+        and divided by the contributor count, as one object for every
+        survivor that holds the same field_sum object."""
         n = len(self.contributors)
-        avg = decode_vec(field_sum, n, self.cfg.fp, self.cfg.field) / n
-        return AggregateResult(average=avg, contributors=self.contributors,
-                               exact=exact, field_sum=field_sum,
-                               noise_sigma_effective=sigma)
+
+        def result():
+            avg = _read_only(
+                decode_vec(field_sum, n, self.cfg.fp, self.cfg.field) / n)
+            return AggregateResult(average=avg, contributors=self.contributors,
+                                   exact=exact, field_sum=field_sum,
+                                   noise_sigma_effective=sigma)
+
+        return self.ctx.derived(("result", self.contributors, exact, sigma),
+                                (field_sum,), result)
 
 
 # --- share-vector protocol (plain/packed Shamir) ------------------------------
@@ -318,6 +349,7 @@ class NvClient(BaseClient):
     SHARE_KIND = MsgKind.INPUT_SHARE_VECTOR
     SUM_KIND = MsgKind.AGGREGATED_SHARE_VECTOR
     ACCEPTS = (SHARE_KIND, MsgKind.CONTRIBUTOR_SET, SUM_KIND)
+    SHARE_BLOCK: int | None = None  # inputs per sharing block; by columns
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
@@ -327,8 +359,8 @@ class NvClient(BaseClient):
         # row for it, at point k+1+id, and a summed share, at k+1+sender
         chunks = chunk_count(len(value), cfg.k)
         self._header = (chunks, len(value), cfg.t, cfg.k)
-        self.headers = dict.fromkeys((self.SHARE_KIND, self.SUM_KIND),
-                                     self._header)
+        self.headers.update(dict.fromkeys((self.SHARE_KIND, self.SUM_KIND),
+                                          self._header))
         self._index = ctx.register(value, rng)
 
     def _shared_value(self) -> np.ndarray:
@@ -342,7 +374,8 @@ class NvClient(BaseClient):
         """Packed-share the input and send every peer the bundle of rows."""
         cfg = self.cfg
         chunks = self._header[0]
-        rows = self.ctx.share_rows(self._index, self._share_block, chunks)
+        rows = self.ctx.share_rows(self._index, self._share_block,
+                                   self.SHARE_BLOCK or block_size(chunks))
         d = cfg.t + cfg.k - 1
         self.ops.mul += chunks * (cfg.n - cfg.t + 1) * d
         self.ops.add += chunks * (cfg.n - cfg.t + 1) * (d - 1)
@@ -384,11 +417,9 @@ class NvClient(BaseClient):
         chunks, vec_len = self._header[:2]
 
         def open_rows(senders, payloads):
-            vec = reconstruct_vector(
+            return _read_only(reconstruct_vector(
                 tuple(cfg.k + 1 + s for s in senders),
-                [p.vec for p in payloads], cfg.t, cfg.k, vec_len, cfg.field)
-            vec.flags.writeable = False
-            return vec
+                [p.vec for p in payloads], cfg.t, cfg.k, vec_len, cfg.field))
 
         vec = self._shared("open", sums, open_rows)
         self.ops.mul += chunks * cfg.k * need
@@ -411,6 +442,9 @@ class LweClient(NvClient):
     SUM_KIND = MsgKind.SECRET_SUM_SHARE
     ACCEPTS = (SHARE_KIND, MsgKind.MASKED_VECTOR, MsgKind.CONTRIBUTOR_SET,
                SUM_KIND)
+    # the secrets share in the A.S product's blocks, not by the column
+    # budget: lwe-bulk's ten 142-column sharings take one product
+    SHARE_BLOCK = LWE_MASK_BLOCK
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
@@ -423,11 +457,12 @@ class LweClient(NvClient):
         return self.s
 
     def emit_masked(self) -> list[Entry]:
+        """Broadcast h = enc_w + A.s + e mod q, formed in one pass from the
+        int64 error draws."""
         cfg = self.cfg
-        e = gaussian_error(cfg.lwe.sigma, cfg.m, self.rng, cfg.field)
-        h = add_mod(self.enc_w, self.ctx.mask_product(self._index),
-                    cfg.field)
-        h = add_mod(h, e, cfg.field)
+        e = gaussian_draws(cfg.lwe.sigma, cfg.m, self.rng)
+        h = add_signed_mod(self.enc_w, self.ctx.mask_product(self._index), e,
+                           cfg.field)
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
         return [self._broadcast(MsgKind.MASKED_VECTOR, VectorPayload(h))]
@@ -439,7 +474,9 @@ class LweClient(NvClient):
         # every survivor that opened the same s_sum removes the same A.s_sum
         mask = self.ctx.cached(("A.s_sum", s_sum.tobytes()),
                                lambda: self.ctx.matrix_ops.matvec(s_sum))
-        field_sum = sub_mod(h_sum, mask, cfg.field)
+        # and every one that also holds the same h_sum, the same field sum
+        field_sum = self.ctx.derived(("unmask",), (h_sum, mask), lambda: (
+            _read_only(sub_mod(h_sum, mask, cfg.field))))
         self.ops.mul += cfg.m * cfg.lwe.n_lwe
         self.ops.add += cfg.m * (cfg.lwe.n_lwe + 1)
         return self._result(field_sum, exact=False, sigma=cfg.lwe.sigma
@@ -478,9 +515,11 @@ class PwClient(BaseClient):
         else:
             del self.got[MsgKind.PERSONAL_SEED_SHARE]
         bits = chunk_bits_for(cfg.field)
+        self._chunks = [chunk_count(width, bits)
+                        for width in self._secret_widths.values()]
         kinds = (MsgKind.KEY_SHARE, MsgKind.PERSONAL_SEED_SHARE)
-        self.headers = {kind: (chunk_count(width, bits),) for kind, width
-                        in zip(kinds, self._secret_widths.values())}
+        self.headers.update({kind: (chunks,) for kind, chunks
+                             in zip(kinds, self._chunks)})
         self._index = ctx.register(values, rng)
 
     def _share_block(self, pairs) -> list[np.ndarray]:
@@ -495,10 +534,9 @@ class PwClient(BaseClient):
         cfg = self.cfg
         out = [self._broadcast(MsgKind.PUB_KEY, PubKeyPayload(
             self.keypair.pk, cfg.dh.residue_bytes))]
-        rows = self.ctx.share_rows(
-            self._index, self._share_block,
-            sum(chunks for chunks, in self.headers.values()))
-        split = self.headers[MsgKind.KEY_SHARE][0]  # the key's chunk count
+        rows = self.ctx.share_rows(self._index, self._share_block,
+                                   block_size(sum(self._chunks)))
+        split = self._chunks[0]  # the key's chunk count
         out.append(self._broadcast(MsgKind.KEY_SHARE,
                                    ShareBundlePayload(rows[:, :split])))
         if cfg.personal_mask:
@@ -626,9 +664,11 @@ class PwClient(BaseClient):
             return self._apply_masks(np.zeros(cfg.m, dtype=np.uint64), terms)
 
         # the signed sum of every stream this survivor must remove, shared
-        # by the survivors that derived the same inputs
-        v = add_mod(v, self.ctx.cached(
-            ("pw-correction", contributors, dropped, opened, pks),
-            correction), cfg.field)
+        # by the survivors that derived the same inputs, as is its sum with
+        # the masked vectors
+        fix = self.ctx.cached(
+            ("pw-correction", contributors, dropped, opened, pks), correction)
+        v = self.ctx.derived(("pw-unmask",), (v, fix), lambda: (
+            _read_only(add_mod(v, fix, cfg.field))))
         self.ops.add += cfg.m * (len(seeds) + len(dropped) * len(contributors))
         return self._result(v)

@@ -134,8 +134,9 @@ def _finalize(clients, bus) -> AggregateResult:
     results = [clients[i].finalize() for i in live]
     first = results[0]
     for cid, r in zip(live[1:], results[1:]):
-        # every survivor must land on the bit-identical aggregate
-        if (r.contributors != first.contributors
+        # every survivor must land on the bit-identical aggregate, which a
+        # survivor that shares the first one's result object holds
+        if r is not first and (r.contributors != first.contributors
                 or not np.array_equal(r.field_sum, first.field_sum)):
             raise DivergentAggregate(
                 f"survivors {live[0]} and {cid} finished with different aggregates")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from secaggsim.field import (
     SUM_BLOCK,
     add_block_mod,
     add_mod,
+    add_signed_mod,
     decode_vec,
     elems_to_bytes,
     encode_vec,
@@ -31,6 +34,7 @@ from secaggsim.field import (
     mul_mod,
     mul_mod_m61,
     split_limbs,
+    sub_mod,
     sum_mod,
 )
 
@@ -186,6 +190,91 @@ def test_sub_unit_clip_decodes():
     assert decode_vec(encode_vec([0.25], cfg), 1, cfg).tolist() == [0.25]
     assert fp_decode(fp_encode(-0.5, cfg), 1, cfg) == -0.5
     assert FixedPointConfig().max_code(1) == (1 << 20) * (1 << 16)
+
+
+def encode_reference(x: float, cfg: FixedPointConfig, q: int) -> int:
+    """round_half_even(clip(x) * 2^f) mod q, in exact rationals."""
+    clipped = min(max(Fraction(x), -Fraction(cfg.clip_magnitude)),
+                  Fraction(cfg.clip_magnitude))
+    return round(clipped * cfg.scale) % q
+
+
+@st.composite
+def codec_cases(draw):
+    """(config, field, inputs): ±clip, -0.0, negatives that round to 0,
+    halfway ties and any finite floats, under configs whose largest code
+    lies below q (q added to negative codes) or not (the % path: F17 and
+    F127 with the default clip)."""
+    q = draw(st.sampled_from([17, 127, M61, P63]))
+    default = FixedPointConfig()
+    frac_bits = draw(st.integers(1, 24))
+    clip = draw(st.sampled_from([default.clip_magnitude, 1.0, 0.75, 2.0 ** -3]))
+    cfg = draw(st.sampled_from([default, FixedPointConfig(frac_bits, clip)]))
+    scale = cfg.scale
+    c = cfg.clip_magnitude
+    specials = st.sampled_from([c, -c, -0.0, 0.0, -0.49 / scale, -0.5 / scale,
+                                -2.0 ** -40])
+    ties = st.integers(-4 * scale, 4 * scale).map(lambda k: (k + 0.5) / scale)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    xs = draw(st.lists(st.one_of(specials, ties, floats), min_size=1,
+                       max_size=20))
+    return cfg, FieldPrime(q), xs
+
+
+@given(case=codec_cases())
+@settings(max_examples=300, deadline=None)
+def test_encode_vec_matches_python_int_reference(case):
+    cfg, field, xs = case
+    got = encode_vec(xs, cfg, field)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [encode_reference(x, cfg, field.q) for x in xs]
+
+
+def test_encode_vec_takes_the_remainder_where_codes_reach_q():
+    # with the default clip, F17's and F127's codes reach past q, so q
+    # plus a negative code would not be reduced
+    for q in (17, 127):
+        cfg = FixedPointConfig()
+        assert cfg.max_code(1) >= q
+        xs = [-cfg.clip_magnitude, -1.0, -2.0 ** -16, 3.0, cfg.clip_magnitude]
+        assert encode_vec(xs, cfg, FieldPrime(q)).tolist() == \
+            [encode_reference(x, cfg, q) for x in xs]
+
+
+INT64_EDGES = [-(1 << 63), -(1 << 63) + 1, -M61 - 1, -M61, -1, 0, 1, M61,
+               M61 + 1, (1 << 62), (1 << 63) - 1]
+
+
+@given(q=st.sampled_from([17, 127, M61, P63]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_signed_mod_matches_python_ints(q, data):
+    # any int64 error, reduced operands at 0 and q - 1 among them
+    m = data.draw(st.integers(1, 12))
+    elems = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    a = data.draw(st.lists(elems, min_size=m, max_size=m))
+    b = data.draw(st.lists(elems, min_size=m, max_size=m))
+    e = data.draw(st.lists(st.one_of(st.sampled_from(INT64_EDGES),
+                                     st.integers(-(1 << 63), (1 << 63) - 1)),
+                           min_size=m, max_size=m))
+    got = add_signed_mod(np.array(a, dtype=np.uint64),
+                         np.array(b, dtype=np.uint64),
+                         np.array(e, dtype=np.int64), FieldPrime(q))
+    assert got.tolist() == [(x + y + z) % q for x, y, z in zip(a, b, e)]
+
+
+@pytest.mark.parametrize("q", [17, M61, P63])
+def test_add_and_sub_mod_match_python_ints(q):
+    g = np.random.default_rng(q % 1000)
+    edge = np.array([0, 1, q - 2, q - 1], dtype=np.uint64)
+    a = np.concatenate([np.repeat(edge, 4),
+                        g.integers(0, q, 200, dtype=np.uint64)])
+    b = np.concatenate([np.tile(edge, 4),
+                        g.integers(0, q, 200, dtype=np.uint64)])
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert add_mod(a, b, FieldPrime(q)).tolist() == \
+        [(x + y) % q for x, y in pairs]
+    assert sub_mod(a, b, FieldPrime(q)).tolist() == \
+        [(x - y) % q for x, y in pairs]
 
 
 def test_vector_codec_matches_scalar():

@@ -25,7 +25,8 @@ from secaggsim import masking
 from secaggsim.field import (M61, FieldPrime, FixedPointConfig, add_mod,
                              encode_vec, sub_mod)
 from secaggsim.masking import (DH_GROUP_TEST, SECRET_ETA, LweMatrixOps,
-                               LweParams, lwe_matrix_ops)
+                               LweParams, gaussian_draws, gaussian_error,
+                               lwe_mask, lwe_matrix_ops, mat_vec_mod)
 from secaggsim.oracle import plaintext_aggregate
 from secaggsim.protocol import (
     BUS_SENDER,
@@ -45,7 +46,8 @@ from secaggsim.protocol import (
     lwe_round,
     nv_round,
 )
-from secaggsim.protocol.clients import SHARE_BLOCK_COLUMNS
+from secaggsim.protocol import clients as clients_module
+from secaggsim.protocol.clients import SHARE_BLOCK_COLUMNS, block_size
 from secaggsim.shamir import share_integer, share_vector
 from secaggsim.simnet import (DropoutSchedule, MessageBus, SimConfig,
                               client_seed, run_simulation)
@@ -501,6 +503,45 @@ def test_lwe_round_reuses_the_matrix_expanded_in_setup(monkeypatch):
     assert len(expansions) == 1
 
 
+@pytest.mark.parametrize("q", [17, 127, M61, (1 << 63) - 25])
+@pytest.mark.parametrize("sigma", [3.0, 1e15])
+def test_lwe_masking_pass_equals_lwe_mask(q, sigma):
+    # h = enc_w + A.s + e, formed in one pass, against lwe_mask over the
+    # mat_vec_mod oracle and gaussian_error's draws from the same rng
+    # state.  Rows 0-3 hold enc_w = q - 1 and A.s = q - 1, row 4 an
+    # all-(q - 1) row of A; at sigma 1e15 |e| spans about 50 bits
+    field = FieldPrime(q)
+    m, n_lwe = 40, 8
+    cfg = RoundConfig(protocol="lwe", n=3, m=m, field=field,
+                      fp=FixedPointConfig(frac_bits=1, clip_magnitude=1.0),
+                      lwe=LweParams(n_lwe=n_lwe, sigma=sigma))
+    g = np.random.default_rng(q % 1009)
+    w = g.uniform(-1, 1, m)
+    w[:4] = -0.5  # code -1, that is q - 1
+    rng = np.random.default_rng(11)
+    ctx = RoundContext()
+    client = LweClient(0, cfg, w, rng, ctx)
+    s = client.s
+    j = np.flatnonzero(s)[0]
+    A = g.integers(0, q, size=(m, n_lwe), dtype=np.uint64)
+    A[:4] = 0
+    A[:4, j] = (q - 1) * pow(int(s[j]), q - 2, q) % q
+    A[4] = q - 1
+    ctx.matrix_ops = LweMatrixOps(A, field)
+    assert (mat_vec_mod(A, s, field)[:4] == q - 1).all()
+    assert (client.enc_w[:4] == q - 1).all()
+    twin, draws = np.random.default_rng(), np.random.default_rng()
+    twin.bit_generator.state = draws.bit_generator.state = \
+        rng.bit_generator.state
+    assert (gaussian_draws(sigma, m, draws)[:4] < 0).any()
+    (_, msg), = client.emit_masked()
+    e = gaussian_error(sigma, m, twin, field)
+    assert msg.payload.vec.tolist() == lwe_mask(client.enc_w, s, e, A,
+                                                field).tolist()
+    # the rng sits where gaussian_error leaves it
+    assert rng.integers(1 << 62) == twin.integers(1 << 62)
+
+
 def test_pw_no_dropout_exact():
     report = run("pw", n=4, m=3, seed=8, dh=DH_GROUP_TEST)
     expected = plaintext_aggregate(report.inputs, report.result.contributors)
@@ -785,7 +826,8 @@ def test_divergent_survivors_raise_typed_error(monkeypatch):
     def skewed(self):
         result = finalize(self)
         if self.id == 3:
-            result.field_sum = result.field_sum ^ np.uint64(1)
+            result = dataclasses.replace(
+                result, field_sum=result.field_sum ^ np.uint64(1))
         return result
 
     monkeypatch.setattr(NvClient, "finalize", skewed)
@@ -895,6 +937,57 @@ def test_survivors_share_one_masked_sum_per_view(monkeypatch, proto, forged):
             "DivergentAggregate: survivors 0 and 3"), report.failure
     else:
         assert report.failure is None
+
+
+@pytest.mark.parametrize("proto", ["nv", "lwe", "pw"])
+def test_survivors_share_one_finalize_per_view(monkeypatch, proto):
+    # without dropout every survivor holds the same view: one decode (and
+    # for lwe one unmasking subtraction) serves all, and every survivor
+    # returns the same result object
+    client_cls = {"nv": NvClient, "lwe": LweClient, "pw": PwClient}[proto]
+    calls = {"decode_vec": 0, "sub_mod": 0}
+    for name in calls:
+        original = getattr(clients_module, name)
+
+        def counting(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(clients_module, name, counting)
+    results = []
+    finalize = client_cls.finalize
+
+    def recording(self):
+        results.append(finalize(self))
+        return results[-1]
+
+    monkeypatch.setattr(client_cls, "finalize", recording)
+    cfg = RoundConfig(protocol=proto, n=5, m=8,
+                      lwe=SMALL_LWE if proto == "lwe" else None,
+                      dh=DH_GROUP_TEST if proto == "pw" else None)
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    assert report.failure is None
+    assert calls == {"decode_vec": 1, "sub_mod": int(proto == "lwe")}
+    assert len(results) == cfg.n
+    assert all(r is report.result for r in results)
+
+
+@pytest.mark.parametrize("proto", ["lwe", "pw"])
+@pytest.mark.parametrize("length", [3, 7])
+def test_masked_vector_of_the_wrong_length_is_a_point_mismatch(
+        monkeypatch, proto, length):
+    # client 3 receives client 1's masked vector cut or padded to length
+    # coordinates of 6; the receive pass rejects it before any sum reads it
+    client_cls = {"lwe": LweClient, "pw": PwClient}[proto]
+    cfg = RoundConfig(protocol=proto, n=5, m=6,
+                      lwe=SMALL_LWE if proto == "lwe" else None,
+                      dh=DH_GROUP_TEST if proto == "pw" else None)
+    corrupt_share_payload(monkeypatch, client_cls, MsgKind.MASKED_VECTOR,
+                          lambda p: VectorPayload(np.resize(p.vec, length)))
+    report = run_simulation(SimConfig(round_cfg=cfg, master_seed=1))
+    assert report.result is None
+    assert report.failure == (f"PointMismatch: client 3: MASKED_VECTOR "
+                              f"header ({length},) from 1 != (6,)")
 
 
 # a share bundle (the share stage) or a summed share's payload
@@ -1159,7 +1252,8 @@ def test_context_blocks_equal_per_client_sharings(columns, sizes):
             continue
         own = share_vector(vecs[i], cfg.t, cfg.n, cfg.k, own_rngs[i],
                            cfg.field)
-        assert ctx.share_rows(i, share, columns).tolist() == own.tolist()
+        assert ctx.share_rows(i, share, block_size(columns)).tolist() == \
+            own.tolist()
     assert blocks == sizes
     assert [r.bit_generator.state for r in rngs] == \
         [r.bit_generator.state for r in own_rngs]
