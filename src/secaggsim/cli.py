@@ -335,8 +335,10 @@ def _prop_share_block(fault_inject: bool) -> bool:
 
 def _prop_matmul_dual_route(fault_inject: bool) -> bool:
     """field.matmul_mod against a Python-int loop on F17, M61 and the
-    largest prime below 2^63, for a tiny product and for products that
-    split M61 into 3 and 4 float64 limbs."""
+    largest prime below 2^63, in both of its layouts: inner dimension 5
+    takes the folded one on M61 and 2^63-25 (V's 32-bit words, 2^32 folded
+    into M), and 100 and 5,000 split both operands into limbs of one
+    width, 3 and 4 limbs on M61.  F17 takes one limb a side throughout."""
     rng = np.random.Generator(np.random.PCG64(13))
     for q in (17, M61, (1 << 63) - 25):
         for r, d, c in ((2, 5, 3), (3, 100, 40), (2, 5000, 3)):

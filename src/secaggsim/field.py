@@ -6,7 +6,12 @@ element in one machine word and leaves headroom so sums over hundreds of
 clients (clip 2^20, 16 fractional bits) never wrap.  Every exact matrix
 product mod q goes through one kernel, matmul_mod: float64 limbs, one
 BLAS matmul, and a recombination that for 2^61 - 1 is a 61-bit rotation
-per weight class (2^61 = 1 mod q) into one uint64 accumulator.
+per weight class (2^61 = 1 mod q) into one uint64 accumulator.  Its
+operands take one of two layouts, whichever needs fewer limb-pair
+products: both split into limbs of one width, or folded, with V read as
+its two 32-bit words and the high word's weight 2^32 folded into M's
+limbs, so that each of M's limbs gives one weight class (for 2^61 - 1,
+every inner dimension up to 16).
 
 Small primes (7, 17, 127, ...) are supported for exhaustive tests.
 """
@@ -258,11 +263,15 @@ def add_block_mod(acc, block: np.ndarray, field: FieldPrime) -> np.ndarray:
 
 # --- exact modular matrix product ---------------------------------------------
 
+WORD = 32  # bits of each word of V in the folded layout
+
+
 def limb_bits(inner: int, field: FieldPrime, other: int | None = None) -> int:
     """Widest limb for which a float64 dot product of `inner` pairs of
     limbs stays exact: inner * (2^bits - 1) * (2^other - 1) < 2^53, with
-    other = bits when it is not given."""
-    budget = 53 - max(inner, 1).bit_length()
+    other = bits when it is not given.  That holds whenever bits + other
+    is at most 53 - ceil(log2(inner))."""
+    budget = 53 - (max(inner, 1) - 1).bit_length()
     return min(budget // 2 if other is None else budget - other,
                field.bit_width)
 
@@ -283,6 +292,15 @@ def split_limbs(X, bits: int, field: FieldPrime, axis: int = 0) -> np.ndarray:
     out = np.empty((count, r, c) if axis == 0 else (r, count, c))
     write_limbs(X, bits, out if axis == 0 else out.swapaxes(0, 1))
     return out if axis == 0 else out.reshape(r, count * c)
+
+
+def split_words(V) -> np.ndarray:
+    """A reduced (d x c) matrix read as its 32-bit words, as the (2d x c)
+    float64 right operand of the folded layout: the low words in the
+    first d rows, the high words in the last d.  One little-endian uint32
+    view, with no shift and no mask."""
+    words = np.ascontiguousarray(V, dtype="<u8").view("<u4")
+    return np.concatenate((words[:, 0::2], words[:, 1::2]), dtype=np.float64)
 
 
 def split_signed(X, bits: int, field: FieldPrime) -> np.ndarray:
@@ -333,11 +351,13 @@ def _weight_class(P: np.ndarray, pairs, field: FieldPrime, reduced: bool,
 def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits,
                  field: FieldPrime) -> np.ndarray:
     """(M @ V) mod q from M's limbs, a (count x r x d) array as split_limbs
-    or split_signed gives it, and split_limbs(V, axis=1).
+    or split_signed gives it, and split_limbs(V, axis=1), or their folded
+    forms (see left_operand).
 
-    bits is the limb width of both operands, or a pair (M's, V's).  M's
-    limbs may be negative, each of magnitude below 2^bits; V's count is
-    the one that holds a reduced element.  One BLAS matmul forms every
+    bits is the pair of limb widths (M's, V's).  M's limbs may be
+    negative, each of magnitude below 2^bits; V's count is the one that
+    holds a reduced element (one, for split_words's words at V's width
+    field.bit_width).  One BLAS matmul forms every
     limb-pair product M_i @ V_j exactly; the products of equal weight
     w = bits_M * i + bits_V * j are summed as int64 (below 2^59 in
     magnitude) and scaled by 2^w.  For M61, 2^61 = 1 (mod q) makes that
@@ -345,7 +365,7 @@ def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits,
     uint64 accumulator that is folded once at the end (more classes fold
     as they go).  Other moduli multiply each class by 2^w mod q.
     """
-    m_bits, v_bits = (bits, bits) if isinstance(bits, int) else bits
+    m_bits, v_bits = bits
     d = V_limbs.shape[0]
     count_m, count_v = len(M_limbs), limb_count(v_bits, field)
     P = (M_limbs.reshape(-1, d) @ V_limbs).reshape(
@@ -381,15 +401,48 @@ def limb_product(M_limbs: np.ndarray, V_limbs: np.ndarray, bits,
     return acc
 
 
+def left_operand(M, field: FieldPrime) -> tuple[np.ndarray, tuple, bool]:
+    """The left operand of M @ V for a reduced M (r x d), as left_product
+    takes it: (M's limbs, the widths (M's, V's), folded).
+
+    Of two layouts, the one with fewer limb-pair products is taken, the
+    folded one on a tie: for M61, every d <= 16.
+    - Equal: M and V split into limbs of one width, limb_bits(d); every
+      pair M_i @ V_j is a block of the matmul, summed by weight class.
+    - Folded: V is read as its two 32-bit words (split_words), and the
+      high word's weight is folded into M as [M | 2^32 M mod q], split
+      into limbs as wide as 2d products by a word leave exact (16 bits
+      at d = 10).  Each of M's limbs gives one weight class whole: 2
+      words by 4 limbs is 8 pairs for M61, where the equal split takes 9.
+    """
+    M = _as_u64(M)
+    d = M.shape[1]
+    bits = limb_bits(d, field)
+    fold = limb_bits(2 * d, field, WORD)
+    if fold < 1 or 2 * limb_count(fold, field) > limb_count(bits, field) ** 2:
+        return split_limbs(M, bits, field), (bits, bits), False
+    folded = np.hstack([M, M])
+    if field.q == M61:
+        rotate_m61(folded[:, d:], WORD)
+    else:
+        folded[:, d:] = mul_mod(M, np.uint64((1 << WORD) % field.q), field)
+    return split_limbs(folded, fold, field), (fold, field.bit_width), True
+
+
+def left_product(left, V, field: FieldPrime) -> np.ndarray:
+    """(M @ V) mod q for M's left_operand and a reduced V (d x c)."""
+    limbs, bits, folded = left
+    V = split_words(V) if folded else split_limbs(V, bits[1], field, axis=1)
+    return limb_product(limbs, V, bits, field)
+
+
 def matmul_mod(M, V, field: FieldPrime) -> np.ndarray:
     """Exact (M @ V) mod q as a uint64 array, for reduced M (r x d) and
     V (d x c) given as uint64 arrays or nested sequences of ints."""
     r, d, d2, c = len(M), len(M[0]), len(V), len(V[0])
     if d != d2:
         raise DimensionMismatch(f"cannot multiply {r}x{d} by {d2}x{c}")
-    bits = limb_bits(d, field)
-    return limb_product(split_limbs(M, bits, field),
-                        split_limbs(V, bits, field, axis=1), bits, field)
+    return left_product(left_operand(M, field), V, field)
 
 
 # --- wire format ------------------------------------------------------------
@@ -421,6 +474,12 @@ class FixedPointConfig:
             raise ValueError("frac_bits must be >= 1")
         if not 0 < self.clip_magnitude < math.inf:
             raise ValueError("clip_magnitude must be positive and finite")
+        # codes are int64, and no field below 2^63 holds a larger one;
+        # clip * 2^f is exact, so it rounds to 2^63 only from 2^63 up
+        if self.clip_magnitude >= math.ldexp(1.0, 63 - self.frac_bits):
+            raise ValueError(
+                f"clip {self.clip_magnitude} at {self.frac_bits} fractional "
+                "bits encodes to 2^63 or more")
 
     @property
     def scale(self) -> int:

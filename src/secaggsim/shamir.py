@@ -17,8 +17,11 @@ cached per point set; sharing and reconstruction both read them.
 Vectors and wide integers share to one form, an (n x chunks) uint64
 matrix whose row j is recipient j's share of every chunk, at the point
 set by the holder.  Sharing and reconstruction are each one product by
-field's matmul_mod kernel (sharing on basis limbs cached with the
-basis), and the scalar APIs wrap both cores.  share_vector and
+field's matmul_mod kernel, and the scalar APIs wrap both cores.  A
+sharing basis is prepared once, as field.left_operand lays it out, and
+cached with the basis.  Both products have an inner dimension of
+t+k-1 <= n points, so on 2^61 - 1 every product of a round of at most
+16 clients takes the folded layout.  share_vector and
 share_integer also share a block of clients' inputs in one product.
 """
 
@@ -38,8 +41,8 @@ from .errors import (
     PointMismatch,
     SecretOutOfRange,
 )
-from .field import (DEFAULT_FIELD, FieldPrime, add_mod, limb_bits,
-                    limb_product, matmul_mod, split_limbs, sum_mod)
+from .field import (DEFAULT_FIELD, FieldPrime, add_mod, left_operand,
+                    left_product, matmul_mod, sum_mod)
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,16 @@ def _frozen(rows, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _basis_limbs(field: FieldPrime, pts: tuple[int, ...],
-                 targets: tuple[int, ...]) -> np.ndarray:
-    """The left-operand limbs of lagrange_basis(field.q, pts, targets),
-    split once and cached beside it, read-only.  Only sharing bases take
-    them: every sharing of a round reuses its basis, while survivors share
-    one opening per view, whose points change with the dropouts."""
-    limbs = split_limbs(lagrange_basis(field.q, pts, targets),
-                        limb_bits(len(pts), field), field)
-    limbs.flags.writeable = False
-    return limbs
+def _basis_operand(field: FieldPrime, pts: tuple[int, ...],
+                   targets: tuple[int, ...]) -> tuple:
+    """lagrange_basis(field.q, pts, targets) as field.left_operand
+    prepares it, once, cached beside the basis with its limbs read-only.
+    Only sharing bases take it: every sharing of a round reuses its
+    basis, while survivors share one opening per view, whose points change
+    with the dropouts."""
+    left = left_operand(lagrange_basis(field.q, pts, targets), field)
+    left[0].flags.writeable = False
+    return left
 
 
 def _interpolate(xs: tuple[int, ...], ys, targets: tuple[int, ...],
@@ -158,11 +161,10 @@ def _shares(blocks: list[np.ndarray], t: int, n: int, rngs,
         coeffs[k:, cols] = rng.integers(0, field.q, size=(b.shape[1], t - 1),
                                         dtype=np.uint64).T
     at = first + k + t - 1
-    bits = limb_bits(k + t - 1, field)
     outs = [np.empty((n, b.shape[1]), dtype=np.uint64) for b in blocks]
-    rest = limb_product(_basis_limbs(field, tuple(range(first, at)),
-                                     tuple(range(at, first + k + n))),
-                        split_limbs(coeffs, bits, field, axis=1), bits, field)
+    rest = left_product(_basis_operand(field, tuple(range(first, at)),
+                                       tuple(range(at, first + k + n))),
+                        coeffs, field)
     for out, cols in zip(outs, spans):
         out[:t - 1] = coeffs[k:, cols]
         out[t - 1:] = rest[:, cols]

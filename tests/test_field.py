@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from secaggsim.field import (
     field_arith,
     fp_decode,
     fp_encode,
+    left_operand,
     limb_bits,
     limb_count,
     limb_product,
@@ -181,6 +183,25 @@ def test_fp_config_rejects_a_non_finite_clip(clip):
     # round() with an untyped ValueError or OverflowError
     with pytest.raises(ValueError, match="finite"):
         FixedPointConfig(clip_magnitude=clip)
+
+
+@pytest.mark.parametrize("clip", [1e15, 1e304, 2.0 ** 47])
+def test_fp_config_rejects_codes_of_2_63_or_more(clip):
+    # before, clip 1e15 encoded 1e15 to 2^61 - 4 through an undefined
+    # float-to-int64 cast, and clip 1e304 made max_code raise an untyped
+    # OverflowError; clip * 2^16 = 2^63 is the first clip refused
+    with pytest.raises(ValueError, match="2\\^63"):
+        encode_vec([clip], FixedPointConfig(16, clip))
+
+
+def test_fp_config_just_below_2_63_encodes_exactly():
+    clip = math.nextafter(2.0 ** 47, 0)  # encodes to 2^63 - 2^10
+    cfg = FixedPointConfig(16, clip)
+    assert cfg.max_code(1) == (1 << 63) - (1 << 10)
+    for field in (DEFAULT_FIELD, F63):
+        got = encode_vec([clip, -clip, 1.5], cfg, field).tolist()
+        assert got == [encode_reference(x, cfg, field.q)
+                       for x in (clip, -clip, 1.5)]
 
 
 def test_sub_unit_clip_decodes():
@@ -458,7 +479,7 @@ def test_m61_limb_product_folds_many_weight_classes(bits, classes):
                  (random_matrix(g, M61, 4, 9), random_matrix(g, M61, 9, 6))):
         got = limb_product(split_limbs(M, bits, DEFAULT_FIELD),
                            split_limbs(V, bits, DEFAULT_FIELD, axis=1),
-                           bits, DEFAULT_FIELD)
+                           (bits, bits), DEFAULT_FIELD)
         assert got.tolist() == matmul_reference(M.tolist(), V.tolist(), M61)
 
 
@@ -472,7 +493,7 @@ def test_m61_limb_product_folds_wide_weight_classes():
             for ls in (la, lb))
     got = limb_product(np.array(la, dtype=np.float64).reshape(6, 1),
                        np.array(lb, dtype=np.float64).reshape(1, 6),
-                       12, DEFAULT_FIELD)
+                       (12, 12), DEFAULT_FIELD)
     assert got.tolist() == [[a * b % M61]]
 
 
@@ -525,3 +546,51 @@ def test_limb_widths_cover_the_shapes():
     widths = {limb_bits(d, DEFAULT_FIELD) for _, d, _ in SHAPES}
     assert widths == {26, 25, 24, 23, 21, 20}
     assert limb_bits(1000, F7) == F7.bit_width
+
+
+def test_folded_layout_where_it_takes_fewer_pairs():
+    # M61 and 2^63-25 fold every inner dimension up to 16: 2 words by 4
+    # limbs of 16 bits or more, 8 limb-pair products where one width takes
+    # 9.  From 17 on the folded side would need 15-bit limbs, 10 pairs.
+    # Fields below 2^32 keep one limb a side, 1 pair, and never fold.
+    for field in (DEFAULT_FIELD, F63):
+        for d in (1, 2, 5, 10, 15, 16, 17, 26, 100, 700, 5000):
+            limbs, bits, folded = left_operand(np.zeros((2, d), np.uint64),
+                                               field)
+            assert folded == (d <= 16)
+            assert limbs.shape[2] == (2 * d if folded else d)
+            if folded:
+                assert bits[0] >= 16 and len(limbs) == 4
+                assert bits[1] == field.bit_width  # one limb per word
+    for field in (F7, F17, FieldPrime(127)):
+        assert not any(left_operand(np.zeros((1, d), np.uint64), field)[2]
+                       for d in (1, 10, 16, 700))
+
+
+@given(q=st.sampled_from([7, 17, 127, M61, P63]),
+       d=st.sampled_from([1, 2, 15, 16, 17, 26, 700]),
+       r=st.integers(1, 3), c=st.integers(1, 3),
+       fill=st.sampled_from(["uniform", "top", "edges"]),
+       nested=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_matmul_mod_on_both_layouts_matches_python_ints(q, d, r, c, fill,
+                                                        nested, seed):
+    # Inner dimensions on both sides of the folded layout's rule (16 and
+    # 17 for M61 and 2^63-25) and far past it, single rows and columns,
+    # all-(q-1) operands, 0 and q-1 mixed with uniform elements, and
+    # nested-int inputs, against an independent Python-int product.
+    field = FieldPrime(q)
+    g = np.random.default_rng(seed)
+    M, V = (g.integers(0, q, size=shape, dtype=np.uint64)
+            for shape in ((r, d), (d, c)))
+    if fill == "top":
+        M[:], V[:] = q - 1, q - 1
+    elif fill == "edges":
+        for X in (M, V):
+            X[g.random(X.shape) < 0.5] = q - 1
+            X[g.random(X.shape) < 0.2] = 0
+    Ml, Vl = M.tolist(), V.tolist()
+    want = [[sum(Ml[i][k] * Vl[k][j] for k in range(d)) % q
+             for j in range(c)] for i in range(r)]
+    got = matmul_mod(Ml, Vl, field) if nested else matmul_mod(M, V, field)
+    assert got.dtype == np.uint64 and got.tolist() == want

@@ -514,21 +514,43 @@ def test_block_share_integer_equals_per_client_calls(field, widths):
 
 
 def test_second_product_on_a_basis_does_not_split_it_again(monkeypatch):
-    # the sharing basis's limbs are cached with the basis, so a second
-    # sharing on the same points splits only its coefficient columns
+    # A sharing basis is prepared once, by field.left_operand, and cached
+    # read-only beside the basis, so a second sharing on the same points
+    # prepares only its coefficients, as the right operand of the basis's
+    # layout: 32-bit words when folded (inner dimension 6), limbs when
+    # split into limbs of one width (inner dimension 20).
     import secaggsim.field as field_mod
-    from secaggsim.shamir import _basis_limbs
+    import secaggsim.shamir as shamir_mod
 
-    t, n, k = 4, 9, 3
-    basis = lagrange_basis(M61F.q, tuple(range(1, k + t)),
-                           tuple(range(k + t, k + 1 + n)))
-    _basis_limbs.cache_clear()
-    split = []
-    write_limbs = field_mod.write_limbs
-    monkeypatch.setattr(field_mod, "write_limbs", lambda X, bits, limbs: (
-        split.append(X is basis), write_limbs(X, bits, limbs)))
-    first = share_vector(np.arange(6), t, n, k, rng(44), M61F)
-    again = share_vector(np.arange(6), t, n, k, rng(44), M61F)
-    assert first.tolist() == again.tolist()
-    # the basis and the first coefficients, then the second coefficients
-    assert split == [True, False, False]
+    log = []
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def logged(X, *args, **kwargs):
+            log.append((name, X))
+            return real(X, *args, **kwargs)
+        monkeypatch.setattr(mod, name, logged)
+
+    spy(shamir_mod, "left_operand")
+    spy(field_mod, "split_limbs")
+    spy(field_mod, "split_words")
+    for t, n, k, right in ((4, 9, 3, "split_words"),
+                           (20, 30, 1, "split_limbs")):
+        pts, targets = tuple(range(1, k + t)), tuple(range(k + t, k + 1 + n))
+        basis = lagrange_basis(M61F.q, pts, targets)
+        coeffs = (right, (k + t - 1, -(-6 // k)))  # 6 coordinates in chunks
+        shamir_mod._basis_operand.cache_clear()
+        log.clear()
+        first = share_vector(np.arange(6), t, n, k, rng(44), M61F)
+        # the basis once, split into M's limbs, then the coefficients
+        assert [name for name, _ in log] == ["left_operand", "split_limbs",
+                                             right]
+        assert log[0][1] is basis
+        assert (log[-1][0], np.shape(log[-1][1])) == coeffs
+        log.clear()
+        again = share_vector(np.arange(6), t, n, k, rng(44), M61F)
+        assert first.tolist() == again.tolist()
+        assert [(name, np.shape(X)) for name, X in log] == [coeffs]
+        left = shamir_mod._basis_operand(M61F, pts, targets)
+        assert not left[0].flags.writeable
