@@ -26,12 +26,19 @@ from .field import (M61, FieldPrime, add_signed_mod, encode_vec, matmul_mod,
                     sum_mod)
 from .masking import (DH_GROUP_2048, DH_GROUP_TEST, SECRET_ETA, SPLIT_BLOCK,
                       TAG_PAIRWISE, LweMatrixOps, LweParams, lwe_mask,
-                      mat_vec_mod, small_secret, stream_expand)
-from .protocol.rounds import LWE, NV, PW, STAGES, RoundConfig
+                      lwe_matrix_ops, mat_vec_mod, small_secret,
+                      stream_expand)
+from .protocol.clients import LweClient, NvClient, PwClient, RoundContext
+from .protocol.messages import (BUS_SENDER, ContributorSetPayload, MsgKind,
+                                ProtocolMessage, ShareBundlePayload)
+from .protocol.rounds import (LWE, NV, PW, STAGES, RoundConfig, _deliver,
+                              contributor_set)
 from .shamir import (Share, reconstruct_vector, share_integer, share_vector,
                      sss_share)
 from .simnet import (
     UNIFORM_POLICY,
+    DropoutSchedule,
+    MessageBus,
     SimConfig,
     meter_expectations,
     metrics_match_expectations,
@@ -432,6 +439,65 @@ def _prop_sum_dual_route(fault_inject: bool) -> bool:
     return True
 
 
+def _round_served(proto: str, shared: bool):
+    """(every client's store, every survivor's result) of one small round
+    of proto, with a client dropped at each of its last two stages.  With
+    shared, each stage goes through the driver's one pass (rounds._deliver,
+    handed the bus's delivered list); without, on a recording bus, which
+    delivers entry by entry, each message is served by hand as its own
+    inbox."""
+    cfg = RoundConfig(protocol=proto, n=6, m=5, planned_dropouts=2,
+                      lwe=LweParams(n_lwe=16, sigma=1e-6,
+                                    matrix_seed=b"\x09" * 32)
+                      if proto == LWE else None,
+                      dh=DH_GROUP_TEST if proto == PW else None)
+    *opening, final = cfg.stages
+    bus = MessageBus(cfg, master_seed=9, schedule=DropoutSchedule(
+        stages={1: opening[-1], 4: final}), record_transcript=not shared)
+    ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
+                       if proto == LWE else None)
+    client_cls = {NV: NvClient, LWE: LweClient, PW: PwClient}[proto]
+    clients = [client_cls(i, cfg, bus.client_rng(i).uniform(-1, 1, cfg.m),
+                          bus.client_rng(i), ctx) for i in range(cfg.n)]
+
+    def serve(inboxes, delivered=None):
+        if shared:
+            return _deliver(clients, inboxes, ctx, delivered)
+        return [e for c, inbox in zip(clients, inboxes) for msg in inbox
+                for e in c.on_message([msg])]
+
+    for stage, opener in zip(opening, ("start", "emit_masked")):
+        serve(bus.exchange(stage, [e for c in clients if bus.alive(c.id, stage)
+                                   for e in getattr(c, opener)()]),
+              bus.delivered)
+    announce = ProtocolMessage(MsgKind.CONTRIBUTOR_SET, BUS_SENDER, 0,
+                               ContributorSetPayload(contributor_set(
+                                   bus.delivery_record(), opening[-1])))
+    serve(bus.exchange(final, serve(bus.control(final, announce))),
+          bus.delivered)
+    stores = [{kind: {s: p.rows.tobytes() if isinstance(
+        p, ShareBundlePayload) else p.to_bytes()
+        for s, p in c.got.view(kind).items()} for kind in c.got}
+        for c in clients]
+    results = [(r.contributors, r.field_sum.tolist()) for r in (
+        clients[i].finalize() for i in bus.live_at_end())]
+    return stores, results
+
+
+def _prop_receive_dual_route(fault_inject: bool) -> bool:
+    """One round of every protocol served by the shared stage pass and by
+    hand, one message per inbox: every client's store and every
+    survivor's result agree."""
+    for proto in PROTOCOLS:
+        (stores, results), by_hand = (_round_served(proto, shared)
+                                      for shared in (True, False))
+        if fault_inject:
+            stores[0].popitem()
+        if (stores, results) != by_hand:
+            return False
+    return True
+
+
 def _prop_protocol_equivalence() -> bool:
     for proto, rate in ((NV, 0.0), (NV, 0.2), (PW, 0.0), (PW, 0.25),
                         (LWE, 0.0)):
@@ -493,6 +559,7 @@ def cmd_verify(args) -> int:
         ("lwe_matvec_dual_route", lambda: _prop_lwe_matvec_dual_route(args.fault_inject)),
         ("lwe_mask_dual_route", lambda: _prop_lwe_mask_dual_route(args.fault_inject)),
         ("sum_mod_dual_route", lambda: _prop_sum_dual_route(args.fault_inject)),
+        ("receive_dual_route", lambda: _prop_receive_dual_route(args.fault_inject)),
         ("protocol_vs_plaintext", lambda: _prop_protocol_equivalence()),
         ("trajectory_parity", lambda: _prop_trajectory_parity()),
         ("metering_identity", lambda: _prop_metering(not args.quick)),

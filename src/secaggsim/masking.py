@@ -8,7 +8,9 @@ metered wire format).  Length-prefixed domain tags ("pairwise",
 
 The Diffie-Hellman production profile is the 2048-bit MODP safe-prime
 group with g=2; a toy profile (p=1019) exists only so subgroup membership
-can be checked exhaustively in tests.
+can be checked exhaustively in tests.  A residue's membership is checked
+once per (residue, group) and remembered, in a bounded cache: every peer
+of a client agrees with its one public key.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,10 +80,20 @@ def dh_keygen(params: DhParams, rng) -> KeyPair:
             return KeyPair(sk=v, pk=pow(params.g, v, params.p))
 
 
+# residues whose membership is remembered: a round of 4,096 clients
+DH_CHECK_CACHE = 4096
+
+
+@lru_cache(maxsize=DH_CHECK_CACHE)
+def in_subgroup(residue: int, p: int, order: int) -> bool:
+    """Whether 1 < residue < p lies in the order-`order` subgroup mod p."""
+    return 1 < residue < p and pow(residue, order, p) == 1
+
+
 def dh_agree(sk: int, peer_pk: int, params: DhParams) -> bytes:
     """Shared 32-byte mask seed: SHA-256 of the fixed-width big-endian
     encoding of peer_pk^sk mod p.  Symmetric in the two parties."""
-    if not 1 < peer_pk < params.p or pow(peer_pk, params.subgroup_order, params.p) != 1:
+    if not in_subgroup(peer_pk, params.p, params.subgroup_order):
         raise InvalidPublicKey(f"residue {peer_pk} not in the prime-order subgroup")
     shared = pow(peer_pk, sk, params.p)
     return hashlib.sha256(shared.to_bytes(params.residue_bytes, "big")).digest()

@@ -13,14 +13,23 @@ Every client holds what it has heard in one store, got[kind][sender] ->
 payload, with its own broadcasts under its own id, and checks an inbox in
 one receive pass (BaseClient.on_message): a message of another round, of a
 kind its class does not accept, or of a kind already heard from its sender
-raises.  Clients never see who dropped except through the contributor set,
-which only the bus announces and which is the one trigger of the final
-stage; a payload it needs that never arrived raises a typed ProtocolError.
+raises.  Under stage-atomic dropout every survivor ends a stage with the
+same store, so the pass runs once per stage: the round driver hands the
+round context the stage's one delivered list, every message of it is
+checked once for the whole round, and a client whose inbox is that list
+less its own messages takes the stage's read-only sender -> payload maps
+as its store, shared with every other such client.  Any other inbox (a
+forged one, a partial delivery) is checked message by message, so its
+first offender raises as it would alone.  Clients never see who dropped
+except through the contributor set, which only the bus announces and
+which is the one trigger of the final stage; a payload it needs that
+never arrived raises a typed ProtocolError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -127,6 +136,23 @@ class RoundContext:
         self.matrix_ops = matrix_ops
         self.inputs: list[tuple] = []
         self.memo: dict = {}
+        self._stage = None
+
+    def open_stage(self, messages: list | None):
+        """Hold messages, the one list a stage delivered, every live
+        client's inbox being it less that client's own messages; None
+        when the inboxes were built one by one."""
+        self._stage = None if messages is None else (messages, {})
+
+    def stage_check(self, rule, check):
+        """(the current stage list, check(it)), the check run once per
+        rule, which names everything it reads; None with no stage list."""
+        if self._stage is None:
+            return None
+        messages, checked = self._stage
+        if rule not in checked:
+            checked[rule] = check(messages)
+        return messages, checked[rule]
 
     def register(self, value, rng) -> int:
         """Hold a client's input and rng; returns its index."""
@@ -189,6 +215,25 @@ class RoundContext:
                            lambda: (inputs, compute()))[1]
 
 
+class Store(dict):
+    """A client's store, kind -> {sender: payload}.  A kind may hold a
+    stage's read-only map, shared with the other clients that took the
+    stage; view reads what is held as it is, and subscripting, the way to
+    write, first replaces a shared map by this client's own copy, so that
+    no write reaches another client's store."""
+
+    def view(self, kind: MsgKind):
+        """What kind holds, shared or not; None for a kind not held."""
+        return dict.get(self, kind)
+
+    def __getitem__(self, kind: MsgKind) -> dict:
+        held = dict.__getitem__(self, kind)
+        if type(held) is not dict:
+            held = dict(held)
+            dict.__setitem__(self, kind, held)
+        return held
+
+
 @dataclass(frozen=True)
 class AggregateResult:
     """Outcome of one aggregation round, identical at every survivor.
@@ -209,11 +254,14 @@ class BaseClient:
     every kind in the class's ACCEPTS; this client's own broadcasts are
     held there under its own id, and the bus's contributor set under
     BUS_SENDER.  A payload stays whole, so a share bundle is held as the
-    bundle, of which this client reads only its own row.  headers[kind]
-    is the header every share payload or masked vector of kind must
-    carry."""
+    bundle, of which this client reads only its own row.  got[kind] may
+    be a stage's read-only map, shared with the other survivors (see
+    Store), so this class reads through got.view.  headers[kind] is the header
+    every share payload or masked vector of kind must carry, and a kind
+    of LOCKED_BY_CONTRIBUTORS may not arrive after the contributor set."""
 
     ACCEPTS: tuple[MsgKind, ...] = ()
+    LOCKED_BY_CONTRIBUTORS: tuple[MsgKind, ...] = ()
 
     def __init__(self, cid: int, cfg, w, rng, ctx: RoundContext,
                  round_index: int = 0):
@@ -224,8 +272,7 @@ class BaseClient:
         self.round = round_index
         self.ops = OpsTally()
         self.contributors: tuple[int, ...] | None = None
-        self.got: dict[MsgKind, dict[int, object]] = {
-            kind: {} for kind in self.ACCEPTS}
+        self.got = Store((kind, {}) for kind in self.ACCEPTS)
         # a masked vector holds m elements (checked where the kind is
         # accepted)
         self.headers: dict[MsgKind, tuple[int, ...]] = {
@@ -246,13 +293,16 @@ class BaseClient:
         offender raises: its round, its kind, a first one of its kind from
         its sender, then the class's own payload check.  The contributor
         set, from the bus alone, returns the final stage's entries, from
-        the class's _final_out."""
+        the class's _final_out.  An inbox that _take_stage takes whole
+        passes every one of these checks, so it is held at once."""
+        if self._take_stage(inbox):
+            return []
         out = []
         for msg in inbox:
             if msg.round != self.round:
                 raise UnexpectedMessage(
                     f"client {self.id}: round {msg.round} != {self.round}")
-            held = self.got.get(msg.kind)
+            held = self.got.view(msg.kind)
             if held is None:
                 raise UnexpectedMessage(
                     f"client {self.id}: {msg.kind.name} not expected now")
@@ -261,21 +311,81 @@ class BaseClient:
                                       f"{msg.kind.name} from {msg.sender}")
             if msg.kind != MsgKind.CONTRIBUTOR_SET:
                 self._check(msg)
-                held[msg.sender] = msg.payload
+                self.got[msg.kind][msg.sender] = msg.payload
                 continue
             if msg.sender != BUS_SENDER:  # only the bus announces one
                 raise UnexpectedMessage(
                     f"client {self.id}: {msg.kind.name} from {msg.sender}")
             if not msg.payload.ids:
                 raise InsufficientContributors("empty contributor set")
-            held[msg.sender] = msg.payload
+            self.got[msg.kind][msg.sender] = msg.payload
             self.contributors = msg.payload.ids
             out += self._final_out()
         return out
 
+    def _take_stage(self, inbox: list[ProtocolMessage]) -> bool:
+        """Take the round's checked maps of the current stage as this
+        client's store of their kinds, and say so, if inbox is the stage
+        list less this client's own messages, the store holds nothing of
+        those kinds but this client's own broadcast, the very payload of
+        the map, and no kind arrives locked by the contributor set."""
+        rule = (self.round, tuple(self.got), tuple(self.headers.items()),
+                self.cfg.n)
+        stage = self.ctx.stage_check(rule, self._check_stage)
+        if stage is None or stage[1] is None:
+            return False
+        messages, (maps, runs) = stage
+        start, end = runs.get(self.id, (0, 0))
+        if inbox != messages[:start] + messages[end:]:
+            return False
+        if self.contributors is not None and any(
+                kind in maps for kind in self.LOCKED_BY_CONTRIBUTORS):
+            return False
+        for kind, view in maps.items():
+            # held: nothing, or what the map holds as this client's own
+            held, own = self.got.view(kind), view.get(self.id)
+            if held if own is None else (
+                    len(held) != 1 or held.get(self.id) is not own):
+                return False
+        self.got.update(maps)
+        return True
+
+    def _check_stage(self, messages: list[ProtocolMessage]):
+        """(the read-only sender -> payload map of each kind of messages,
+        each sender's run (start, end) of them) if every message passes
+        this class's checks at every client of the round: this round, a
+        kind of the store other than the contributor set, one message per
+        (sender, kind), the kind's header, a share bundle with a row for
+        every client, and each sender's messages side by side.  None if
+        any fails, so that every client checks its inbox message by
+        message and raises for its own first offender."""
+        views: dict[MsgKind, dict] = {}
+        runs: dict[int, tuple[int, int]] = {}
+        for i, msg in enumerate(messages):
+            if (msg.round != self.round or msg.kind not in self.got
+                    or msg.kind == MsgKind.CONTRIBUTOR_SET):
+                return None
+            view = views.setdefault(msg.kind, {})
+            run = runs.get(msg.sender, (i, i))
+            if msg.sender in view or run[1] != i:
+                return None
+            header, p = self.headers.get(msg.kind), msg.payload
+            if header is not None and (p.header != header or isinstance(
+                    p, ShareBundlePayload) and len(p.rows) < self.cfg.n):
+                return None
+            view[msg.sender] = p
+            runs[msg.sender] = (run[0], i + 1)
+        return ({kind: MappingProxyType(view)
+                 for kind, view in views.items()}, runs)
+
     def _check(self, msg: ProtocolMessage):
-        """A share payload or masked vector only with the header of its
-        kind, and a share bundle only with a row for this client."""
+        """No kind locked by the contributor set after it, a share payload
+        or masked vector only with the header of its kind, and a share
+        bundle only with a row for this client."""
+        if (msg.kind in self.LOCKED_BY_CONTRIBUTORS
+                and self.contributors is not None):
+            raise UnexpectedMessage(
+                f"client {self.id}: {msg.kind.name} after the contributor set")
         header = self.headers.get(msg.kind)
         if header is None:
             return
@@ -291,7 +401,7 @@ class BaseClient:
     def _held(self, kind: MsgKind, senders, error, missing: str) -> list:
         """The payloads of kind from senders, in order; error(missing with
         the senders not heard from) if any is absent."""
-        held = self.got[kind]
+        held = self.got.view(kind)
         absent = [s for s in senders if s not in held]
         if absent:
             raise error(f"client {self.id}: " + missing.format(absent))
@@ -349,6 +459,8 @@ class NvClient(BaseClient):
     SHARE_KIND = MsgKind.INPUT_SHARE_VECTOR
     SUM_KIND = MsgKind.AGGREGATED_SHARE_VECTOR
     ACCEPTS = (SHARE_KIND, MsgKind.CONTRIBUTOR_SET, SUM_KIND)
+    # no share joins the summed shares once they are formed
+    LOCKED_BY_CONTRIBUTORS = (SHARE_KIND,)
     SHARE_BLOCK: int | None = None  # inputs per sharing block; by columns
 
     def __init__(self, cid, cfg, w, rng, ctx: RoundContext,
@@ -384,14 +496,6 @@ class NvClient(BaseClient):
 
     on_message = BaseClient.on_message  # own attribute: perfbench traces it
 
-    def _check(self, msg: ProtocolMessage):
-        """A share bundle only before the contributor set, then the base
-        header and row check."""
-        if msg.kind == self.SHARE_KIND and self.contributors is not None:
-            raise UnexpectedMessage(
-                f"client {self.id}: {msg.kind.name} after the contributor set")
-        super()._check(msg)
-
     def _final_out(self) -> list[Entry]:
         """Sum the contributors' share rows and broadcast the sum."""
         bundles = self._held(self.SHARE_KIND, self.contributors,
@@ -409,7 +513,7 @@ class NvClient(BaseClient):
         need = cfg.t + cfg.k - 1
         if self.contributors is None:
             raise InsufficientContributors(f"client {self.id}: no contributor set")
-        sums = self.got[self.SUM_KIND]
+        sums = self.got.view(self.SUM_KIND)
         if len(sums) < need:
             raise InsufficientSurvivors(
                 f"client {self.id}: {len(sums)} summed shares "
@@ -442,6 +546,7 @@ class LweClient(NvClient):
     SUM_KIND = MsgKind.SECRET_SUM_SHARE
     ACCEPTS = (SHARE_KIND, MsgKind.MASKED_VECTOR, MsgKind.CONTRIBUTOR_SET,
                SUM_KIND)
+    LOCKED_BY_CONTRIBUTORS = (SHARE_KIND,)
     # the secrets share in the A.S product's blocks, not by the column
     # budget: lwe-bulk's ten 142-column sharings take one product
     SHARE_BLOCK = LWE_MASK_BLOCK
@@ -572,7 +677,7 @@ class PwClient(BaseClient):
         terms = [(1, self.personal_seed, TAG_PERSONAL)] if cfg.personal_mask else []
         terms += [(1 if self.id < j else -1,
                    dh_agree(self.keypair.sk, pk.residue, cfg.dh), TAG_PAIRWISE)
-                  for j, pk in sorted(self.got[MsgKind.PUB_KEY].items())
+                  for j, pk in sorted(self.got.view(MsgKind.PUB_KEY).items())
                   if j != self.id]
         y = self._apply_masks(self.enc_w, terms)
         self.ops.add += cfg.m * len(terms)
@@ -587,7 +692,7 @@ class PwClient(BaseClient):
             MsgKind.PUB_KEY, self.contributors, MissingKeyShares,
             "contributors {} skipped setup"))
         dropped = tuple(sorted(
-            self.got[MsgKind.PUB_KEY].keys() - set(self.contributors)))
+            self.got.view(MsgKind.PUB_KEY).keys() - set(self.contributors)))
         return pks, dropped
 
     def _final_out(self) -> list[Entry]:
@@ -619,7 +724,7 @@ class PwClient(BaseClient):
         from its own and the other openers' share rows side by side in one
         interpolation.  The check that every opener names the same secrets
         runs with the opening, once per view of unmask payloads."""
-        unmask = self.got[MsgKind.UNMASK_SHARE]
+        unmask = self.got.view(MsgKind.UNMASK_SHARE)
         names = unmask[self.id].names
 
         def open_rows(senders, payloads):

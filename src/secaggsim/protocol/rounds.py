@@ -2,12 +2,14 @@
 
 A round driver owns the synchrony structure: it asks live clients for
 their stage-opening outbox entries, pushes them through the bus (which
-meters bytes and applies stage-atomic dropout), serves each client the
-inbox the bus built for it, and injects the bus-issued contributor set
-between the input and output halves of each protocol.
+meters bytes and applies stage-atomic dropout), hands the round context
+the stage's one delivered list where the bus built one, serves each
+client the inbox the bus built for it, and injects the bus-issued
+contributor set between the input and output halves of each protocol.
 
-The bus is duck-typed; any object with the MessageBus surface works, so
-the protocol layer stays independent of the simulator.
+The bus is duck-typed; any object with the MessageBus surface works
+(`delivered` included), so the protocol layer stays independent of the
+simulator.
 """
 
 from __future__ import annotations
@@ -115,9 +117,11 @@ def contributor_set(delivery_record, stage: str) -> tuple[int, ...]:
     return tuple(sorted(delivery_record[stage]))
 
 
-def _deliver(clients, inboxes) -> list:
-    """Serve every client with a nonempty inbox, in ascending id; returns
-    the entries they emit."""
+def _deliver(clients, inboxes, ctx: RoundContext, delivered=None) -> list:
+    """Serve every client with a nonempty inbox, in ascending id, once
+    the round context holds the stage's one delivered list (None where
+    the inboxes were built one by one); returns the entries they emit."""
+    ctx.open_stage(delivered)
     out = []
     for client, inbox in zip(clients, inboxes):
         if inbox:
@@ -162,14 +166,16 @@ def _drive(inputs, cfg: RoundConfig, bus, client_cls, openers,
         for c in clients:
             if bus.alive(c.id, stage):
                 outbox.extend(getattr(c, opener)())
-        _deliver(clients, bus.exchange(stage, outbox))
+        inboxes = bus.exchange(stage, outbox)
+        _deliver(clients, inboxes, ctx, bus.delivered)
     contributors = contributor_set(bus.delivery_record(), opening[-1])
     if not contributors:
         raise InsufficientContributors(no_contributors)
     announce = ProtocolMessage(MsgKind.CONTRIBUTOR_SET, BUS_SENDER, bus.round,
                                ContributorSetPayload(contributors))
-    final = _deliver(clients, bus.control(st_final, announce))
-    _deliver(clients, bus.exchange(st_final, final))
+    final = _deliver(clients, bus.control(st_final, announce), ctx)
+    inboxes = bus.exchange(st_final, final)
+    _deliver(clients, inboxes, ctx, bus.delivered)
     return _finalize(clients, bus)
 
 

@@ -245,10 +245,13 @@ def share_vector(w, t: int, n: int, k: int, rng=None,
     for vec, _ in pairs:
         vec = np.asarray(vec, dtype=np.uint64)
         m = len(vec)
-        chunks = chunk_count(m, k)
-        padded = np.zeros(chunks * k, dtype=np.uint64)
-        np.remainder(vec, np.uint64(field.q), out=padded[:m])
-        blocks.append(padded.reshape(chunks, k).T)
+        # a reduced input (encode_vec's, in every round) is read as it is
+        if m and vec.max() >= field.q:
+            vec = np.remainder(vec, np.uint64(field.q))
+        pad = chunk_count(m, k) * k - m
+        if pad:
+            vec = np.concatenate((vec, np.zeros(pad, dtype=np.uint64)))
+        blocks.append(vec.reshape(-1, k).T)
     rows = _shares(blocks, t, n, [r for _, r in pairs], field, 1)
     return rows[0] if rng is not None else rows
 

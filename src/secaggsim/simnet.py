@@ -9,7 +9,10 @@ An outbox entry (recipients, message) is metered as recipients times the
 message's wire size, from its shape; a share bundle's wire size is that of
 one recipient's row.  The bus hands each client one inbox per stage, and
 only a recorded transcript serializes, one message per delivery with each
-bundle narrowed to the recipient's row.
+bundle narrowed to the recipient's row.  A stage whose every entry goes
+to all of its sender's peers, as every stage of the three protocols does,
+is delivered as one list: each live client's inbox is that list less its
+own messages, and the stage is metered from counts.
 
 Seed derivation: client i's generator is seeded with
 SHA-256(master_seed || "client" || i), the dropout schedule with
@@ -24,6 +27,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -223,6 +227,8 @@ class MessageBus:
             for k, stage in enumerate(cfg.stages)
         }
         self._senders: dict[str, set[int]] = {}
+        # the last exchange's one delivered list, if it built one
+        self.delivered: list[ProtocolMessage] | None = None
 
     def next_round(self):
         self.round += 1
@@ -241,15 +247,50 @@ class MessageBus:
                  ) -> list[list[ProtocolMessage]]:
         """Deliver one stage's entries; returns every client's inbox,
         indexed by client id, in deterministic order.  The stage is
-        metered once, from counts kept per client id."""
+        metered once, from counts kept per client id.  A stage whose
+        every entry is addressed to all of its sender's peers leaves its
+        live senders' messages, in that order, in `delivered`, and each
+        live client's inbox is that list less its own messages; any other
+        stage, and every stage of a recorded run, is delivered entry by
+        entry and leaves `delivered` None."""
         alive = self._alive[stage]
+        entries = sorted(outbox, key=lambda e: (e[1].sender, e[1].kind,
+                                                e[0][0]))
+        self.delivered = None
+        if self._record or not all(
+                rcpts == (*range(msg.sender), *range(msg.sender + 1, self.n))
+                for rcpts, msg in entries):
+            return self._exchange_entries(stage, entries, alive)
+        n = self.n
+        delivered = [msg for _, msg in entries if alive[msg.sender]]
+        sent = [0] * n  # messages of each sender, one copy each
+        own = [0] * n   # and their bytes
+        for msg in delivered:
+            sent[msg.sender] += 1
+            own[msg.sender] += msg.wire_size
+        total, live = sum(own), alive.count(True)
+        self._senders.setdefault(stage, set()).update(
+            i for i, count in enumerate(sent) if count)
+        # a live client receives the stage's bytes less its own
+        rows = [(i, count * (n - 1), nbytes * (n - 1),
+                 total - nbytes if a else 0)
+                for i, (count, nbytes, a) in enumerate(zip(sent, own, alive))]
+        self.metrics.record_exchange(
+            stage, sum(sent) * (n - 1), total * (live - 1),
+            total * (n - live), [row for row in rows if row[1] or row[3]])
+        self.delivered = delivered
+        return [delivered[:end - count] + delivered[end:] if a else []
+                for count, end, a in zip(sent, accumulate(sent), alive)]
+
+    def _exchange_entries(self, stage: str, entries: list[Entry], alive
+                          ) -> list[list[ProtocolMessage]]:
+        """exchange's delivery of sorted entries, one recipient at a time."""
         sent = [0] * self.n
         sent_bytes = [0] * self.n
         received = [0] * self.n
         inboxes = [[] for _ in range(self.n)]
         to_dropped = 0
-        for rcpts, msg in sorted(outbox, key=lambda e: (e[1].sender,
-                                                        e[1].kind, e[0][0])):
+        for rcpts, msg in entries:
             sender = msg.sender
             if not alive[sender]:
                 continue  # dropped clients send nothing from their stage on

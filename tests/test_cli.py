@@ -128,7 +128,7 @@ def test_verify_quick_passes(capsys):
     code, out = run_cli(capsys, "verify", "--quick")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 12
+    assert out.count("PASS") == 13
 
 
 def test_verify_fault_injection_is_detected(capsys):
@@ -142,6 +142,7 @@ def test_verify_fault_injection_is_detected(capsys):
     assert "FAIL lwe_matvec_dual_route" in out
     assert "FAIL lwe_mask_dual_route" in out
     assert "FAIL sum_mod_dual_route" in out
+    assert "FAIL receive_dual_route" in out
 
 
 def test_sweep_config_file(tmp_path, capsys):

@@ -101,6 +101,44 @@ def test_invalid_public_key_rejected():
         dh_agree(3, 2, DH_GROUP_TEST)
 
 
+def test_invalid_public_key_raises_on_every_call():
+    p, order = DH_GROUP_TEST.p, DH_GROUP_TEST.subgroup_order
+    outside = [0, 1, p - 1, p, p + 4, -4]
+    outside += [x for x in range(2, 40) if pow(x, order, p) != 1][:5]
+    for residue in outside:
+        for _ in range(3):  # the remembered verdict is the first one
+            with pytest.raises(InvalidPublicKey, match=str(residue)):
+                dh_agree(7, residue, DH_GROUP_TEST)
+
+
+def agree_unchecked(sk, pk, params):
+    return hashlib.sha256(pow(pk, sk, params.p).to_bytes(
+        params.residue_bytes, "big")).digest()
+
+
+@pytest.mark.parametrize("params,pairs", [(DH_GROUP_TEST, 30),
+                                          (DH_GROUP_2048, 3)])
+def test_remembered_check_keeps_agreements_byte_identical(params, pairs):
+    keys = [dh_keygen(params, rng(300 + i)) for i in range(pairs)]
+    for a, b in combinations(keys, 2):
+        for _ in range(2):  # first agreement checks b.pk, the second reads
+            assert dh_agree(a.sk, b.pk, params) == \
+                agree_unchecked(a.sk, b.pk, params)
+
+
+def test_subgroup_check_cache_is_bounded():
+    info = masking.in_subgroup.cache_info()
+    assert info.maxsize == masking.DH_CHECK_CACHE
+    p = DH_GROUP_TEST.p
+    for residue in range(p + 1, p + 1 + 2 * masking.DH_CHECK_CACHE):
+        with pytest.raises(InvalidPublicKey):
+            dh_agree(3, residue, DH_GROUP_TEST)
+    assert masking.in_subgroup.cache_info().currsize <= masking.DH_CHECK_CACHE
+    # a residue pushed out of the cache is checked again, with one verdict
+    assert dh_agree(3, DH_GROUP_TEST.g, DH_GROUP_TEST) == \
+        agree_unchecked(3, DH_GROUP_TEST.g, DH_GROUP_TEST)
+
+
 def test_distinct_pairs_distinct_seeds():
     # 62-bit safe prime (p = 2q+1, both prime); g=4 generates the
     # order-q subgroup.  Big enough that seed collisions mean a bug.

@@ -249,6 +249,25 @@ def test_share_vector_determinism():
     assert a.tolist() == b.tolist()
 
 
+@pytest.mark.parametrize("field", [F127, M61F], ids=["F127", "M61"])
+@pytest.mark.parametrize("m,k", [(10, 4), (12, 4), (1, 3), (7, 1)])
+def test_share_vector_reduces_unreduced_input(m, k, field):
+    # words at or above q, alone and in blocks, share as their residues;
+    # the caller's array is left as it was
+    vec = rng(60 + m).integers(0, 1 << 64, size=m, dtype=np.uint64)
+    vec[0] = np.uint64(field.q)
+    vec[-1] = np.uint64((1 << 64) - 1)
+    kept = vec.copy()
+    reduced = vec % np.uint64(field.q)
+    want = share_vector(reduced, 3, 6, k, rng(61), field)
+    assert share_vector(vec, 3, 6, k, rng(61), field).tolist() == \
+        want.tolist()
+    block = share_vector([(vec, rng(61)), (reduced, rng(61))], 3, 6, k,
+                         field=field)
+    assert [b.tolist() for b in block] == [want.tolist()] * 2
+    assert vec.tolist() == kept.tolist()
+
+
 @given(seed=st.integers(0, 10 ** 6), t=st.integers(1, 4), extra=st.integers(0, 3),
        k=st.integers(1, 4), m=st.integers(1, 12))
 @settings(max_examples=60, deadline=None)

@@ -288,6 +288,52 @@ def test_exchange_meters_entries_by_count_times_size():
     assert bus.delivery_record() == {"setup": (0, 1)}
 
 
+@pytest.mark.parametrize("dropped", [{}, {1: "setup"},
+                                     {0: "setup", 3: "setup", 4: "setup"}])
+def test_broadcast_stage_is_delivered_as_entry_by_entry(dropped):
+    # every entry goes to all of its sender's peers: the one delivered
+    # list gives the same inboxes, meters and senders as a recorded run,
+    # which delivers entry by entry
+    cfg = RoundConfig(protocol="pw", n=5, m=2, dh=DH_GROUP_TEST)
+
+    def peers(i):
+        return tuple(j for j in range(cfg.n) if j != i)
+
+    outbox = [(peers(i), ProtocolMessage(MsgKind.MASKED_VECTOR, i, 0,
+                                         VectorPayload(np.zeros(i + 1,
+                                                       dtype=np.uint64))))
+              for i in (3, 0, 1, 4)]
+    outbox += [(peers(i), ProtocolMessage(MsgKind.PUB_KEY, i, 0,
+                                          PubKeyPayload(5, 4)))
+               for i in (1, 3)]
+    buses = [MessageBus(cfg, master_seed=0,
+                        schedule=DropoutSchedule(stages=dropped),
+                        record_transcript=record) for record in (False, True)]
+    inboxes = [bus.exchange("setup", list(outbox)) for bus in buses]
+    assert inboxes[0] == inboxes[1]
+    rows = [list(bus.metrics.per_client.items()) for bus in buses]
+    assert rows[0] == rows[1]  # in the same order, too
+    assert buses[0].metrics.to_dict() == buses[1].metrics.to_dict()
+    assert buses[0].delivery_record() == buses[1].delivery_record()
+    live = sorted((msg for _, msg in outbox if msg.sender not in dropped),
+                  key=lambda m: (m.sender, m.kind))
+    assert buses[0].delivered == live and buses[1].delivered is None
+    for i, inbox in enumerate(inboxes[0]):
+        assert inbox == ([] if i in dropped
+                         else [m for m in live if m.sender != i])
+
+
+def test_partial_stage_is_delivered_entry_by_entry():
+    cfg = RoundConfig(protocol="nv", n=3, m=2)
+    bus = MessageBus(cfg, master_seed=0)
+    msg = ProtocolMessage(MsgKind.MASKED_VECTOR, 0, 0,
+                          VectorPayload(np.zeros(2, dtype=np.uint64)))
+    assert bus.exchange("input_shares", [((1,), msg)]) == [[], [msg], []]
+    assert bus.delivered is None
+    assert bus.exchange("input_shares", [((1, 2), msg)]) == [[], [msg], [msg]]
+    assert bus.delivered == [msg]
+
+
 def test_control_is_one_entry_to_the_live_clients():
     cfg = RoundConfig(protocol="nv", n=4, m=3)
     bus = MessageBus(cfg, master_seed=0,
