@@ -443,9 +443,8 @@ def _round_served(proto: str, shared: bool):
     """(every client's store, every survivor's result) of one small round
     of proto, with a client dropped at each of its last two stages.  With
     shared, each stage goes through the driver's one pass (rounds._deliver,
-    handed the bus's delivered list); without, on a recording bus, which
-    delivers entry by entry, each message is served by hand as its own
-    inbox."""
+    handed the bus's delivered list); without, each message is served by
+    hand as its own inbox, which the client checks on its own."""
     cfg = RoundConfig(protocol=proto, n=6, m=5, planned_dropouts=2,
                       lwe=LweParams(n_lwe=16, sigma=1e-6,
                                     matrix_seed=b"\x09" * 32)
@@ -453,7 +452,7 @@ def _round_served(proto: str, shared: bool):
                       dh=DH_GROUP_TEST if proto == PW else None)
     *opening, final = cfg.stages
     bus = MessageBus(cfg, master_seed=9, schedule=DropoutSchedule(
-        stages={1: opening[-1], 4: final}), record_transcript=not shared)
+        stages={1: opening[-1], 4: final}))
     ctx = RoundContext(lwe_matrix_ops(cfg.lwe, cfg.m, cfg.field)
                        if proto == LWE else None)
     client_cls = {NV: NvClient, LWE: LweClient, PW: PwClient}[proto]
@@ -486,8 +485,9 @@ def _round_served(proto: str, shared: bool):
 
 def _prop_receive_dual_route(fault_inject: bool) -> bool:
     """One round of every protocol served by the shared stage pass and by
-    hand, one message per inbox: every client's store and every
-    survivor's result agree."""
+    hand, one message per inbox, each inbox checked by the client's one
+    check routine: every client's store and every survivor's result
+    agree."""
     for proto in PROTOCOLS:
         (stores, results), by_hand = (_round_served(proto, shared)
                                       for shared in (True, False))

@@ -100,6 +100,39 @@ def brute_force_packed_consistency(fixed_shares: list[Share], t: int, k: int,
     return hist
 
 
+# each protocol's last opening stage and its final stage, by label
+_LAST_STAGES = {"nv": ("input_shares", "aggregate_shares"),
+                "lwe": ("masked_vector", "sum_shares"),
+                "pw": ("masked_vector", "unmask_shares")}
+
+
+def expected_outcome(cfg: RoundConfig, schedule) -> tuple[str | None,
+                                                         tuple[int, ...]]:
+    """(the failure type name or None, the contributors) that one round
+    of cfg ends with under a stage-atomic DropoutSchedule, from the
+    schedule alone.  The contributors C are the clients alive through the
+    last opening stage, the survivors L those that never drop.  No C is
+    InsufficientContributors.  Too few survivors to open is
+    InsufficientSurvivors: fewer than max(1, t+k-1) for nv and lwe; for
+    pw fewer than t where a secret is opened (with personal masks, or the
+    DH key of a client that dropped at the masked vector), and none
+    otherwise.  Else the round succeeds with C; an lwe round may still end
+    in DecodeRange, which its noise decides."""
+    opening, final = _LAST_STAGES[cfg.protocol]
+    drops = schedule.stages
+    contributors = tuple(i for i in range(cfg.n)
+                         if drops.get(i, final) == final)
+    if cfg.protocol != "pw":
+        need = max(1, cfg.t + cfg.k - 1)
+    else:
+        need = cfg.t if cfg.personal_mask or opening in drops.values() else 1
+    if not contributors:
+        return "InsufficientContributors", contributors
+    if sum(i not in drops for i in range(cfg.n)) < need:
+        return "InsufficientSurvivors", contributors
+    return None, contributors
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """Desk-scale synthetic task: per-client quadratic loss

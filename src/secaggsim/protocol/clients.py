@@ -10,25 +10,23 @@ real deployment would come from a synchrony barrier (begin masking, begin
 the round) are explicit method calls by the round driver.
 
 Every client holds what it has heard in one store, got[kind][sender] ->
-payload, with its own broadcasts under its own id, and checks an inbox in
-one receive pass (BaseClient.on_message): a message of another round, of a
-kind its class does not accept, or of a kind already heard from its sender
-raises.  Under stage-atomic dropout every survivor ends a stage with the
-same store, so the pass runs once per stage: the round driver hands the
-round context the stage's one delivered list, every message of it is
-checked once for the whole round, and a client whose inbox is that list
-less its own messages takes the stage's read-only sender -> payload maps
-as its store, shared with every other such client.  Any other inbox (a
-forged one, a partial delivery) is checked message by message, so its
-first offender raises as it would alone.  Clients never see who dropped
-except through the contributor set, which only the bus announces and
-which is the one trigger of the final stage; a payload it needs that
-never arrived raises a typed ProtocolError.
+payload, with its own broadcasts under its own id, and one routine,
+BaseClient._checked, checks every inbox before any of it is held: its first
+offender raises a typed error.  Under stage-atomic dropout every survivor
+ends a stage with the same store, so the routine runs once per stage, on
+its one delivered list, and a client whose inbox is that list less its own
+messages takes the stage's read-only sender -> payload maps as its store,
+shared with every other such client.  Any other inbox (the contributor
+set, a forged one, a partial delivery) runs the routine on its own.
+Clients never see who dropped except through the contributor set, which
+only the bus announces and which is the one trigger of the final stage; a
+payload it needs that never arrived raises a typed ProtocolError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from types import MappingProxyType
 
 import numpy as np
@@ -40,6 +38,7 @@ from ..errors import (
     MissingKeyShares,
     PointMismatch,
     SafetyViolation,
+    SecAggError,
     UnexpectedMessage,
     UnmaskMismatch,
 )
@@ -136,23 +135,10 @@ class RoundContext:
         self.matrix_ops = matrix_ops
         self.inputs: list[tuple] = []
         self.memo: dict = {}
-        self._stage = None
-
-    def open_stage(self, messages: list | None):
-        """Hold messages, the one list a stage delivered, every live
-        client's inbox being it less that client's own messages; None
-        when the inboxes were built one by one."""
-        self._stage = None if messages is None else (messages, {})
-
-    def stage_check(self, rule, check):
-        """(the current stage list, check(it)), the check run once per
-        rule, which names everything it reads; None with no stage list."""
-        if self._stage is None:
-            return None
-        messages, checked = self._stage
-        if rule not in checked:
-            checked[rule] = check(messages)
-        return messages, checked[rule]
+        # the one list the current stage delivered, from which the bus cut
+        # every live client's inbox; None for the contributor set, which
+        # every client checks on its own
+        self.stage: list | None = None
 
     def register(self, value, rng) -> int:
         """Hold a client's input and rng; returns its index."""
@@ -289,114 +275,111 @@ class BaseClient:
                 ProtocolMessage(kind, self.id, self.round, payload))
 
     def on_message(self, inbox: list[ProtocolMessage]) -> list[Entry]:
-        """Check and hold every message of inbox in order, so the first
-        offender raises: its round, its kind, a first one of its kind from
-        its sender, then the class's own payload check.  The contributor
-        set, from the bus alone, returns the final stage's entries, from
-        the class's _final_out.  An inbox that _take_stage takes whole
-        passes every one of these checks, so it is held at once."""
-        if self._take_stage(inbox):
+        """Hold inbox's sender -> payload map of each kind: the stage's
+        shared maps where _take_stage takes them, else _checked's maps of
+        inbox against this client's store, which raises for the first
+        offender.  The contributor set returns the final stage's entries,
+        from the class's _final_out."""
+        maps = self._take_stage(inbox)
+        if maps is None:
+            maps = self._checked(inbox, self.got, self.id)
+            for kind, view in maps.items():
+                self.got[kind].update(view)
+        else:
+            self.got.update(maps)
+        if MsgKind.CONTRIBUTOR_SET not in maps:
             return []
-        out = []
-        for msg in inbox:
+        self.contributors = maps[MsgKind.CONTRIBUTOR_SET][BUS_SENDER].ids
+        return self._final_out()
+
+    def _checked(self, messages: list[ProtocolMessage], held, reader: int
+                 ) -> dict[MsgKind, dict]:
+        """The one check of every inbox: the sender -> payload map of each
+        kind of messages, each checked in order against held (kind ->
+        sender -> payload) and the messages before it.  It needs this
+        round, a kind of held and one message per (sender, kind); then a
+        contributor set from the bus alone, of increasing client ids, and
+        any other kind unlocked by a contributor set, with its kind's
+        header and, as a share bundle, a row for client reader.  The first
+        offender raises its typed error, naming this client."""
+        maps: dict[MsgKind, dict] = {}
+        locked = self.contributors is not None
+        me, n = f"client {self.id}", self.cfg.n
+        for msg in messages:
+            kind, sender, p = msg.kind, msg.sender, msg.payload
             if msg.round != self.round:
                 raise UnexpectedMessage(
-                    f"client {self.id}: round {msg.round} != {self.round}")
-            held = self.got.view(msg.kind)
-            if held is None:
+                    f"{me}: round {msg.round} != {self.round}")
+            if kind not in held:
+                raise UnexpectedMessage(f"{me}: {kind.name} not expected now")
+            view = maps.setdefault(kind, {})
+            if sender in view or sender in held.get(kind):
+                raise DuplicateSender(
+                    f"{me}: second {kind.name} from {sender}")
+            if kind == MsgKind.CONTRIBUTOR_SET:
+                if sender != BUS_SENDER:
+                    raise UnexpectedMessage(f"{me}: {kind.name} from {sender}")
+                if not p.ids:
+                    raise InsufficientContributors("empty contributor set")
+                if not all(map(lt, (-1, *p.ids), (*p.ids, n))):
+                    raise UnexpectedMessage(f"{me}: contributor set {p.ids} "
+                                            f"is not increasing ids below {n}")
+                locked = True
+            elif locked and kind in self.LOCKED_BY_CONTRIBUTORS:
                 raise UnexpectedMessage(
-                    f"client {self.id}: {msg.kind.name} not expected now")
-            if msg.sender in held:
-                raise DuplicateSender(f"client {self.id}: second "
-                                      f"{msg.kind.name} from {msg.sender}")
-            if msg.kind != MsgKind.CONTRIBUTOR_SET:
-                self._check(msg)
-                self.got[msg.kind][msg.sender] = msg.payload
-                continue
-            if msg.sender != BUS_SENDER:  # only the bus announces one
-                raise UnexpectedMessage(
-                    f"client {self.id}: {msg.kind.name} from {msg.sender}")
-            if not msg.payload.ids:
-                raise InsufficientContributors("empty contributor set")
-            self.got[msg.kind][msg.sender] = msg.payload
-            self.contributors = msg.payload.ids
-            out += self._final_out()
-        return out
+                    f"{me}: {kind.name} after the contributor set")
+            elif (header := self.headers.get(kind)) is not None:
+                if p.header != header:
+                    raise PointMismatch(f"{me}: {kind.name} header {p.header} "
+                                        f"from {sender} != {header}")
+                if isinstance(p, ShareBundlePayload) and len(p.rows) <= reader:
+                    raise PointMismatch(f"{me}: share bundle from {sender} "
+                                        f"has no row {reader}")
+            view[sender] = p
+        return maps
 
-    def _take_stage(self, inbox: list[ProtocolMessage]) -> bool:
-        """Take the round's checked maps of the current stage as this
-        client's store of their kinds, and say so, if inbox is the stage
-        list less this client's own messages, the store holds nothing of
-        those kinds but this client's own broadcast, the very payload of
-        the map, and no kind arrives locked by the contributor set."""
-        rule = (self.round, tuple(self.got), tuple(self.headers.items()),
-                self.cfg.n)
-        stage = self.ctx.stage_check(rule, self._check_stage)
-        if stage is None or stage[1] is None:
-            return False
-        messages, (maps, runs) = stage
+    def _take_stage(self, inbox: list[ProtocolMessage]):
+        """The stage's checked maps, shared by every client of this rule,
+        if inbox is the stage list less this client's own messages and the
+        store holds nothing of their kinds but this client's own
+        broadcast, the very payload of the map; else None."""
+        messages = self.ctx.stage
+        if messages is None:
+            return None
+        rule = ("stage", self.round, tuple(self.got),
+                tuple(self.headers.items()), self.cfg.n,
+                self.contributors is not None)
+        checked = self.ctx.derived(rule, (messages,),
+                                   lambda: self._check_stage(messages))
+        if checked is None:
+            return None
+        maps, runs = checked
         start, end = runs.get(self.id, (0, 0))
         if inbox != messages[:start] + messages[end:]:
-            return False
-        if self.contributors is not None and any(
-                kind in maps for kind in self.LOCKED_BY_CONTRIBUTORS):
-            return False
+            return None
         for kind, view in maps.items():
             # held: nothing, or what the map holds as this client's own
             held, own = self.got.view(kind), view.get(self.id)
             if held if own is None else (
                     len(held) != 1 or held.get(self.id) is not own):
-                return False
-        self.got.update(maps)
-        return True
+                return None
+        return maps
 
     def _check_stage(self, messages: list[ProtocolMessage]):
-        """(the read-only sender -> payload map of each kind of messages,
-        each sender's run (start, end) of them) if every message passes
-        this class's checks at every client of the round: this round, a
-        kind of the store other than the contributor set, one message per
-        (sender, kind), the kind's header, a share bundle with a row for
-        every client, and each sender's messages side by side.  None if
-        any fails, so that every client checks its inbox message by
-        message and raises for its own first offender."""
-        views: dict[MsgKind, dict] = {}
+        """(read-only maps of messages, each sender's run (start, end) of
+        them) if _checked passes them for a client of this rule that holds
+        nothing of their kinds, every bundle with a row for every client;
+        None if it raises, so that each client checks its own inbox."""
+        try:
+            maps = self._checked(messages, dict.fromkeys(self.got, {}),
+                                 self.cfg.n - 1)
+        except SecAggError:
+            return None
         runs: dict[int, tuple[int, int]] = {}
         for i, msg in enumerate(messages):
-            if (msg.round != self.round or msg.kind not in self.got
-                    or msg.kind == MsgKind.CONTRIBUTOR_SET):
-                return None
-            view = views.setdefault(msg.kind, {})
-            run = runs.get(msg.sender, (i, i))
-            if msg.sender in view or run[1] != i:
-                return None
-            header, p = self.headers.get(msg.kind), msg.payload
-            if header is not None and (p.header != header or isinstance(
-                    p, ShareBundlePayload) and len(p.rows) < self.cfg.n):
-                return None
-            view[msg.sender] = p
-            runs[msg.sender] = (run[0], i + 1)
+            runs[msg.sender] = (runs.get(msg.sender, (i,))[0], i + 1)
         return ({kind: MappingProxyType(view)
-                 for kind, view in views.items()}, runs)
-
-    def _check(self, msg: ProtocolMessage):
-        """No kind locked by the contributor set after it, a share payload
-        or masked vector only with the header of its kind, and a share
-        bundle only with a row for this client."""
-        if (msg.kind in self.LOCKED_BY_CONTRIBUTORS
-                and self.contributors is not None):
-            raise UnexpectedMessage(
-                f"client {self.id}: {msg.kind.name} after the contributor set")
-        header = self.headers.get(msg.kind)
-        if header is None:
-            return
-        p = msg.payload
-        if p.header != header:
-            raise PointMismatch(
-                f"client {self.id}: {msg.kind.name} header {p.header} from "
-                f"{msg.sender} != {header}")
-        if isinstance(p, ShareBundlePayload) and len(p.rows) <= self.id:
-            raise PointMismatch(f"client {self.id}: share bundle from "
-                                f"{msg.sender} has no row {self.id}")
+                 for kind, view in maps.items()}, runs)
 
     def _held(self, kind: MsgKind, senders, error, missing: str) -> list:
         """The payloads of kind from senders, in order; error(missing with

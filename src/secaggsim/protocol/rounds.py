@@ -3,13 +3,13 @@
 A round driver owns the synchrony structure: it asks live clients for
 their stage-opening outbox entries, pushes them through the bus (which
 meters bytes and applies stage-atomic dropout), hands the round context
-the stage's one delivered list where the bus built one, serves each
-client the inbox the bus built for it, and injects the bus-issued
-contributor set between the input and output halves of each protocol.
+the stage's one delivered list, serves each client the inbox the bus
+built for it, and injects the bus-issued contributor set between the
+input and output halves of each protocol.
 
 The bus is duck-typed; any object with the MessageBus surface works
-(`delivered` included), so the protocol layer stays independent of the
-simulator.
+(`delivered`, the last exchange's list, included), so the protocol layer
+stays independent of the simulator.
 """
 
 from __future__ import annotations
@@ -117,11 +117,11 @@ def contributor_set(delivery_record, stage: str) -> tuple[int, ...]:
     return tuple(sorted(delivery_record[stage]))
 
 
-def _deliver(clients, inboxes, ctx: RoundContext, delivered=None) -> list:
+def _deliver(clients, inboxes, ctx: RoundContext, delivered) -> list:
     """Serve every client with a nonempty inbox, in ascending id, once
-    the round context holds the stage's one delivered list (None where
-    the inboxes were built one by one); returns the entries they emit."""
-    ctx.open_stage(delivered)
+    the round context holds the stage's one delivered list (None for the
+    contributor set); returns the entries they emit."""
+    ctx.stage = delivered
     out = []
     for client, inbox in zip(clients, inboxes):
         if inbox:
@@ -173,7 +173,7 @@ def _drive(inputs, cfg: RoundConfig, bus, client_cls, openers,
         raise InsufficientContributors(no_contributors)
     announce = ProtocolMessage(MsgKind.CONTRIBUTOR_SET, BUS_SENDER, bus.round,
                                ContributorSetPayload(contributors))
-    final = _deliver(clients, bus.control(st_final, announce), ctx)
+    final = _deliver(clients, bus.control(st_final, announce), ctx, None)
     inboxes = bus.exchange(st_final, final)
     _deliver(clients, inboxes, ctx, bus.delivered)
     return _finalize(clients, bus)

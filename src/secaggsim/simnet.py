@@ -7,12 +7,11 @@ stage S on; bytes addressed to it are still counted ("addressed to
 dropped") so complexity comparisons stay well-defined under dropout.
 An outbox entry (recipients, message) is metered as recipients times the
 message's wire size, from its shape; a share bundle's wire size is that of
-one recipient's row.  The bus hands each client one inbox per stage, and
-only a recorded transcript serializes, one message per delivery with each
-bundle narrowed to the recipient's row.  A stage whose every entry goes
-to all of its sender's peers, as every stage of the three protocols does,
-is delivered as one list: each live client's inbox is that list less its
-own messages, and the stage is metered from counts.
+one recipient's row.  Every stage is delivered as one list, its live
+senders' messages: each live client's inbox is that list less its own
+messages and the entries that skip it.  Only a recorded transcript
+serializes, one message per delivery with each bundle narrowed to the
+recipient's row.
 
 Seed derivation: client i's generator is seeded with
 SHA-256(master_seed || "client" || i), the dropout schedule with
@@ -26,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
 
@@ -197,8 +197,10 @@ class MessageBus:
     """Synchronous, stage-stepped delivery with per-sender FIFO order.
 
     Delivery order is fully deterministic: entries (recipients, message)
-    are sorted by (sender, kind, first recipient), and each stage gives
-    every client one inbox, the messages that reached it in that order.
+    are sorted by (sender, kind, first recipient), their live senders'
+    messages in that order are the stage's one list, `delivered`, and
+    each stage gives every client one inbox, the messages of that list
+    that reached it.
     Clients share no state but a memo keyed on its inputs, so a parallel
     driver may serve the inboxes in any order; this one serves them in
     ascending client id.
@@ -227,8 +229,8 @@ class MessageBus:
             for k, stage in enumerate(cfg.stages)
         }
         self._senders: dict[str, set[int]] = {}
-        # the last exchange's one delivered list, if it built one
-        self.delivered: list[ProtocolMessage] | None = None
+        # the last exchange's one delivered list
+        self.delivered: list[ProtocolMessage] = []
 
     def next_round(self):
         self.round += 1
@@ -246,72 +248,50 @@ class MessageBus:
     def exchange(self, stage: str, outbox: list[Entry]
                  ) -> list[list[ProtocolMessage]]:
         """Deliver one stage's entries; returns every client's inbox,
-        indexed by client id, in deterministic order.  The stage is
-        metered once, from counts kept per client id.  A stage whose
-        every entry is addressed to all of its sender's peers leaves its
-        live senders' messages, in that order, in `delivered`, and each
-        live client's inbox is that list less its own messages; any other
-        stage, and every stage of a recorded run, is delivered entry by
-        entry and leaves `delivered` None."""
-        alive = self._alive[stage]
-        entries = sorted(outbox, key=lambda e: (e[1].sender, e[1].kind,
-                                                e[0][0]))
-        self.delivered = None
-        if self._record or not all(
-                rcpts == (*range(msg.sender), *range(msg.sender + 1, self.n))
-                for rcpts, msg in entries):
-            return self._exchange_entries(stage, entries, alive)
-        n = self.n
-        delivered = [msg for _, msg in entries if alive[msg.sender]]
-        sent = [0] * n  # messages of each sender, one copy each
-        own = [0] * n   # and their bytes
-        for msg in delivered:
-            sent[msg.sender] += 1
-            own[msg.sender] += msg.wire_size
-        total, live = sum(own), alive.count(True)
+        indexed by client id.  The live senders' messages, sorted by
+        (sender, kind, first recipient), are the stage's one delivered
+        list, left in `delivered`.  A live client's inbox is that list less
+        its own messages, sliced out of it, and less the entries not
+        addressed to it: only a client that some entry skips (or names
+        twice) has its inbox built on its own.  The stage is metered once,
+        from counts kept per client id, and a recorded transcript reads the
+        same entries, each to its live recipients in their order."""
+        alive, n = self._alive[stage], self.n
+        entries = [e for e in sorted(outbox, key=lambda e: (
+            e[1].sender, e[1].kind, e[0][0])) if alive[e[1].sender]]
+        delivered = [msg for _, msg in entries]
+        # per sender: its messages, one copy each, and their bytes; the
+        # copies it sent and their bytes
+        count, own, sent, sent_bytes = ([0] * n for _ in range(4))
+        hits = {}  # entry index -> recipient counts, for an entry to others
+        for i, (rcpts, msg) in enumerate(entries):
+            s, size = msg.sender, msg.wire_size
+            count[s] += 1
+            own[s] += size
+            sent[s] += len(rcpts)
+            sent_bytes[s] += len(rcpts) * size
+            if rcpts != (*range(s), *range(s + 1, n)):
+                hits[i] = Counter(rcpts)
+        total = sum(own)
+        received = [total - b if a else 0 for b, a in zip(own, alive)]
+        inboxes = [delivered[:end - c] + delivered[end:] if a else []
+                   for c, end, a in zip(count, accumulate(count), alive)]
+        for r in {r for i, c in hits.items() for r in range(n)
+                  if alive[r] and c[r] != (r != delivered[i].sender)}:
+            inboxes[r] = [msg for i, msg in enumerate(delivered) for _ in range(
+                hits[i][r] if i in hits else msg.sender != r)]
+            received[r] = sum(msg.wire_size for msg in inboxes[r])
         self._senders.setdefault(stage, set()).update(
-            i for i, count in enumerate(sent) if count)
-        # a live client receives the stage's bytes less its own
-        rows = [(i, count * (n - 1), nbytes * (n - 1),
-                 total - nbytes if a else 0)
-                for i, (count, nbytes, a) in enumerate(zip(sent, own, alive))]
+            i for i, copies in enumerate(sent) if copies)
+        if self._record:
+            self.transcript.extend((r, msg.at(r)) for rcpts, msg in entries
+                                   for r in rcpts if alive[r])
+        # every copy reaches a live client or is addressed to a dropped one
         self.metrics.record_exchange(
-            stage, sum(sent) * (n - 1), total * (live - 1),
-            total * (n - live), [row for row in rows if row[1] or row[3]])
-        self.delivered = delivered
-        return [delivered[:end - count] + delivered[end:] if a else []
-                for count, end, a in zip(sent, accumulate(sent), alive)]
-
-    def _exchange_entries(self, stage: str, entries: list[Entry], alive
-                          ) -> list[list[ProtocolMessage]]:
-        """exchange's delivery of sorted entries, one recipient at a time."""
-        sent = [0] * self.n
-        sent_bytes = [0] * self.n
-        received = [0] * self.n
-        inboxes = [[] for _ in range(self.n)]
-        to_dropped = 0
-        for rcpts, msg in entries:
-            sender = msg.sender
-            if not alive[sender]:
-                continue  # dropped clients send nothing from their stage on
-            size = msg.wire_size
-            sent[sender] += len(rcpts)
-            sent_bytes[sender] += len(rcpts) * size
-            live = [r for r in rcpts if alive[r]]
-            for rcpt in live:
-                received[rcpt] += size
-                inboxes[rcpt].append(msg)
-            to_dropped += (len(rcpts) - len(live)) * size
-            if self._record:
-                self.transcript.extend((rcpt, msg.at(rcpt)) for rcpt in live)
-        self._senders.setdefault(stage, set()).update(
-            i for i, count in enumerate(sent) if count)
-        # every message has a header, so a client that received anything
-        # has a nonzero byte count
-        self.metrics.record_exchange(
-            stage, sum(sent), sum(received), to_dropped,
-            [row for row in zip(range(self.n), sent, sent_bytes, received)
+            stage, sum(sent), sum(received), sum(sent_bytes) - sum(received),
+            [row for row in zip(range(n), sent, sent_bytes, received)
              if row[1] or row[3]])
+        self.delivered = delivered
         return inboxes
 
     def control(self, stage: str, msg: ProtocolMessage

@@ -4,17 +4,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from secaggsim.errors import EmptyContributors, FieldTooLarge
+from secaggsim.errors import EmptyContributors, FieldTooLarge, SecAggError
 from secaggsim.field import FieldPrime
 from secaggsim.masking import DH_GROUP_TEST, LweParams
 from secaggsim.oracle import (
     TrajectoryConfig,
     brute_force_share_consistency,
+    expected_outcome,
     mini_training_trajectory,
     plaintext_aggregate,
 )
-from secaggsim.protocol import RoundConfig
+from secaggsim.protocol import ROUND_FNS, RoundConfig
 from secaggsim.shamir import Share, sss_share
+from secaggsim.simnet import DropoutSchedule, MessageBus
 
 F17 = FieldPrime(17)
 F7 = FieldPrime(7)
@@ -96,3 +98,37 @@ def test_trajectory_lwe_degenerate_noise():
 def test_trajectory_desk_scale_guard():
     with pytest.raises(ValueError):
         TrajectoryConfig(d=200)
+
+
+NV5 = RoundConfig(protocol="nv", n=5, m=2, k=1)  # t = 3: 3 summed shares
+PW5 = RoundConfig(protocol="pw", n=5, m=2, dh=DH_GROUP_TEST,
+                  personal_mask=False)         # t = 3, opens only keys
+OUTCOME_CASES = [
+    (NV5, {}, None, (0, 1, 2, 3, 4)),
+    (NV5, {1: "aggregate_shares", 2: "input_shares"}, None, (0, 1, 3, 4)),
+    (NV5, {0: "aggregate_shares", 1: "aggregate_shares", 2: "input_shares"},
+     "InsufficientSurvivors", (0, 1, 3, 4)),
+    (NV5, dict.fromkeys(range(5), "input_shares"),
+     "InsufficientContributors", ()),
+    # no DH key to open: one survivor finishes
+    (PW5, {0: "setup", 1: "unmask_shares", 2: "unmask_shares",
+           3: "unmask_shares"}, None, (1, 2, 3, 4)),
+    # client 0's key must be opened from t shares
+    (PW5, {0: "masked_vector", 1: "unmask_shares", 2: "unmask_shares",
+           3: "unmask_shares"}, "InsufficientSurvivors", (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("cfg,drops,failure,contributors", OUTCOME_CASES)
+def test_expected_outcome_matches_a_round_on_the_schedule(
+        cfg, drops, failure, contributors):
+    schedule = DropoutSchedule(stages=drops)
+    assert expected_outcome(cfg, schedule) == (failure, contributors)
+    bus = MessageBus(cfg, master_seed=1, schedule=schedule)
+    inputs = [np.full(cfg.m, 0.1 * i) for i in range(cfg.n)]
+    try:
+        result = ROUND_FNS[cfg.protocol](inputs, cfg, bus)
+    except SecAggError as exc:
+        assert type(exc).__name__ == failure
+    else:
+        assert failure is None and result.contributors == contributors

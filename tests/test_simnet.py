@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from secaggsim.errors import InsufficientContributors, MissingKeyShares
 from secaggsim.masking import DH_GROUP_TEST, LweParams
 from secaggsim.oracle import plaintext_aggregate
 from secaggsim.protocol import (
@@ -291,9 +292,10 @@ def test_exchange_meters_entries_by_count_times_size():
 @pytest.mark.parametrize("dropped", [{}, {1: "setup"},
                                      {0: "setup", 3: "setup", 4: "setup"}])
 def test_broadcast_stage_is_delivered_as_entry_by_entry(dropped):
-    # every entry goes to all of its sender's peers: the one delivered
-    # list gives the same inboxes, meters and senders as a recorded run,
-    # which delivers entry by entry
+    # every entry goes to all of its sender's peers: each inbox is the one
+    # delivered list less the client's own messages, and a recorded run,
+    # which also writes the transcript entry by entry, gives the same
+    # inboxes, meters, senders and list
     cfg = RoundConfig(protocol="pw", n=5, m=2, dh=DH_GROUP_TEST)
 
     def peers(i):
@@ -317,7 +319,7 @@ def test_broadcast_stage_is_delivered_as_entry_by_entry(dropped):
     assert buses[0].delivery_record() == buses[1].delivery_record()
     live = sorted((msg for _, msg in outbox if msg.sender not in dropped),
                   key=lambda m: (m.sender, m.kind))
-    assert buses[0].delivered == live and buses[1].delivered is None
+    assert buses[0].delivered == buses[1].delivered == live
     for i, inbox in enumerate(inboxes[0]):
         assert inbox == ([] if i in dropped
                          else [m for m in live if m.sender != i])
@@ -329,9 +331,73 @@ def test_partial_stage_is_delivered_entry_by_entry():
     msg = ProtocolMessage(MsgKind.MASKED_VECTOR, 0, 0,
                           VectorPayload(np.zeros(2, dtype=np.uint64)))
     assert bus.exchange("input_shares", [((1,), msg)]) == [[], [msg], []]
-    assert bus.delivered is None
+    # the one list holds the message, though its entry skips client 2
+    assert bus.delivered == [msg]
     assert bus.exchange("input_shares", [((1, 2), msg)]) == [[], [msg], [msg]]
     assert bus.delivered == [msg]
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_entry_that_skips_one_live_peer(record):
+    # client 1's masked vector skips client 2, a live peer; every other
+    # entry goes to all of its sender's peers, and client 3 has dropped
+    cfg = RoundConfig(protocol="pw", n=4, m=2, dh=DH_GROUP_TEST)
+    bus = MessageBus(cfg, master_seed=0,
+                     schedule=DropoutSchedule(stages={3: "setup"}),
+                     record_transcript=record)
+
+    def peers(i):
+        return tuple(j for j in range(cfg.n) if j != i)
+
+    pk = {i: ProtocolMessage(MsgKind.PUB_KEY, i, 0, PubKeyPayload(5, 4))
+          for i in range(cfg.n)}                               # 17 bytes
+    vec = ProtocolMessage(MsgKind.MASKED_VECTOR, 1, 0, VectorPayload(
+        np.zeros(2, dtype=np.uint64)))                          # 33 bytes
+    outbox = [(peers(i), pk[i]) for i in (3, 2, 1, 0)] + [((0, 3), vec)]
+    inboxes = bus.exchange("setup", outbox)
+    assert bus.delivered == [pk[0], pk[1], vec, pk[2]]
+    assert inboxes == [[pk[1], vec, pk[2]], [pk[0], pk[2]], [pk[0], pk[1]],
+                       []]
+    assert bus.metrics.per_stage["setup"] == {
+        "messages_sent": 3 * 3 + 2, "bytes_sent": 9 * 17 + 2 * 33,
+        "bytes_delivered": 6 * 17 + 33, "bytes_to_dropped": 3 * 17 + 33}
+    assert bus.metrics.per_client == {
+        0: {"messages_sent": 3, "bytes_sent": 3 * 17,
+            "bytes_received": 2 * 17 + 33},
+        1: {"messages_sent": 5, "bytes_sent": 3 * 17 + 2 * 33,
+            "bytes_received": 2 * 17},
+        2: {"messages_sent": 3, "bytes_sent": 3 * 17,
+            "bytes_received": 2 * 17}}
+    assert bus.delivery_record() == {"setup": (0, 1, 2)}
+    assert bus.transcript == ([(1, pk[0]), (2, pk[0]), (0, pk[1]), (2, pk[1]),
+                               (0, vec), (0, pk[2]), (1, pk[2])]
+                              if record else [])
+
+
+@pytest.mark.parametrize("proto,kind,error,text", [
+    ("nv", MsgKind.INPUT_SHARE_VECTOR, MissingKeyShares,
+     "client 2: no shares from contributors [1]"),
+    ("lwe", MsgKind.MASKED_VECTOR, InsufficientContributors,
+     "client 2: masked vectors missing from [1]"),
+    ("pw", MsgKind.MASKED_VECTOR, InsufficientContributors,
+     "client 2: masked vectors missing from [1]"),
+])
+def test_client_an_entry_skips_ends_in_a_typed_failure(proto, kind, error,
+                                                       text, monkeypatch):
+    exchange = MessageBus.exchange
+
+    def skipping(self, stage, outbox):
+        return exchange(self, stage, [
+            (tuple(r for r in rcpts if r != 2)
+             if (msg.kind, msg.sender) == (kind, 1) else rcpts, msg)
+            for rcpts, msg in outbox])
+
+    monkeypatch.setattr(MessageBus, "exchange", skipping)
+    rc = RoundConfig(protocol=proto, n=5, m=3,
+                     **{"nv": {}, "lwe": dict(lwe=LweParams(n_lwe=16)),
+                        "pw": _PW}[proto])
+    report = run_simulation(SimConfig(round_cfg=rc, master_seed=4))
+    assert report.failure == f"{error.__name__}: {text}"
 
 
 def test_control_is_one_entry_to_the_live_clients():
